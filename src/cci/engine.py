@@ -16,6 +16,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -25,6 +26,7 @@ from .geometry import (
     BezierCurve,
     ControlNet,
     Rect,
+    UNIT_SQUARE,
     difference_net,
     eval_curve,
     eval_net,
@@ -37,6 +39,7 @@ from .kantorovich import (
     PairStatus,
     PairSystem,
     explored_region,
+    second_derivative_nets,
     test_pairs,
 )
 from .newton import newton_solve
@@ -70,6 +73,14 @@ _DUPLICATE_TOL = 1e-9
 
 Observer = Callable[[str, dict], None]
 
+# Each child's quarter of its parent's local unit square, in child order.
+_QUARTERS = (
+    Rect(0.0, 0.5, 0.0, 0.5),
+    Rect(0.5, 1.0, 0.0, 0.5),
+    Rect(0.0, 0.5, 0.5, 1.0),
+    Rect(0.5, 1.0, 0.5, 1.0),
+)
+
 
 @dataclass(frozen=True)
 class Square:
@@ -93,9 +104,6 @@ class Square:
             raise ValueError("square must lie inside the unit parameter square")
         if any(s < 1.0 for s in self.scales):
             raise ValueError(f"test-domain scales must be >= 1, got {self.scales}")
-
-    def rect(self) -> Rect:
-        return Rect.ball(self.center, self.half_width)
 
 
 @dataclass(frozen=True)
@@ -236,13 +244,17 @@ def solve(
     """
     net = difference_net(c1, c2)
     systems = [PairSystem(net, pair) for pair in COMPONENT_PAIRS]
+    seconds = second_derivative_nets(net)
     zero_tol = config.zero_tol
     if zero_tol is None:
         zero_tol = default_zero_tol(c1, c2)
 
     initial = config.fixed_scale if config.mode == "fixed" else INITIAL_SCALE
     root = Square((0.5, 0.5), 0.5, (initial, initial, initial), 0)
-    queue: deque[Square] = deque([root])
+    # A queue entry holds its square, its parent's net and its quarter of the
+    # parent. The square's own net is restricted only once it is popped and
+    # not pruned, so the queue holds one net per subdivided parent.
+    queue: deque[tuple[Square, ControlNet, Rect]] = deque([(root, net, UNIT_SQUARE)])
     regions: list[ExploredRegion] = []
     report = SolveReport()
     trace = log.isEnabledFor(TRACE)
@@ -253,7 +265,7 @@ def solve(
             if trace:
                 log.log(TRACE, "square budget exhausted, stopping")
             break
-        sq = queue.popleft()
+        sq, parent_net, quarter = queue.popleft()
         report.squares_examined += 1
         report.max_depth_reached = max(report.max_depth_reached, sq.depth)
         if observer is not None:
@@ -270,13 +282,16 @@ def solve(
                 log.log(TRACE, "  pruned by explored region")
             continue
 
-        if exclusion_test(reparametrize(net, sq.rect())):
+        square_net = reparametrize(parent_net, quarter)
+        if exclusion_test(square_net):
             report.exclusion_passes += 1
             if trace:
                 log.log(TRACE, "  exclusion test passed, square discarded")
             continue
 
-        outcome = test_pairs(systems, sq.center, sq.half_width, sq.scales)
+        outcome = test_pairs(
+            systems, seconds, square_net, sq.center, sq.half_width, sq.scales
+        )
         if observer is not None:
             observer("kantorovich", {"square": sq, "outcome": outcome})
         if trace:
@@ -337,7 +352,7 @@ def solve(
             if config.mode == "fixed"
             else update_scales(outcome, sq.scales, config.epsilon)
         )
-        queue.extend(_children(sq, child_scales))
+        queue.extend(zip(_children(sq, child_scales), repeat(square_net), _QUARTERS))
         report.subdivisions += 1
 
     return report

@@ -1,14 +1,16 @@
 """Bernstein-basis arithmetic for Bezier curves and tensor-product control nets.
 
-Everything here is exact polynomial algebra up to floating-point rounding:
-evaluation and restriction use de Casteljau recurrences, which stay stable
-on [0, 1] and remain exact (as polynomial identities) for parameters outside
-it, so nets may be reparametrized over rectangles extending past the unit
-square.
+Everything here is exact polynomial algebra up to floating-point rounding.
+Evaluation uses de Casteljau recurrences or Bernstein weights; restriction
+applies per-axis restriction matrices whose entries are de Casteljau's
+closed-form weights, so both stay stable on [0, 1] and remain exact (as
+polynomial identities) for parameters outside it, and nets may be
+reparametrized over rectangles extending past the unit square.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +27,7 @@ __all__ = [
     "derivative_curve",
     "difference_net",
     "eval_net",
+    "jet",
     "sample_net",
     "derivative_net",
     "jacobian",
@@ -126,12 +129,10 @@ class ControlNet:
     """Tensor-product Bernstein coefficients of a vector-valued map of (u, v).
 
     ``coeffs`` has shape (degree_u + 1, degree_v + 1, dim). Evaluation is
-    always over the unit square; ``domain`` is bookkeeping that records which
-    sub-rectangle of an original parametrization this net represents.
+    always over the unit square.
     """
 
     coeffs: np.ndarray
-    domain: Rect = UNIT_SQUARE
 
     def __post_init__(self) -> None:
         c = np.asarray(self.coeffs, dtype=float)
@@ -240,53 +241,86 @@ def derivative_net(net: ControlNet, axis: str) -> ControlNet:
     if axis == "u":
         m = net.degree_u
         if m == 0:
-            return ControlNet(np.zeros_like(c), net.domain)
-        return ControlNet(m * (c[1:] - c[:-1]), net.domain)
+            return ControlNet(np.zeros_like(c))
+        return ControlNet(m * (c[1:] - c[:-1]))
     n = net.degree_v
     if n == 0:
-        return ControlNet(np.zeros_like(c), net.domain)
-    return ControlNet(n * (c[:, 1:] - c[:, :-1]), net.domain)
+        return ControlNet(np.zeros_like(c))
+    return ControlNet(n * (c[:, 1:] - c[:, :-1]))
+
+
+@functools.lru_cache(maxsize=64)
+def _jet_weights(m: int, t: float) -> np.ndarray:
+    """Rows: the degree-m Bernstein basis at t and its derivative there.
+
+    The derivative of B_i^m is m (B_{i-1}^{m-1} - B_i^{m-1}). At t = 1/2
+    every weight is a dyadic rational, exact in floating point. Cached and
+    shared, hence read-only.
+    """
+    weights = np.zeros((2, m + 1))
+    weights[0] = _basis_matrix(m, np.array([t]))[0]
+    if m:
+        lower = m * _basis_matrix(m - 1, np.array([t]))[0]
+        weights[1, 1:] += lower
+        weights[1, :-1] -= lower
+    weights.flags.writeable = False
+    return weights
+
+
+def jet(net: ControlNet, x: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Value (dim,) and Jacobian (dim, 2) of the net's map at x = (u, v)."""
+    c = net.coeffs
+    wu = _jet_weights(net.degree_u, float(x[0]))
+    wv = _jet_weights(net.degree_v, float(x[1]))
+    both = wv @ (wu @ c.reshape(c.shape[0], -1)).reshape(2, *c.shape[1:])
+    return both[0, 0], np.stack([both[1, 0], both[0, 1]], axis=1)
 
 
 def jacobian(net: ControlNet, x: tuple[float, float]) -> np.ndarray:
     """Jacobian of the net's map at x = (u, v), as a (dim, 2) matrix."""
-    u, v = x
-    du = eval_net(derivative_net(net, "u"), u, v)
-    dv = eval_net(derivative_net(net, "v"), u, v)
-    return np.stack([du, dv], axis=1)
+    return jet(net, x)[1]
 
 
-def _split(c: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """de Casteljau subdivision along axis 0 at parameter t.
+@functools.lru_cache(maxsize=32)
+def _split_tables(m: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """(binomials, powers of t, powers of 1 - t) of the two degree-m split matrices.
 
-    Returns coefficient arrays of the restrictions to [0, t] and [t, 1],
-    each reparametrized over [0, 1]. Exact for any real t.
+    Restricting to [0, t] maps coefficient k to sum_j C(k, j) t^j (1-t)^(k-j) c_j;
+    restricting to [t, 1] maps it to sum_{j>=k} C(m-k, j-k) t^(j-k) (1-t)^(m-j) c_j.
+    These are the points de Casteljau's recurrence produces, in closed form.
     """
-    m = c.shape[0] - 1
-    left = np.empty_like(c)
-    right = np.empty_like(c)
-    left[0] = c[0]
-    right[m] = c[m]
-    work = c
-    for k in range(1, m + 1):
-        work = (1.0 - t) * work[:-1] + t * work[1:]
-        left[k] = work[0]
-        right[m - k] = work[-1]
+    k, j = np.indices((m + 1, m + 1))
+    comb = np.vectorize(math.comb, otypes=[float])
+    left = (comb(k, j), j, np.maximum(k - j, 0))
+    right_binom = np.where(j >= k, comb(m - k, np.maximum(j - k, 0)), 0.0)
+    right = (right_binom, np.maximum(j - k, 0), m - j)
     return left, right
 
 
-def _restrict(c: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Coefficients along axis 0 of the map s -> p(a + s*(b - a)), b > a."""
+def _split_matrix(m: int, t: float, side: int) -> np.ndarray:
+    """Matrix restricting degree-m coefficients to [0, t] (side 0) or [t, 1] (side 1)."""
+    binom, t_power, s_power = _split_tables(m)[side]
+    return binom * np.power(t, t_power) * np.power(1.0 - t, s_power)
+
+
+@functools.lru_cache(maxsize=256)
+def _restriction_matrix(m: int, a: float, b: float) -> np.ndarray:
+    """Matrix taking degree-m coefficients on [0, 1] to those on [a, b], b > a.
+
+    Two splits, in the order whose second split parameter has the
+    better-conditioned denominator (a may equal 1, or b equal 0, but never
+    both). Midpoint halves are dyadic rationals, so quarter restrictions of
+    dyadic coefficients stay exact. Cached, so each quarter's matrix is built
+    once per degree; shared, hence read-only.
+    """
     if a == 0.0 and b == 1.0:
-        return c.copy()
-    # Two subdivision stages; pick the order whose interior split parameter
-    # has the better-conditioned denominator (a may equal 1, or b equal 0,
-    # but never both since b > a).
-    if abs(1.0 - a) >= abs(b):
-        mid = _split(c, a)[1]
-        return _split(mid, (b - a) / (1.0 - a))[0]
-    mid = _split(c, b)[0]
-    return _split(mid, a / b)[1]
+        matrix = np.eye(m + 1)
+    elif abs(1.0 - a) >= abs(b):
+        matrix = _split_matrix(m, (b - a) / (1.0 - a), 0) @ _split_matrix(m, a, 1)
+    else:
+        matrix = _split_matrix(m, a / b, 1) @ _split_matrix(m, b, 0)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def reparametrize(net: ControlNet, target: Rect) -> ControlNet:
@@ -296,9 +330,11 @@ def reparametrize(net: ControlNet, target: Rect) -> ControlNet:
     for all (s, t); the target may extend outside the unit square, in which
     case the subdivisions extrapolate (still exact for polynomials).
     """
-    c = _restrict(net.coeffs, target.lo_u, target.hi_u)
-    c = np.swapaxes(_restrict(np.swapaxes(c, 0, 1), target.lo_v, target.hi_v), 0, 1)
-    return ControlNet(c, target)
+    c = net.coeffs
+    rows = _restriction_matrix(net.degree_u, target.lo_u, target.hi_u)
+    cols = _restriction_matrix(net.degree_v, target.lo_v, target.hi_v)
+    c = (rows @ c.reshape(c.shape[0], -1)).reshape(c.shape)
+    return ControlNet(cols @ c)
 
 
 def extract_pair(net: ControlNet, pair: tuple[int, int]) -> ControlNet:
@@ -307,4 +343,4 @@ def extract_pair(net: ControlNet, pair: tuple[int, int]) -> ControlNet:
     d = net.dim
     if not (0 <= i < d and 0 <= j < d) or i == j:
         raise ValueError(f"invalid component pair {pair} for dimension {d}")
-    return ControlNet(net.coeffs[:, :, [i, j]], net.domain)
+    return ControlNet(net.coeffs[:, :, [i, j]])

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -24,9 +25,10 @@ from .geometry import (
     ControlNet,
     Rect,
     derivative_net,
-    eval_net,
+    eval_net,  # noqa: F401 -- unused here; bench/tracing.py patches this binding
     extract_pair,
     jacobian,
+    jet,
     reparametrize,
 )
 
@@ -38,6 +40,7 @@ __all__ = [
     "KantorovichOutcome",
     "ExploredRegion",
     "PairSystem",
+    "second_derivative_nets",
     "eta",
     "lipschitz_bound",
     "rho_radii",
@@ -181,44 +184,44 @@ def eta(jac: np.ndarray, value: np.ndarray) -> float:
     return float(np.abs(_solve_2x2(jac, value)).max())
 
 
-class PairSystem:
-    """One 2-component sub-system with its derivative nets precomputed.
+def second_derivative_nets(net: ControlNet) -> tuple[ControlNet, ControlNet, ControlNet]:
+    """The f_uu, f_uv and f_vv nets of the net's map, over the same domain."""
+    du = derivative_net(net, "u")
+    dv = derivative_net(net, "v")
+    return derivative_net(du, "u"), derivative_net(du, "v"), derivative_net(dv, "v")
 
-    Built once per solve and reused across every square, since the
-    sub-system itself never changes; only the evaluation point and the test
-    domain do.
+
+class PairSystem:
+    """One 2-component sub-system of the intersection map.
+
+    Built once per solve; ``net`` is the sub-system over the unit square,
+    from which Newton refines certified starts.
     """
 
     def __init__(self, net: ControlNet, pair: tuple[int, int]):
         self.pair = pair
         self.net = extract_pair(net, pair)
-        self.du = derivative_net(self.net, "u")
-        self.dv = derivative_net(self.net, "v")
-        # Second-derivative nets of the raw sub-system; preconditioning by
-        # J^-1 is linear, so it can be applied to coefficients afterwards.
-        self.duu = derivative_net(self.du, "u")
-        self.duv = derivative_net(self.du, "v")
-        self.dvv = derivative_net(self.dv, "v")
 
-    def value(self, x: tuple[float, float]) -> np.ndarray:
-        return eval_net(self.net, x[0], x[1])
+    def omega(self, jac_inv: np.ndarray, seconds: tuple[np.ndarray, ...]) -> float:
+        """Certified Lipschitz constant for the preconditioned Jacobian on a test domain.
 
-    def jacobian(self, x: tuple[float, float]) -> np.ndarray:
-        u, v = x
-        return np.stack([eval_net(self.du, u, v), eval_net(self.dv, u, v)], axis=1)
-
-    def omega(self, jac_inv: np.ndarray, domain: Rect) -> float:
-        """Certified Lipschitz constant for the preconditioned Jacobian on ``domain``.
-
-        Bounds the operator norm of the second derivative of J^-1 f by four
-        times the largest absolute Bernstein coefficient over the domain
-        (each matrix row sums at most four second-derivative entries).
+        ``seconds`` are the coefficients of f_uu, f_uv and f_vv of the full
+        map over the domain. Bounds the operator norm of the second
+        derivative of J^-1 f by four times the largest absolute Bernstein
+        coefficient over the domain (each matrix row sums at most four
+        second-derivative entries); preconditioning by J^-1 is linear, so it
+        applies to coefficients.
         """
+        pair = list(self.pair)
         worst = 0.0
-        for second in (self.duu, self.duv, self.dvv):
-            c = reparametrize(second, domain).coeffs @ jac_inv.T
+        for second in seconds:
+            c = second[:, :, pair] @ jac_inv.T
             worst = max(worst, float(np.abs(c).max()))
         return 4.0 * worst
+
+
+def _seconds_over(nets: tuple[ControlNet, ...], domain: Rect) -> tuple[np.ndarray, ...]:
+    return tuple(reparametrize(net, domain).coeffs for net in nets)
 
 
 def lipschitz_bound(pair_net: ControlNet, x0: tuple[float, float], domain: Rect) -> float:
@@ -226,18 +229,8 @@ def lipschitz_bound(pair_net: ControlNet, x0: tuple[float, float], domain: Rect)
     jac = jacobian(pair_net, x0)
     if _is_singular(jac):
         raise SingularJacobianError("Jacobian is numerically singular")
-    du = derivative_net(pair_net, "u")
-    dv = derivative_net(pair_net, "v")
-    jac_inv = _inv_2x2(jac)
-    worst = 0.0
-    for second in (
-        derivative_net(du, "u"),
-        derivative_net(du, "v"),
-        derivative_net(dv, "v"),
-    ):
-        c = reparametrize(second, domain).coeffs @ jac_inv.T
-        worst = max(worst, float(np.abs(c).max()))
-    return 4.0 * worst
+    seconds = _seconds_over(second_derivative_nets(pair_net), domain)
+    return PairSystem(pair_net, (0, 1)).omega(_inv_2x2(jac), seconds)
 
 
 def rho_radii(eta_value: float, omega_value: float) -> tuple[float, float]:
@@ -258,16 +251,18 @@ def rho_radii(eta_value: float, omega_value: float) -> tuple[float, float]:
 
 def _test_one_pair(
     system: PairSystem,
+    value: np.ndarray,
+    jac: np.ndarray,
+    seconds_over: Callable[[Rect], tuple[np.ndarray, ...]],
     center: tuple[float, float],
     domain_half_width: float,
 ) -> PairTest:
     domain = Rect.ball(center, domain_half_width)
-    jac = system.jacobian(center)
     if _is_singular(jac):
         return PairTest(system.pair, PairStatus.SINGULAR_JACOBIAN, domain)
-    step = _solve_2x2(jac, system.value(center))
+    step = _solve_2x2(jac, value)
     eta_value = float(np.abs(step).max())
-    omega_value = system.omega(_inv_2x2(jac), domain)
+    omega_value = system.omega(_inv_2x2(jac), seconds_over(domain))
     h = eta_value * omega_value
     if h > 0.25:
         return PairTest(
@@ -296,18 +291,40 @@ def _test_one_pair(
 
 def test_pairs(
     systems: list[PairSystem],
+    seconds: tuple[ControlNet, ...],
+    net: ControlNet,
     center: tuple[float, float],
     half_width: float,
     scales: tuple[float, float, float],
 ) -> KantorovichOutcome:
     """Run the per-pair convergence test; stop at the first passing pair.
 
+    ``seconds`` are the full map's second-derivative nets over the unit
+    square (``second_derivative_nets``) and ``net`` is the full difference
+    net restricted to the square of the given center and half-width.
     ``scales`` are the per-pair test-domain multipliers: pair k is tested in
     the square of half-width scales[k] * half_width about ``center``.
+
+    Value and Jacobian at the center come from ``net`` at (1/2, 1/2); local
+    derivatives are global ones times 2 * half_width, a power of two for
+    solver squares, so the conversion is exact. omega restricts ``seconds``
+    over each distinct test domain once and shares it across the pairs.
     """
+    value, jac = jet(net, (0.5, 0.5))
+    jac = jac / (2.0 * half_width)
+    restricted: dict[Rect, tuple[np.ndarray, ...]] = {}
+
+    def seconds_over(domain: Rect) -> tuple[np.ndarray, ...]:
+        if domain not in restricted:
+            restricted[domain] = _seconds_over(seconds, domain)
+        return restricted[domain]
+
     results: list[PairTest] = []
     for system, scale in zip(systems, scales):
-        t = _test_one_pair(system, center, scale * half_width)
+        pair = list(system.pair)
+        t = _test_one_pair(
+            system, value[pair], jac[pair], seconds_over, center, scale * half_width
+        )
         results.append(t)
         if t.status is PairStatus.PASS:
             break
@@ -326,7 +343,10 @@ def kantorovich_test(
     three component pairs are tested in the fixed order (0,1), (0,2), (1,2).
     """
     systems = [PairSystem(net, pair) for pair in COMPONENT_PAIRS]
-    return test_pairs(systems, center, half_width, scales)
+    square = reparametrize(net, Rect.ball(center, half_width))
+    return test_pairs(
+        systems, second_derivative_nets(net), square, center, half_width, scales
+    )
 
 
 def explored_region(

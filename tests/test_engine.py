@@ -70,6 +70,24 @@ def test_tangential_contact_truncates():
     assert report.max_depth_reached == 40
 
 
+def test_dyadic_planar_contact_is_flagged_or_found():
+    # Degree-4 pair in z=0 touching tangentially at (1/2, 1/2); every
+    # coefficient is dyadic, so midpoint subdivision keeps the contact exact.
+    # Restricting each square from the root net rounded it away, and the run
+    # ended after 377 squares with no root and no truncation flag.
+    c1 = BezierCurve(
+        [[0, -0.375, 0], [0.25, -0.84375, 0], [0.5, -0.75, 0], [0.75, -0.84375, 0], [1, -0.375, 0]]
+    )
+    c2 = BezierCurve(
+        [[0, -0.8125, 0], [0.25, -0.78125, 0], [0.5, -0.71875, 0], [0.75, -0.6875, 0], [1, -1, 0]]
+    )
+    report = solve(c1, c2)
+    found = [(r.u, r.v) for r in report.intersections]
+    assert report.truncated or any(
+        max(abs(u - 0.5), abs(v - 0.5)) <= 1e-6 for u, v in found
+    )
+
+
 def test_single_crossing_quadratics_need_five_squares_in_both_modes():
     # root certifies its zero immediately, the four children are pruned
     c1 = BezierCurve([[0, 0, 0], [0.5, 0.6, 0], [1, 1, 0]])

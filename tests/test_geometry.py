@@ -18,6 +18,7 @@ from cci.geometry import (
     eval_net,
     extract_pair,
     jacobian,
+    jet,
     reparametrize,
     sample_curve,
     sample_net,
@@ -247,6 +248,19 @@ def test_jacobian_finite_difference_relative():
             assert np.abs(jac - fd).max() / scale <= 1e-6
 
 
+def test_jet_matches_de_casteljau():
+    rng = np.random.default_rng(13)
+    for m, n in [(0, 0), (1, 0), (0, 2), (3, 5), (9, 9), (16, 12)]:
+        net = ControlNet(random_net_coeffs(rng, m, n))
+        du = derivative_net(net, "u")
+        dv = derivative_net(net, "v")
+        for x in [(0.5, 0.5), (0.0, 1.0), tuple(rng.uniform(0, 1, 2))]:
+            value, jac = jet(net, x)
+            assert np.abs(value - eval_net(net, *x)).max() <= 1e-14
+            expected = np.stack([eval_net(du, *x), eval_net(dv, *x)], axis=1)
+            assert np.abs(jac - expected).max() <= 1e-13 * max(1, m, n)
+
+
 # ---------------------------------------------------------------------------
 # Reparametrization
 
@@ -304,6 +318,28 @@ def test_reparametrize_composition():
     direct = reparametrize(net, Rect(lo_u, hi_u, lo_v, hi_v))
     for s, t in rng.uniform(0, 1, (50, 2)):
         assert np.abs(eval_net(nested, s, t) - eval_net(direct, s, t)).max() <= 1e-10
+
+
+def test_carried_nets_match_direct_restriction():
+    # Nets carried down 40 quarterings agree with restricting the root net
+    # over the same square, to well inside the exclusion test's 1e-12 margin.
+    rng = np.random.default_rng(19)
+    quarters = [Rect(a, a + 0.5, b, b + 0.5) for b in (0.0, 0.5) for a in (0.0, 0.5)]
+    for _ in range(24):
+        m, n = rng.integers(0, 17, 2)
+        root = ControlNet(random_net_coeffs(rng, m, n))
+        carried = root
+        lo_u = lo_v = 0.0
+        width = 1.0
+        for k in rng.integers(0, 4, 40):
+            quarter = quarters[k]
+            carried = reparametrize(carried, quarter)
+            width *= 0.5
+            lo_u += quarter.lo_u * 2.0 * width
+            lo_v += quarter.lo_v * 2.0 * width
+            direct = reparametrize(root, Rect(lo_u, lo_u + width, lo_v, lo_v + width))
+            drift = np.abs(carried.coeffs - direct.coeffs).max()
+            assert drift <= 1e-13 * np.abs(direct.coeffs).max()
 
 
 def test_derivative_commutes_with_reparametrize():

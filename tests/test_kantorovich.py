@@ -6,21 +6,25 @@ fits) so it shares no code with the de Casteljau implementation under test.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cci.geometry import ControlNet, Rect, eval_net, sample_net
+from cci import kantorovich
+from cci.geometry import ControlNet, Rect, eval_net, jet, reparametrize, sample_net
 from cci.kantorovich import (
     COMPONENT_PAIRS,
     ExploredRegion,
     PairStatus,
+    PairSystem,
     SingularJacobianError,
     eta,
     explored_region,
     kantorovich_test,
     lipschitz_bound,
     rho_radii,
+    second_derivative_nets,
 )
 from cci.newton import newton_solve
 from conftest import bernstein_to_monomial, horner, random_net_coeffs
@@ -461,3 +465,62 @@ def test_explored_region_requires_pass():
     failed = PairTest((0, 1), PairStatus.FAIL_CONVERGENCE, Rect.ball((0.5, 0.5), 0.5))
     with pytest.raises(ValueError):
         explored_region(failed, (0.5, 0.5), (0.5, 0.5))
+
+
+def _exact_restriction(m: int, a: float, b: float) -> np.ndarray:
+    """Rational matrix taking degree-m coefficients on [0, 1] to [a, b], by blossoming."""
+    a, b = Fraction(a), Fraction(b)
+    matrix = np.full((m + 1, m + 1), Fraction(0), dtype=object)
+    for i in range(m + 1):
+        for k in range(m - i + 1):
+            wa = math.comb(m - i, k) * a**k * (1 - a) ** (m - i - k)
+            for j in range(i + 1):
+                matrix[i, k + j] += wa * math.comb(i, j) * b**j * (1 - b) ** (i - j)
+    return matrix
+
+
+def test_omega_on_deep_squares_matches_exact_restriction():
+    # The solver tests a depth-d square from its net carried down d quarter
+    # restrictions; omega must still equal, to rounding, the bound from the
+    # root's second-derivative nets restricted exactly over the test domain.
+    # Taking omega from the carried net's own second differences lost
+    # relative accuracy like 2^d and undershot here by up to 1e-7.
+    rng = np.random.default_rng(48)
+    quarters = [Rect(a, a + 0.5, b, b + 0.5) for b in (0.0, 0.5) for a in (0.0, 0.5)]
+    checked = 0
+    for depth in (20, 30, 40):
+        for _ in range(2):
+            m, n = (int(k) for k in rng.integers(6, 10, 2))
+            net = ControlNet(random_net_coeffs(rng, m, n))
+            carried, lo_u, lo_v, width = net, 0.0, 0.0, 1.0
+            for k in rng.integers(0, 4, depth):
+                carried = reparametrize(carried, quarters[k])
+                width *= 0.5
+                lo_u += quarters[k].lo_u * 2.0 * width
+                lo_v += quarters[k].lo_v * 2.0 * width
+            h = 0.5 * width
+            center = (lo_u + h, lo_v + h)
+            seconds = second_derivative_nets(net)
+            systems = [PairSystem(net, pair) for pair in COMPONENT_PAIRS]
+            for scale in (1.0, 1.5, 2.5):
+                outcome = kantorovich.test_pairs(
+                    systems, seconds, carried, center, h, (scale,) * 3
+                )
+                jac = jet(carried, (0.5, 0.5))[1] / width
+                for t in outcome.pairs:
+                    if t.status is PairStatus.SINGULAR_JACOBIAN:
+                        continue
+                    pair = list(t.pair)
+                    jac_inv = np.linalg.inv(jac[pair])
+                    d = t.test_domain
+                    exact = 0.0
+                    for second in seconds:
+                        c = second.coeffs[:, :, pair].astype(object)
+                        rows = _exact_restriction(c.shape[0] - 1, d.lo_u, d.hi_u)
+                        cols = _exact_restriction(c.shape[1] - 1, d.lo_v, d.hi_v)
+                        c = np.einsum("ik,kld,jl->ijd", rows, c, cols).astype(float)
+                        exact = max(exact, float(np.abs(c @ jac_inv.T).max()))
+                    assert t.omega >= 4.0 * exact * (1.0 - 1e-13)
+                    assert t.omega <= 4.0 * exact * (1.0 + 1e-13)
+                    checked += 1
+    assert checked >= 12
