@@ -9,16 +9,17 @@ become an explored region.
 import numpy as np
 
 from cci import (
+    COMPONENT_PAIRS,
     BezierCurve,
     Rect,
     difference_net,
     exclusion_test,
-    kantorovich_test,
     newton_solve,
     reparametrize,
     rho_radii,
 )
 from cci.geometry import extract_pair
+from cci.kantorovich import PairSystem, second_derivative_nets, test_pairs
 
 c1 = BezierCurve([[0.0, 0.0, 0.0], [0.5, 1.5, 0.0], [1.0, 0.0, 0.0]])
 c2 = BezierCurve([[0.0, 0.8, 0.0], [0.5, -0.7, 0.0], [1.0, 0.8, 0.0]])
@@ -34,9 +35,14 @@ for rect in (Rect(0.0, 0.25, 0.6, 0.85), Rect(0.05, 0.35, 0.05, 0.35)):
 # (0.158, 0.158). Each of the three coordinate pairs gets its own test
 # domain, here 1.5 times the square; the first passing pair wins. (The
 # curves are coplanar, so the two pairs involving the z coordinate are
-# singular and skipped.)
+# singular and skipped.) The solver builds the pair systems and the
+# second-derivative nets once per run and passes each square's own net.
 center, half_width = (0.1875, 0.1875), 0.0625
-outcome = kantorovich_test(net, center, half_width, (1.5, 1.5, 1.5))
+systems = [PairSystem(net, pair) for pair in COMPONENT_PAIRS]
+square = reparametrize(net, Rect.ball(center, half_width))
+outcome = test_pairs(
+    systems, second_derivative_nets(net), square, center, half_width, (1.5, 1.5, 1.5)
+)
 for t in outcome.pairs:
     print(f"\npair {t.pair}: {t.status.value}")
     if t.eta is not None:

@@ -36,7 +36,7 @@ from .kantorovich import (
     SingularJacobianError,
     eta,
     explored_region,
-    kantorovich_test,
+    inverse_2x2,
     lipschitz_bound,
     rho_radii,
 )
@@ -80,7 +80,7 @@ __all__ = [
     "SingularJacobianError",
     "eta",
     "explored_region",
-    "kantorovich_test",
+    "inverse_2x2",
     "lipschitz_bound",
     "rho_radii",
     "NewtonResult",

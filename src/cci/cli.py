@@ -14,6 +14,7 @@ multipliers.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -23,8 +24,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .engine import TRACE, SolveReport, SolverConfig, default_zero_tol, solve
-from .oracle import brute_force_intersections  # noqa: F401  (re-export for scripting)
+from .engine import TRACE, SolveReport, SolverConfig, effective_zero_tol, solve
 from .problems import Problem, ProblemFormatError, load_problem
 from .geometry import sample_curve
 
@@ -51,20 +51,6 @@ def main() -> None:
     _configure_logging()
 
 
-def _config_from_options(mode, epsilon, fixed_scale, newton_tol, zero_tol,
-                         max_depth, clip_explored_region, max_squares) -> SolverConfig:
-    return SolverConfig(
-        mode=mode,
-        epsilon=epsilon,
-        fixed_scale=fixed_scale,
-        newton_tol=newton_tol,
-        zero_tol=zero_tol,
-        max_depth=max_depth,
-        clip_explored_region=clip_explored_region,
-        max_squares=max_squares,
-    )
-
-
 def _solver_options(f):
     f = click.option("--mode", type=click.Choice(["adaptive", "fixed"]),
                      default="adaptive", show_default=True,
@@ -80,29 +66,17 @@ def _solver_options(f):
                           "intersection [default: scale-aware].")(f)
     f = click.option("--max-depth", type=int, default=40, show_default=True,
                      help="Subdivision depth limit.")(f)
-    f = click.option("--clip-explored-region/--no-clip-explored-region",
-                     default=True, show_default=True,
-                     help="Clip explored regions to their test domain.")(f)
     f = click.option("--max-squares", type=int, default=100_000, show_default=True,
                      help="Stop, truncated, after this many squares "
                           "(safety valve for overlapping curves).")(f)
     return f
 
 
-def _report_to_dict(problem: Problem, config: SolverConfig,
-                    report: SolveReport, zero_tol: float) -> dict:
+def _report_to_dict(problem: Problem, config: SolverConfig, report: SolveReport) -> dict:
+    zero_tol = effective_zero_tol(config, problem.curve1, problem.curve2)
     return {
         "name": problem.name,
-        "config": {
-            "mode": config.mode,
-            "epsilon": config.epsilon,
-            "fixed_scale": config.fixed_scale,
-            "newton_tol": config.newton_tol,
-            "zero_tol": zero_tol,
-            "max_depth": config.max_depth,
-            "clip_explored_region": config.clip_explored_region,
-            "max_squares": config.max_squares,
-        },
+        "config": {**dataclasses.asdict(config), "zero_tol": zero_tol},
         "intersections": [
             {
                 "u": r.u,
@@ -124,31 +98,21 @@ def _report_to_dict(problem: Problem, config: SolverConfig,
     }
 
 
-def _effective_zero_tol(problem: Problem, config: SolverConfig) -> float:
-    if config.zero_tol is not None:
-        return config.zero_tol
-    return default_zero_tol(problem.curve1, problem.curve2)
-
-
 @main.command("solve")
 @click.argument("input_path", type=click.Path(path_type=Path))
 @_solver_options
 @click.option("-o", "--output", type=click.Path(path_type=Path), default=None,
               help="Write the result JSON here instead of stdout.")
-def cmd_solve(input_path, mode, epsilon, fixed_scale, newton_tol, zero_tol,
-              max_depth, clip_explored_region, max_squares, output) -> None:
+def cmd_solve(input_path, output, **options) -> None:
     """Solve one problem file and emit a result document."""
     try:
         problem = load_problem(input_path)
     except ProblemFormatError as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
-    config = _config_from_options(mode, epsilon, fixed_scale, newton_tol,
-                                  zero_tol, max_depth, clip_explored_region,
-                                  max_squares)
+    config = SolverConfig(**options)
     report = solve(problem.curve1, problem.curve2, config)
-    doc = _report_to_dict(problem, config, report,
-                          _effective_zero_tol(problem, config))
+    doc = _report_to_dict(problem, config, report)
     text = json.dumps(doc, indent=2)
     if output is not None:
         Path(output).write_text(text + "\n")

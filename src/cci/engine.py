@@ -7,8 +7,8 @@ convergence test; a pass triggers Newton refinement and, for a confirmed
 new zero, an explored region that prunes descendants. Squares failing
 exclusion are always quartered, and the children's per-pair test-domain
 multipliers are adapted from the parent's test outcome (grown after a
-containment failure, shrunk after a convergence failure) unless the solver
-runs in fixed mode, which keeps them constant.
+containment failure, shrunk after a convergence failure). Fixed mode is the
+same rule with a step of 0.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ __all__ = [
     "SolverConfig",
     "IntersectionRecord",
     "SolveReport",
-    "default_zero_tol",
+    "effective_zero_tol",
     "update_scales",
     "region_prunes_square",
     "point_is_known",
@@ -112,9 +112,10 @@ class SolverConfig:
 
     mode "adaptive" adjusts the per-pair test-domain multipliers by
     ``epsilon`` based on each parent square's failure mode; mode "fixed"
-    pins all multipliers to ``fixed_scale``. ``zero_tol`` is the residual
-    below which a refined point counts as an intersection; None picks
-    1e-6 * (1 + max coefficient magnitude) at solve time.
+    is the same rule with a step of 0, so all multipliers stay at
+    ``fixed_scale``. ``zero_tol`` is the residual below which a refined
+    point counts as an intersection; None picks 1e-6 * (1 + max coefficient
+    magnitude) at solve time.
 
     ``max_squares`` is a safety valve for inputs with non-isolated
     intersections (overlapping curves), whose zero set makes the number of
@@ -129,7 +130,6 @@ class SolverConfig:
     newton_tol: float = 1e-7
     zero_tol: float | None = None
     max_depth: int = 40
-    clip_explored_region: bool = True
     max_squares: int = 100_000
 
     def __post_init__(self) -> None:
@@ -166,14 +166,15 @@ class SolveReport:
     truncated: bool = False
 
 
-def default_zero_tol(c1: BezierCurve, c2: BezierCurve) -> float:
-    """Residual acceptance tolerance used when the config leaves it unset.
+def effective_zero_tol(config: SolverConfig, c1: BezierCurve, c2: BezierCurve) -> float:
+    """Residual acceptance tolerance of a run: ``config.zero_tol`` if set.
 
-    Scale-aware: 1e-6 times one plus the largest difference-net coefficient
-    magnitude.
+    The unset default is scale-aware: 1e-6 times one plus the largest
+    difference-net coefficient magnitude.
     """
-    net = difference_net(c1, c2)
-    return 1e-6 * (1.0 + float(np.abs(net.coeffs).max()))
+    if config.zero_tol is not None:
+        return config.zero_tol
+    return 1e-6 * (1.0 + float(np.abs(difference_net(c1, c2).coeffs).max()))
 
 
 def update_scales(
@@ -224,11 +225,54 @@ def _children(square: Square, scales: tuple[float, float, float]) -> list[Square
     ]
 
 
+_TRACE_LINES = {
+    "pruned": "  pruned by explored region",
+    "excluded": "  exclusion test passed, square discarded",
+    "max_squares": "square budget exhausted, stopping",
+    "max_depth": "  max depth reached, not subdividing",
+}
+
+
+def _trace_log(event: str, payload: dict) -> None:
+    """Observer writing each event to the TRACE log."""
+    if event == "square":
+        sq = payload["square"]
+        log.log(
+            TRACE,
+            "pop depth=%d center=(%.9g, %.9g) r=%.3g scales=(%.3g, %.3g, %.3g)",
+            sq.depth, sq.center[0], sq.center[1], sq.half_width, *sq.scales,
+        )
+    elif event == "kantorovich":
+        for t in payload["outcome"].pairs:
+            log.log(
+                TRACE,
+                "  pair %s: %s eta=%s omega=%s rho-=%s",
+                t.pair, t.status.value, t.eta, t.omega, t.rho_minus,
+            )
+    elif event == "intersection":
+        record = payload["record"]
+        log.log(TRACE, "  new intersection at (%.12g, %.12g)", record.u, record.v)
+    elif event in ("pruned", "excluded", "truncated"):
+        log.log(TRACE, _TRACE_LINES[payload.get("reason", event)])
+
+
+def _ignore_events(event: str, payload: dict) -> None:
+    """The do-nothing observer, ``solve``'s default."""
+
+
+def _with_trace_log(observer: Observer) -> Observer:
+    def emit(event: str, payload: dict) -> None:
+        observer(event, payload)
+        _trace_log(event, payload)
+
+    return emit
+
+
 def solve(
     c1: BezierCurve,
     c2: BezierCurve,
     config: SolverConfig = SolverConfig(),
-    observer: Observer | None = None,
+    observer: Observer = _ignore_events,
 ) -> SolveReport:
     """Find all intersections of two curves; see the module docstring.
 
@@ -237,19 +281,23 @@ def solve(
     contract. Inputs are immutable, so distinct runs may execute
     concurrently.
 
-    ``observer``, when given, receives (event, payload) for each queue pop
-    ("square"), convergence test ("kantorovich"), Newton refinement
-    ("newton") and accepted intersection ("intersection"); it exists for
-    instrumentation and does not affect the run.
+    ``observer`` receives (event, payload) for each queue pop ("square"),
+    the popped square's fate ("pruned" by an explored region, "excluded" by
+    the hull test, or convergence-tested: "kantorovich"), each Newton
+    refinement ("newton"), each accepted intersection ("intersection") and
+    each truncation ("truncated": reason "max_squares" once when the budget
+    runs out, reason "max_depth" with the square for each square left
+    unsplit). It exists for instrumentation and does not affect the run.
+    The TRACE log is one more observer on the same events.
     """
     net = difference_net(c1, c2)
     systems = [PairSystem(net, pair) for pair in COMPONENT_PAIRS]
     seconds = second_derivative_nets(net)
-    zero_tol = config.zero_tol
-    if zero_tol is None:
-        zero_tol = default_zero_tol(c1, c2)
+    zero_tol = effective_zero_tol(config, c1, c2)
 
-    initial = config.fixed_scale if config.mode == "fixed" else INITIAL_SCALE
+    fixed = config.mode == "fixed"
+    initial = config.fixed_scale if fixed else INITIAL_SCALE
+    step = 0.0 if fixed else config.epsilon
     root = Square((0.5, 0.5), 0.5, (initial, initial, initial), 0)
     # A queue entry holds its square, its parent's net and its quarter of the
     # parent. The square's own net is restricted only once it is popped and
@@ -257,50 +305,32 @@ def solve(
     queue: deque[tuple[Square, ControlNet, Rect]] = deque([(root, net, UNIT_SQUARE)])
     regions: list[ExploredRegion] = []
     report = SolveReport()
-    trace = log.isEnabledFor(TRACE)
+    emit = _with_trace_log(observer) if log.isEnabledFor(TRACE) else observer
 
     while queue:
         if report.squares_examined >= config.max_squares:
             report.truncated = True
-            if trace:
-                log.log(TRACE, "square budget exhausted, stopping")
+            emit("truncated", {"reason": "max_squares"})
             break
         sq, parent_net, quarter = queue.popleft()
         report.squares_examined += 1
         report.max_depth_reached = max(report.max_depth_reached, sq.depth)
-        if observer is not None:
-            observer("square", {"square": sq})
-        if trace:
-            log.log(
-                TRACE,
-                "pop depth=%d center=(%.9g, %.9g) r=%.3g scales=(%.3g, %.3g, %.3g)",
-                sq.depth, sq.center[0], sq.center[1], sq.half_width, *sq.scales,
-            )
+        emit("square", {"square": sq})
 
         if region_prunes_square(regions, sq):
-            if trace:
-                log.log(TRACE, "  pruned by explored region")
+            emit("pruned", {"square": sq})
             continue
 
         square_net = reparametrize(parent_net, quarter)
         if exclusion_test(square_net):
             report.exclusion_passes += 1
-            if trace:
-                log.log(TRACE, "  exclusion test passed, square discarded")
+            emit("excluded", {"square": sq})
             continue
 
         outcome = test_pairs(
             systems, seconds, square_net, sq.center, sq.half_width, sq.scales
         )
-        if observer is not None:
-            observer("kantorovich", {"square": sq, "outcome": outcome})
-        if trace:
-            for t in outcome.pairs:
-                log.log(
-                    TRACE,
-                    "  pair %s: %s eta=%s omega=%s rho-=%s",
-                    t.pair, t.status.value, t.eta, t.omega, t.rho_minus,
-                )
+        emit("kantorovich", {"square": sq, "outcome": outcome})
 
         passed = outcome.passed
         if passed is not None:
@@ -308,8 +338,7 @@ def solve(
             system = systems[COMPONENT_PAIRS.index(passed.pair)]
             report.newton_calls += 1
             result = newton_solve(system.net, sq.center, tol=config.newton_tol)
-            if observer is not None:
-                observer("newton", {"square": sq, "passed": passed, "result": result})
+            emit("newton", {"square": sq, "passed": passed, "result": result})
             if result.converged:
                 x = result.root
                 residual = float(np.abs(eval_net(net, x[0], x[1])).max())
@@ -331,27 +360,15 @@ def solve(
                         source_square=sq,
                     )
                     report.intersections.append(record)
-                    regions.append(
-                        explored_region(
-                            passed, sq.center, x, clip=config.clip_explored_region
-                        )
-                    )
-                    if observer is not None:
-                        observer("intersection", {"record": record})
-                    if trace:
-                        log.log(TRACE, "  new intersection at (%.12g, %.12g)", *x)
+                    regions.append(explored_region(passed, sq.center))
+                    emit("intersection", {"record": record})
 
         if sq.depth >= config.max_depth:
             report.truncated = True
-            if trace:
-                log.log(TRACE, "  max depth reached, not subdividing")
+            emit("truncated", {"reason": "max_depth", "square": sq})
             continue
 
-        child_scales = (
-            (config.fixed_scale,) * 3
-            if config.mode == "fixed"
-            else update_scales(outcome, sq.scales, config.epsilon)
-        )
+        child_scales = update_scales(outcome, sq.scales, step)
         queue.extend(zip(_children(sq, child_scales), repeat(square_net), _QUARTERS))
         report.subdivisions += 1
 

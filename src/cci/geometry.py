@@ -83,14 +83,6 @@ class Rect:
             and self.lo_v - tol <= v <= self.hi_v + tol
         )
 
-    def contains_rect(self, other: "Rect") -> bool:
-        return (
-            self.lo_u <= other.lo_u
-            and other.hi_u <= self.hi_u
-            and self.lo_v <= other.lo_v
-            and other.hi_v <= self.hi_v
-        )
-
     def map_from_unit(self, s: float, t: float) -> tuple[float, float]:
         """Image of unit-square coordinates (s, t) under this rectangle's affine map."""
         return (self.lo_u + s * self.width_u, self.lo_v + t * self.width_v)

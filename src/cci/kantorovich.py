@@ -41,10 +41,10 @@ __all__ = [
     "ExploredRegion",
     "PairSystem",
     "second_derivative_nets",
+    "inverse_2x2",
     "eta",
     "lipschitz_bound",
     "rho_radii",
-    "kantorovich_test",
     "test_pairs",
     "explored_region",
 ]
@@ -110,27 +110,21 @@ class KantorovichOutcome:
 class ExploredRegion:
     """Neighborhood of a confirmed zero that cannot contain any other zero.
 
-    Membership is the closed rho_plus ball around the test center,
-    optionally clipped to the test domain the guarantee was derived in
-    (``clip`` is None when clipping is disabled). rho_plus may be infinite
-    for affine sub-systems.
+    Membership is the closed rho_plus ball around the test center, clipped
+    to the test domain the guarantee was derived in. rho_plus may be
+    infinite for affine sub-systems.
     """
 
     center: tuple[float, float]
-    rho_minus: float
     rho_plus: float
-    pair: tuple[int, int]
-    clip: Rect | None
-    zero: tuple[float, float]
+    clip: Rect
 
     def bounds(self) -> tuple[float, float, float, float]:
-        cu, cv = self.center
-        lo_u, hi_u = cu - self.rho_plus, cu + self.rho_plus
-        lo_v, hi_v = cv - self.rho_plus, cv + self.rho_plus
-        if self.clip is not None:
-            lo_u, hi_u = max(lo_u, self.clip.lo_u), min(hi_u, self.clip.hi_u)
-            lo_v, hi_v = max(lo_v, self.clip.lo_v), min(hi_v, self.clip.hi_v)
-        return lo_u, hi_u, lo_v, hi_v
+        (cu, cv), r, c = self.center, self.rho_plus, self.clip
+        return (
+            max(cu - r, c.lo_u), min(cu + r, c.hi_u),
+            max(cv - r, c.lo_v), min(cv + r, c.hi_v),
+        )
 
     def contains_point(self, p: tuple[float, float]) -> bool:
         lo_u, hi_u, lo_v, hi_v = self.bounds()
@@ -150,28 +144,24 @@ class ExploredRegion:
 _SINGULAR_RTOL = 1e-14
 
 
-def _inf_norm_2x2(m: np.ndarray) -> float:
-    return float(np.abs(m).sum(axis=1).max())
+def inverse_2x2(jac: np.ndarray) -> np.ndarray | None:
+    """J^-1 of a 2x2 Jacobian, or None when J is numerically singular.
 
-
-def _is_singular(jac: np.ndarray) -> bool:
+    J counts as singular when |det J| <= 1e-14 * max(1, |J|^2) in the
+    infinity norm.
+    """
     det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-    return abs(det) <= _SINGULAR_RTOL * max(1.0, _inf_norm_2x2(jac) ** 2)
-
-
-def _solve_2x2(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-    return np.array(
-        [
-            (rhs[0] * jac[1, 1] - rhs[1] * jac[0, 1]) / det,
-            (jac[0, 0] * rhs[1] - jac[1, 0] * rhs[0]) / det,
-        ]
-    )
-
-
-def _inv_2x2(jac: np.ndarray) -> np.ndarray:
-    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+    norm = float(np.abs(jac).sum(axis=1).max())
+    if abs(det) <= _SINGULAR_RTOL * max(1.0, norm**2):
+        return None
     return np.array([[jac[1, 1], -jac[0, 1]], [-jac[1, 0], jac[0, 0]]]) / det
+
+
+def _checked_inverse(jac: np.ndarray) -> np.ndarray:
+    jac_inv = inverse_2x2(jac)
+    if jac_inv is None:
+        raise SingularJacobianError("Jacobian is numerically singular")
+    return jac_inv
 
 
 def eta(jac: np.ndarray, value: np.ndarray) -> float:
@@ -179,9 +169,7 @@ def eta(jac: np.ndarray, value: np.ndarray) -> float:
 
     Raises SingularJacobianError when J is numerically singular.
     """
-    if _is_singular(jac):
-        raise SingularJacobianError("Jacobian is numerically singular")
-    return float(np.abs(_solve_2x2(jac, value)).max())
+    return float(np.abs(_checked_inverse(jac) @ value).max())
 
 
 def second_derivative_nets(net: ControlNet) -> tuple[ControlNet, ControlNet, ControlNet]:
@@ -226,11 +214,9 @@ def _seconds_over(nets: tuple[ControlNet, ...], domain: Rect) -> tuple[np.ndarra
 
 def lipschitz_bound(pair_net: ControlNet, x0: tuple[float, float], domain: Rect) -> float:
     """Lipschitz constant omega for J(x0)^-1 J(x) of a 2-component net on ``domain``."""
-    jac = jacobian(pair_net, x0)
-    if _is_singular(jac):
-        raise SingularJacobianError("Jacobian is numerically singular")
+    jac_inv = _checked_inverse(jacobian(pair_net, x0))
     seconds = _seconds_over(second_derivative_nets(pair_net), domain)
-    return PairSystem(pair_net, (0, 1)).omega(_inv_2x2(jac), seconds)
+    return PairSystem(pair_net, (0, 1)).omega(jac_inv, seconds)
 
 
 def rho_radii(eta_value: float, omega_value: float) -> tuple[float, float]:
@@ -258,11 +244,11 @@ def _test_one_pair(
     domain_half_width: float,
 ) -> PairTest:
     domain = Rect.ball(center, domain_half_width)
-    if _is_singular(jac):
+    jac_inv = inverse_2x2(jac)
+    if jac_inv is None:
         return PairTest(system.pair, PairStatus.SINGULAR_JACOBIAN, domain)
-    step = _solve_2x2(jac, value)
-    eta_value = float(np.abs(step).max())
-    omega_value = system.omega(_inv_2x2(jac), seconds_over(domain))
+    eta_value = float(np.abs(jac_inv @ value).max())
+    omega_value = system.omega(jac_inv, seconds_over(domain))
     h = eta_value * omega_value
     if h > 0.25:
         return PairTest(
@@ -331,43 +317,13 @@ def test_pairs(
     return KantorovichOutcome(tuple(results))
 
 
-def kantorovich_test(
-    net: ControlNet,
-    center: tuple[float, float],
-    half_width: float,
-    scales: tuple[float, float, float],
-) -> KantorovichOutcome:
-    """Convergence test for the square of the given center and half-width.
-
-    ``net`` is the full 3-component difference net over the unit square; the
-    three component pairs are tested in the fixed order (0,1), (0,2), (1,2).
-    """
-    systems = [PairSystem(net, pair) for pair in COMPONENT_PAIRS]
-    square = reparametrize(net, Rect.ball(center, half_width))
-    return test_pairs(
-        systems, second_derivative_nets(net), square, center, half_width, scales
-    )
-
-
-def explored_region(
-    passed: PairTest,
-    center: tuple[float, float],
-    zero: tuple[float, float],
-    clip: bool = True,
-) -> ExploredRegion:
+def explored_region(passed: PairTest, center: tuple[float, float]) -> ExploredRegion:
     """Region around a confirmed zero in which no other zero can exist.
 
-    Built from a passing pair test; ``clip`` restricts the region to the
-    test domain the uniqueness guarantee was derived in (recommended).
+    Built from a pair test that passed at ``center``: the uniqueness ball,
+    clipped to the test domain it was derived in.
     """
     if passed.status is not PairStatus.PASS:
         raise ValueError("explored regions require a passing pair test")
-    assert passed.rho_minus is not None and passed.rho_plus is not None
-    return ExploredRegion(
-        center=center,
-        rho_minus=passed.rho_minus,
-        rho_plus=passed.rho_plus,
-        pair=passed.pair,
-        clip=passed.test_domain if clip else None,
-        zero=zero,
-    )
+    assert passed.rho_plus is not None
+    return ExploredRegion(center=center, rho_plus=passed.rho_plus, clip=passed.test_domain)

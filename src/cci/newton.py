@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ControlNet, derivative_net, eval_net
-from .kantorovich import _is_singular, _solve_2x2
+from .geometry import ControlNet, eval_net, jet
+from .kantorovich import inverse_2x2
 
 __all__ = ["NewtonResult", "newton_solve"]
 
@@ -40,8 +40,6 @@ def newton_solve(
     ``max_iter`` iterations; a singular Jacobian at any iterate aborts.
     ``keep_path`` records every iterate (x0 first) in the result.
     """
-    du = derivative_net(pair_net, "u")
-    dv = derivative_net(pair_net, "v")
     x = np.array(x0, dtype=float)
     path = [(float(x[0]), float(x[1]))] if keep_path else []
     step_norm = np.inf
@@ -49,14 +47,12 @@ def newton_solve(
     failure = "max_iter reached"
     converged = False
     for _ in range(max_iter):
-        value = eval_net(pair_net, x[0], x[1])
-        jac = np.stack(
-            [eval_net(du, x[0], x[1]), eval_net(dv, x[0], x[1])], axis=1
-        )
-        if _is_singular(jac):
+        value, jac = jet(pair_net, x)
+        jac_inv = inverse_2x2(jac)
+        if jac_inv is None:
             failure = "singular Jacobian at iterate"
             break
-        step = -_solve_2x2(jac, value)
+        step = -(jac_inv @ value)
         x = x + step
         iterations += 1
         if keep_path:

@@ -8,11 +8,13 @@ power-basis Horner evaluation.
 from __future__ import annotations
 
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cci
 from cci import BezierCurve, Problem, brute_force_intersections
 from cci.geometry import derivative_curve, eval_curve, sample_curve
 
@@ -22,6 +24,16 @@ PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
 @pytest.fixture(scope="session")
 def problems_dir() -> Path:
     return PROBLEMS_DIR
+
+
+def subprocess_env(**extra: str) -> dict[str, str]:
+    """Environment for a fresh interpreter that imports the cci this suite imported.
+
+    A child sees no sys.path of ours, so the package's parent directory is
+    prepended to PYTHONPATH; ``extra`` adds or overrides variables.
+    """
+    path = [str(Path(cci.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,18 @@ from cci.problems import load_problem
 from conftest import match_point_sets, random_net_coeffs, random_transversal_problem
 
 EPSILONS = ("0.01", "0.05", "0.1", "0.15", "0.2")
+# The paper's table: squares examined for p01..p08, one column per epsilon
+# above, then the fixed baseline.
+SUITE_SQUARES = [
+    [21] * 6,
+    [41] * 6,
+    [33, 33, 33, 33, 33, 37],
+    [41, 37, 37, 37, 37, 41],
+    [45, 41, 41, 41, 41, 45],
+    [121] * 6,
+    [161] * 6,
+    [17] * 6,
+]
 runner = CliRunner()
 
 
@@ -84,12 +96,13 @@ def test_acceptance_1_bench_table_structure(bench_run):
     assert header[:2] == ["name", "degrees"]
     assert header[2:] == [f"eps={e}" for e in ("0.01", "0.05", "0.1", "0.15", "0.2")] + ["fixed"]
     assert len(table) == 9, "expected 8 problem rows"
+    assert [[int(c) for c in row[2:]] for row in table[1:]] == SUITE_SQUARES
     # adaptive with a zero adaptation step must equal the fixed baseline
     assert zero_table[0][2:] == ["eps=0", "fixed"]
     for row in zero_table[1:]:
         assert row[2] == row[3], f"eps=0 differs from baseline for {row[0]}"
     assert elapsed < 60.0, f"bench took {elapsed:.1f}s"
-    print(f"\nACCEPTANCE 1 PASS: bench column set + eps=0 baseline equality ({elapsed:.1f}s)")
+    print(f"\nACCEPTANCE 1 PASS: bench table + eps=0 baseline equality ({elapsed:.1f}s)")
 
 
 def test_acceptance_2_directional_consistency(bench_run):

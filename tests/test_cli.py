@@ -3,18 +3,16 @@ plot exports."""
 
 import csv
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-import cci
 from cci.cli import main
 from cci.problems import load_problem
+from conftest import subprocess_env
 
 runner = CliRunner()
 
@@ -183,19 +181,14 @@ def test_plot_data_intersections_match_solve(problems_dir, tmp_path):
 # ---------------------------------------------------------------------------
 # logging env var (subprocess so the env is read at startup)
 
-def _trace_env():
-    # A fresh interpreter sees no sys.path of ours: hand it the cci this suite imported.
-    path = [str(Path(cci.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    return {**os.environ, "CCI_LOG_LEVEL": "trace",
-            "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-
-
 def test_trace_logging_emits_queue_pops(problems_dir):
+    # p01 has both a discarded square and an intersection
     proc = subprocess.run(
         [sys.executable, "-m", "cci.cli", "solve",
-         str(problems_dir / "crossing_segments.json")],
-        capture_output=True, text=True, env=_trace_env(),
+         str(problems_dir / "suite" / "p01.json")],
+        capture_output=True, text=True, env=subprocess_env(CCI_LOG_LEVEL="trace"),
     )
     assert proc.returncode == 0
     assert "pop depth=0" in proc.stderr
+    assert "exclusion test passed" in proc.stderr
     assert "new intersection" in proc.stderr

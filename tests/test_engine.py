@@ -137,11 +137,9 @@ def test_update_scales_never_below_one():
 # ---------------------------------------------------------------------------
 # Region pruning
 
-def _region(center, rho_plus, clip=None):
-    return ExploredRegion(
-        center=center, rho_minus=rho_plus / 2, rho_plus=rho_plus,
-        pair=(0, 1), clip=clip, zero=center,
-    )
+def _region(center, rho_plus):
+    # the clip domain is wider than the ball, so membership is the ball itself
+    return ExploredRegion(center=center, rho_plus=rho_plus, clip=Rect.ball(center, 2 * rho_plus))
 
 
 def test_region_prunes_square_empty_list():
@@ -253,17 +251,18 @@ def test_baseline_equivalence_epsilon_zero():
 def test_bookkeeping_matches_observer_counts():
     rng = np.random.default_rng(73)
     problem, _ = random_transversal_problem(rng, max_degree=5)
-    pops = []
-    tested = []
+    events = {"square": [], "pruned": [], "excluded": [], "kantorovich": []}
 
     def observer(event, payload):
-        if event == "square":
-            pops.append(payload["square"])
-        elif event == "kantorovich":
-            tested.append(payload["square"])
+        if event in events:
+            events[event].append(payload["square"])
 
     report = solve(problem.curve1, problem.curve2, SolverConfig(), observer=observer)
+    pops, tested = events["square"], events["kantorovich"]
     assert report.squares_examined == len(pops)
+    # every popped square meets exactly one fate
+    assert len(pops) == len(events["pruned"]) + len(events["excluded"]) + len(tested)
+    assert report.exclusion_passes == len(events["excluded"])
     assert not report.truncated
     # every tested square was subdivided (none hit the depth cap)
     assert report.subdivisions == len(tested)
@@ -280,19 +279,20 @@ def test_zero_tol_override():
     assert report.intersections == []
 
 
-def test_unclipped_explored_region_mode_runs():
-    report = solve(*CROSSING, SolverConfig(clip_explored_region=False))
-    assert len(report.intersections) == 1
-    assert report.squares_examined == 5
-
-
 def test_overlapping_curves_hit_square_budget():
     # coincident curves have a one-dimensional zero set, so non-excludable
     # squares multiply with depth; the square budget must stop the run
     c = BezierCurve([[0, 0, 0], [0.3, 1, 0.2], [0.7, -0.2, 0.1], [1, 1, 0]])
-    report = solve(c, c, SolverConfig(max_squares=3000))
+    truncations = []
+
+    def observer(event, payload):
+        if event == "truncated":
+            truncations.append(payload["reason"])
+
+    report = solve(c, c, SolverConfig(max_squares=3000), observer=observer)
     assert report.truncated
     assert report.squares_examined == 3000
+    assert truncations == ["max_squares"]
 
 
 def test_square_budget_not_hit_on_ordinary_problems():

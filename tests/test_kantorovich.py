@@ -21,7 +21,6 @@ from cci.kantorovich import (
     SingularJacobianError,
     eta,
     explored_region,
-    kantorovich_test,
     lipschitz_bound,
     rho_radii,
     second_derivative_nets,
@@ -243,12 +242,21 @@ def test_rho_radii_ordering():
 # ---------------------------------------------------------------------------
 # Full test classification
 
+def _test_square(net, center, half_width, scales):
+    """``test_pairs`` on one square of a net given over the unit square."""
+    systems = [PairSystem(net, pair) for pair in COMPONENT_PAIRS]
+    square = reparametrize(net, Rect.ball(center, half_width))
+    return kantorovich.test_pairs(
+        systems, second_derivative_nets(net), square, center, half_width, scales
+    )
+
+
 def test_pass_at_exact_transversal_zero():
     # crossing segments: center of the unit square is an exact zero
     coeffs = np.array(
         [[[-1, 0, 0], [0, -1, 0]], [[0, 1, 0], [1, 0, 0]]], dtype=float
     )
-    outcome = kantorovich_test(ControlNet(coeffs), (0.5, 0.5), 0.5, (1.5, 1.5, 1.5))
+    outcome = _test_square(ControlNet(coeffs), (0.5, 0.5), 0.5, (1.5, 1.5, 1.5))
     passed = outcome.passed
     assert passed is not None and passed.pair == (0, 1)
     assert passed.eta == 0.0
@@ -266,7 +274,7 @@ def test_fail_containment_for_far_affine_zero():
     for i in range(2):
         for j in range(2):
             coeffs[i, j] = b + i * gu + j * gv
-    outcome = kantorovich_test(ControlNet(coeffs), (0.5, 0.5), 0.1, (1.5, 1.5, 1.5))
+    outcome = _test_square(ControlNet(coeffs), (0.5, 0.5), 0.1, (1.5, 1.5, 1.5))
     t = outcome.by_pair((0, 1))
     assert t is not None
     assert t.status is PairStatus.FAIL_CONTAINMENT
@@ -278,7 +286,7 @@ def test_singular_pairs_recorded_for_planar_curves():
     rng = np.random.default_rng(45)
     coeffs = random_net_coeffs(rng, 3, 3)
     coeffs[:, :, 2] = 0.0
-    outcome = kantorovich_test(ControlNet(coeffs), (0.5, 0.5), 0.25, (1.5, 1.5, 1.5))
+    outcome = _test_square(ControlNet(coeffs), (0.5, 0.5), 0.25, (1.5, 1.5, 1.5))
     if outcome.passed is None:
         assert outcome.by_pair((0, 2)).status is PairStatus.SINGULAR_JACOBIAN
         assert outcome.by_pair((1, 2)).status is PairStatus.SINGULAR_JACOBIAN
@@ -292,7 +300,7 @@ def test_classification_matches_monomial_reimplementation():
         x0 = tuple(rng.uniform(0.3, 0.7, 2))
         r = float(rng.uniform(0.05, 0.3))
         scale = float(rng.uniform(1.0, 2.5))
-        outcome = kantorovich_test(ControlNet(coeffs), x0, r, (scale,) * 3)
+        outcome = _test_square(ControlNet(coeffs), x0, r, (scale,) * 3)
         for t in outcome.pairs:
             if t.status is PairStatus.SINGULAR_JACOBIAN:
                 continue
@@ -358,7 +366,7 @@ def _passing_instances(seed, count):
         net3 = random_net_coeffs(rng, 3, 3)
         net3 -= sample_net(ControlNet(net3), [z[0]], [z[1]])[0, 0]
         x0 = tuple(z + rng.uniform(-0.05, 0.05, 2))
-        outcome = kantorovich_test(ControlNet(net3), x0, 0.1, (1.5, 1.5, 1.5))
+        outcome = _test_square(ControlNet(net3), x0, 0.1, (1.5, 1.5, 1.5))
         if outcome.passed is not None:
             found.append((ControlNet(net3), x0, outcome.passed))
     return found
@@ -402,7 +410,7 @@ def test_uniqueness_inside_explored_region():
         pair_net = extract_pair(net3, passed.pair)
         result = newton_solve(pair_net, x0, tol=1e-10, max_iter=30)
         assert result.converged
-        region = explored_region(passed, x0, result.root, clip=True)
+        region = explored_region(passed, x0)
         lo_u, hi_u, lo_v, hi_v = region.bounds()
         us = np.linspace(lo_u, hi_u, 80)
         vs = np.linspace(lo_v, hi_v, 80)
@@ -424,19 +432,17 @@ def test_explored_region_affine_case_equals_test_domain():
     for i in range(2):
         for j in range(2):
             coeffs[i, j] = b + i * gu + j * gv
-    outcome = kantorovich_test(ControlNet(coeffs), (0.5, 0.5), 0.5, (1.5, 1.5, 1.5))
+    outcome = _test_square(ControlNet(coeffs), (0.5, 0.5), 0.5, (1.5, 1.5, 1.5))
     passed = outcome.passed
     assert passed is not None and passed.rho_plus == math.inf
-    region = explored_region(passed, (0.5, 0.5), (0.45, 0.53), clip=True)
+    region = explored_region(passed, (0.5, 0.5))
     d = passed.test_domain
     assert region.bounds() == (d.lo_u, d.hi_u, d.lo_v, d.hi_v)
 
 
 def test_explored_region_membership_closed_ball():
-    region = ExploredRegion(
-        center=(0.5, 0.5), rho_minus=0.1, rho_plus=0.2, pair=(0, 1),
-        clip=None, zero=(0.5, 0.5),
-    )
+    # a clip domain wider than the ball leaves the ball itself
+    region = ExploredRegion(center=(0.5, 0.5), rho_plus=0.2, clip=Rect.ball((0.5, 0.5), 0.4))
     assert region.contains_point((0.7, 0.5))
     assert region.contains_point((0.3, 0.3))
     assert not region.contains_point((0.7000001, 0.5))
@@ -444,10 +450,7 @@ def test_explored_region_membership_closed_ball():
 
 def test_explored_region_square_containment_is_corner_test():
     rng = np.random.default_rng(51)
-    region = ExploredRegion(
-        center=(0.5, 0.5), rho_minus=0.1, rho_plus=0.25, pair=(0, 1),
-        clip=Rect(0.2, 0.9, 0.3, 0.8), zero=(0.5, 0.5),
-    )
+    region = ExploredRegion(center=(0.5, 0.5), rho_plus=0.25, clip=Rect(0.2, 0.9, 0.3, 0.8))
     for _ in range(200):
         c = tuple(rng.uniform(0.2, 0.8, 2))
         r = float(rng.uniform(0.01, 0.2))
@@ -464,7 +467,7 @@ def test_explored_region_requires_pass():
 
     failed = PairTest((0, 1), PairStatus.FAIL_CONVERGENCE, Rect.ball((0.5, 0.5), 0.5))
     with pytest.raises(ValueError):
-        explored_region(failed, (0.5, 0.5), (0.5, 0.5))
+        explored_region(failed, (0.5, 0.5))
 
 
 def _exact_restriction(m: int, a: float, b: float) -> np.ndarray:
