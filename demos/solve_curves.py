@@ -26,7 +26,6 @@ print("  squares examined  :", report.squares_examined)
 print("  subdivisions      :", report.subdivisions)
 print("  exclusion passes  :", report.exclusion_passes)
 print("  convergence passes:", report.kantorovich_passes)
-print("  Newton calls      :", report.newton_calls)
 print("  deepest square    :", report.max_depth_reached)
 print("  truncated         :", report.truncated)
 print("  observer events   :", events)

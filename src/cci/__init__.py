@@ -21,7 +21,6 @@ from .geometry import (
     eval_curve,
     eval_net,
     extract_pair,
-    jacobian,
     reparametrize,
     sample_curve,
     sample_net,
@@ -29,15 +28,11 @@ from .geometry import (
 from .exclusion import exclusion_test, hull_excludes_origin
 from .kantorovich import (
     COMPONENT_PAIRS,
-    ExploredRegion,
     KantorovichOutcome,
     PairStatus,
     PairTest,
-    SingularJacobianError,
-    eta,
     explored_region,
     inverse_2x2,
-    lipschitz_bound,
     rho_radii,
 )
 from .newton import NewtonResult, newton_solve
@@ -66,22 +61,17 @@ __all__ = [
     "eval_curve",
     "eval_net",
     "extract_pair",
-    "jacobian",
     "reparametrize",
     "sample_curve",
     "sample_net",
     "exclusion_test",
     "hull_excludes_origin",
     "COMPONENT_PAIRS",
-    "ExploredRegion",
     "KantorovichOutcome",
     "PairStatus",
     "PairTest",
-    "SingularJacobianError",
-    "eta",
     "explored_region",
     "inverse_2x2",
-    "lipschitz_bound",
     "rho_radii",
     "NewtonResult",
     "newton_solve",

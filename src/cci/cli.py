@@ -57,8 +57,6 @@ def _solver_options(f):
                      help="Adapt test-domain sizes, or keep them fixed.")(f)
     f = click.option("--epsilon", type=float, default=0.05, show_default=True,
                      help="Adaptation step for the test-domain multipliers.")(f)
-    f = click.option("--fixed-scale", type=float, default=1.5, show_default=True,
-                     help="Test-domain multiplier used in fixed mode.")(f)
     f = click.option("--newton-tol", type=float, default=1e-7, show_default=True,
                      help="Step-size tolerance for Newton refinement.")(f)
     f = click.option("--zero-tol", type=float, default=None,
@@ -91,7 +89,6 @@ def _report_to_dict(problem: Problem, config: SolverConfig, report: SolveReport)
             "subdivisions": report.subdivisions,
             "exclusion_passes": report.exclusion_passes,
             "kantorovich_passes": report.kantorovich_passes,
-            "newton_calls": report.newton_calls,
             "max_depth_reached": report.max_depth_reached,
         },
         "truncated": report.truncated,

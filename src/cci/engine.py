@@ -34,7 +34,6 @@ from .geometry import (
 )
 from .kantorovich import (
     COMPONENT_PAIRS,
-    ExploredRegion,
     KantorovichOutcome,
     PairStatus,
     PairSystem,
@@ -110,12 +109,13 @@ class Square:
 class SolverConfig:
     """Knobs for a solve run.
 
-    mode "adaptive" adjusts the per-pair test-domain multipliers by
-    ``epsilon`` based on each parent square's failure mode; mode "fixed"
-    is the same rule with a step of 0, so all multipliers stay at
-    ``fixed_scale``. ``zero_tol`` is the residual below which a refined
-    point counts as an intersection; None picks 1e-6 * (1 + max coefficient
-    magnitude) at solve time.
+    Both modes start every per-pair test-domain multiplier at
+    ``INITIAL_SCALE`` (1.5). Mode "adaptive" adjusts the multipliers by
+    ``epsilon`` based on each parent square's failure mode; mode "fixed" is
+    the same rule with a step of 0, so the multipliers stay at 1.5.
+    ``zero_tol`` is the residual below which a refined point counts as an
+    intersection; None picks 1e-6 * (1 + max coefficient magnitude) at
+    solve time.
 
     ``max_squares`` is a safety valve for inputs with non-isolated
     intersections (overlapping curves), whose zero set makes the number of
@@ -126,7 +126,6 @@ class SolverConfig:
 
     mode: str = "adaptive"
     epsilon: float = 0.05
-    fixed_scale: float = 1.5
     newton_tol: float = 1e-7
     zero_tol: float | None = None
     max_depth: int = 40
@@ -137,8 +136,6 @@ class SolverConfig:
             raise ValueError(f"mode must be 'adaptive' or 'fixed', got {self.mode!r}")
         if self.epsilon < 0.0:
             raise ValueError("epsilon must be nonnegative")
-        if self.fixed_scale < 1.0:
-            raise ValueError("fixed_scale must be >= 1")
         if self.max_depth < 0:
             raise ValueError("max_depth must be nonnegative")
         if self.max_squares < 1:
@@ -161,7 +158,6 @@ class SolveReport:
     subdivisions: int = 0
     exclusion_passes: int = 0
     kantorovich_passes: int = 0
-    newton_calls: int = 0
     max_depth_reached: int = 0
     truncated: bool = False
 
@@ -192,23 +188,26 @@ def update_scales(
     if outcome.passed is not None:
         return scales
     new = []
-    for pair, s in zip(COMPONENT_PAIRS, scales):
-        t = outcome.by_pair(pair)
-        if t is not None and t.status is PairStatus.FAIL_CONTAINMENT:
+    for t, s in zip(outcome.pairs, scales):
+        if t.status is PairStatus.FAIL_CONTAINMENT:
             new.append(s + epsilon)
-        elif t is not None and t.status is PairStatus.FAIL_CONVERGENCE:
+        elif t.status is PairStatus.FAIL_CONVERGENCE:
             new.append(max(1.0, s - epsilon))
         else:
             new.append(s)
     return (new[0], new[1], new[2])
 
 
-def region_prunes_square(regions: list[ExploredRegion], square: Square) -> bool:
-    """True iff some single region fully contains the square."""
-    return any(r.contains_square(square.center, square.half_width) for r in regions)
+def region_prunes_square(regions: list[Rect], square: Square) -> bool:
+    """True iff some single explored region fully contains the closed square."""
+    (cu, cv), h = square.center, square.half_width
+    return any(
+        r.lo_u <= cu - h and cu + h <= r.hi_u and r.lo_v <= cv - h and cv + h <= r.hi_v
+        for r in regions
+    )
 
 
-def point_is_known(regions: list[ExploredRegion], x: tuple[float, float]) -> bool:
+def point_is_known(regions: list[Rect], x: tuple[float, float]) -> bool:
     """True iff the point lies in some explored region (closed membership)."""
     return any(r.contains_point(x) for r in regions)
 
@@ -295,15 +294,13 @@ def solve(
     seconds = second_derivative_nets(net)
     zero_tol = effective_zero_tol(config, c1, c2)
 
-    fixed = config.mode == "fixed"
-    initial = config.fixed_scale if fixed else INITIAL_SCALE
-    step = 0.0 if fixed else config.epsilon
-    root = Square((0.5, 0.5), 0.5, (initial, initial, initial), 0)
+    step = 0.0 if config.mode == "fixed" else config.epsilon
+    root = Square((0.5, 0.5), 0.5, (INITIAL_SCALE,) * 3, 0)
     # A queue entry holds its square, its parent's net and its quarter of the
     # parent. The square's own net is restricted only once it is popped and
     # not pruned, so the queue holds one net per subdivided parent.
     queue: deque[tuple[Square, ControlNet, Rect]] = deque([(root, net, UNIT_SQUARE)])
-    regions: list[ExploredRegion] = []
+    regions: list[Rect] = []
     report = SolveReport()
     emit = _with_trace_log(observer) if log.isEnabledFor(TRACE) else observer
 
@@ -336,7 +333,6 @@ def solve(
         if passed is not None:
             report.kantorovich_passes += 1
             system = systems[COMPONENT_PAIRS.index(passed.pair)]
-            report.newton_calls += 1
             result = newton_solve(system.net, sq.center, tol=config.newton_tol)
             emit("newton", {"square": sq, "passed": passed, "result": result})
             if result.converged:
@@ -360,7 +356,9 @@ def solve(
                         source_square=sq,
                     )
                     report.intersections.append(record)
-                    regions.append(explored_region(passed, sq.center))
+                    region = explored_region(passed, sq.center)
+                    if region is not None:
+                        regions.append(region)
                     emit("intersection", {"record": record})
 
         if sq.depth >= config.max_depth:

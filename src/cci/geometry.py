@@ -30,7 +30,6 @@ __all__ = [
     "jet",
     "sample_net",
     "derivative_net",
-    "jacobian",
     "reparametrize",
     "extract_pair",
 ]
@@ -65,10 +64,6 @@ class Rect:
         return cls(cu - radius, cu + radius, cv - radius, cv + radius)
 
     @property
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.lo_u + self.hi_u), 0.5 * (self.lo_v + self.hi_v))
-
-    @property
     def width_u(self) -> float:
         return self.hi_u - self.lo_u
 
@@ -76,12 +71,10 @@ class Rect:
     def width_v(self) -> float:
         return self.hi_v - self.lo_v
 
-    def contains_point(self, p: tuple[float, float], tol: float = 0.0) -> bool:
+    def contains_point(self, p: tuple[float, float]) -> bool:
+        """Closed membership: the boundary belongs to the rectangle."""
         u, v = p
-        return (
-            self.lo_u - tol <= u <= self.hi_u + tol
-            and self.lo_v - tol <= v <= self.hi_v + tol
-        )
+        return self.lo_u <= u <= self.hi_u and self.lo_v <= v <= self.hi_v
 
     def map_from_unit(self, s: float, t: float) -> tuple[float, float]:
         """Image of unit-square coordinates (s, t) under this rectangle's affine map."""
@@ -266,11 +259,6 @@ def jet(net: ControlNet, x: tuple[float, float]) -> tuple[np.ndarray, np.ndarray
     wv = _jet_weights(net.degree_v, float(x[1]))
     both = wv @ (wu @ c.reshape(c.shape[0], -1)).reshape(2, *c.shape[1:])
     return both[0, 0], np.stack([both[1, 0], both[0, 1]], axis=1)
-
-
-def jacobian(net: ControlNet, x: tuple[float, float]) -> np.ndarray:
-    """Jacobian of the net's map at x = (u, v), as a (dim, 2) matrix."""
-    return jet(net, x)[1]
 
 
 @functools.lru_cache(maxsize=32)

@@ -9,7 +9,10 @@ test domain. A pass guarantees Newton's method from x0 converges
 quadratically to the unique zero of that sub-system nearby, and yields an
 explored region around the zero in which no other zero can hide.
 
-All norms are infinity norms, so balls are axis-aligned squares.
+``test_pairs`` is the only producer of eta, omega, rho_minus and rho_plus;
+a numerically singular Jacobian is a pair status, not an exception. All
+norms are infinity norms, so balls, test domains and explored regions are
+axis-aligned ``Rect``s.
 """
 
 from __future__ import annotations
@@ -27,23 +30,18 @@ from .geometry import (
     derivative_net,
     eval_net,  # noqa: F401 -- unused here; bench/tracing.py patches this binding
     extract_pair,
-    jacobian,
     jet,
     reparametrize,
 )
 
 __all__ = [
     "COMPONENT_PAIRS",
-    "SingularJacobianError",
     "PairStatus",
     "PairTest",
     "KantorovichOutcome",
-    "ExploredRegion",
     "PairSystem",
     "second_derivative_nets",
     "inverse_2x2",
-    "eta",
-    "lipschitz_bound",
     "rho_radii",
     "test_pairs",
     "explored_region",
@@ -51,10 +49,6 @@ __all__ = [
 
 # The three 2x2 sub-systems of a 3-component map, in fixed test order.
 COMPONENT_PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (1, 2))
-
-
-class SingularJacobianError(Exception):
-    """Raised when a sub-system's Jacobian is numerically singular at x0."""
 
 
 class PairStatus(enum.Enum):
@@ -87,7 +81,8 @@ class KantorovichOutcome:
     """Per-pair results for one square; ``passed`` is the first passing pair.
 
     Pairs after a pass are not evaluated, so ``pairs`` holds only the tested
-    prefix (all three whenever the overall test fails).
+    prefix: all three, in ``COMPONENT_PAIRS`` order, whenever the overall
+    test fails.
     """
 
     pairs: tuple[PairTest, ...]
@@ -98,47 +93,6 @@ class KantorovichOutcome:
             if t.status is PairStatus.PASS:
                 return t
         return None
-
-    def by_pair(self, pair: tuple[int, int]) -> PairTest | None:
-        for t in self.pairs:
-            if t.pair == pair:
-                return t
-        return None
-
-
-@dataclass(frozen=True)
-class ExploredRegion:
-    """Neighborhood of a confirmed zero that cannot contain any other zero.
-
-    Membership is the closed rho_plus ball around the test center, clipped
-    to the test domain the guarantee was derived in. rho_plus may be
-    infinite for affine sub-systems.
-    """
-
-    center: tuple[float, float]
-    rho_plus: float
-    clip: Rect
-
-    def bounds(self) -> tuple[float, float, float, float]:
-        (cu, cv), r, c = self.center, self.rho_plus, self.clip
-        return (
-            max(cu - r, c.lo_u), min(cu + r, c.hi_u),
-            max(cv - r, c.lo_v), min(cv + r, c.hi_v),
-        )
-
-    def contains_point(self, p: tuple[float, float]) -> bool:
-        lo_u, hi_u, lo_v, hi_v = self.bounds()
-        return lo_u <= p[0] <= hi_u and lo_v <= p[1] <= hi_v
-
-    def contains_square(self, center: tuple[float, float], half_width: float) -> bool:
-        lo_u, hi_u, lo_v, hi_v = self.bounds()
-        cu, cv = center
-        return (
-            lo_u <= cu - half_width
-            and cu + half_width <= hi_u
-            and lo_v <= cv - half_width
-            and cv + half_width <= hi_v
-        )
 
 
 _SINGULAR_RTOL = 1e-14
@@ -155,21 +109,6 @@ def inverse_2x2(jac: np.ndarray) -> np.ndarray | None:
     if abs(det) <= _SINGULAR_RTOL * max(1.0, norm**2):
         return None
     return np.array([[jac[1, 1], -jac[0, 1]], [-jac[1, 0], jac[0, 0]]]) / det
-
-
-def _checked_inverse(jac: np.ndarray) -> np.ndarray:
-    jac_inv = inverse_2x2(jac)
-    if jac_inv is None:
-        raise SingularJacobianError("Jacobian is numerically singular")
-    return jac_inv
-
-
-def eta(jac: np.ndarray, value: np.ndarray) -> float:
-    """Infinity norm of the first Newton step, |J^-1 F|.
-
-    Raises SingularJacobianError when J is numerically singular.
-    """
-    return float(np.abs(_checked_inverse(jac) @ value).max())
 
 
 def second_derivative_nets(net: ControlNet) -> tuple[ControlNet, ControlNet, ControlNet]:
@@ -206,17 +145,6 @@ class PairSystem:
             c = second[:, :, pair] @ jac_inv.T
             worst = max(worst, float(np.abs(c).max()))
         return 4.0 * worst
-
-
-def _seconds_over(nets: tuple[ControlNet, ...], domain: Rect) -> tuple[np.ndarray, ...]:
-    return tuple(reparametrize(net, domain).coeffs for net in nets)
-
-
-def lipschitz_bound(pair_net: ControlNet, x0: tuple[float, float], domain: Rect) -> float:
-    """Lipschitz constant omega for J(x0)^-1 J(x) of a 2-component net on ``domain``."""
-    jac_inv = _checked_inverse(jacobian(pair_net, x0))
-    seconds = _seconds_over(second_derivative_nets(pair_net), domain)
-    return PairSystem(pair_net, (0, 1)).omega(jac_inv, seconds)
 
 
 def rho_radii(eta_value: float, omega_value: float) -> tuple[float, float]:
@@ -302,7 +230,7 @@ def test_pairs(
 
     def seconds_over(domain: Rect) -> tuple[np.ndarray, ...]:
         if domain not in restricted:
-            restricted[domain] = _seconds_over(seconds, domain)
+            restricted[domain] = tuple(reparametrize(n, domain).coeffs for n in seconds)
         return restricted[domain]
 
     results: list[PairTest] = []
@@ -317,13 +245,23 @@ def test_pairs(
     return KantorovichOutcome(tuple(results))
 
 
-def explored_region(passed: PairTest, center: tuple[float, float]) -> ExploredRegion:
+def explored_region(passed: PairTest, center: tuple[float, float]) -> Rect | None:
     """Region around a confirmed zero in which no other zero can exist.
 
-    Built from a pair test that passed at ``center``: the uniqueness ball,
-    clipped to the test domain it was derived in.
+    Built from a pair test that passed at ``center``: the closed uniqueness
+    ball of radius rho_plus, clipped to the test domain it was derived in.
+    rho_plus is infinite for affine sub-systems, and the region is then the
+    test domain itself. None when rho_plus is below the rounding of the
+    center: the ball then rounds to the center alone, which prunes no square
+    and lies within rho_minus of the zero's Newton root, so the solver's
+    duplicate check already covers it.
     """
     if passed.status is not PairStatus.PASS:
         raise ValueError("explored regions require a passing pair test")
     assert passed.rho_plus is not None
-    return ExploredRegion(center=center, rho_plus=passed.rho_plus, clip=passed.test_domain)
+    (cu, cv), r, d = center, passed.rho_plus, passed.test_domain
+    lo_u, hi_u = max(cu - r, d.lo_u), min(cu + r, d.hi_u)
+    lo_v, hi_v = max(cv - r, d.lo_v), min(cv + r, d.hi_v)
+    if lo_u == hi_u or lo_v == hi_v:
+        return None
+    return Rect(lo_u, hi_u, lo_v, hi_v)

@@ -16,7 +16,21 @@ import pytest
 
 import cci
 from cci import BezierCurve, Problem, brute_force_intersections
-from cci.geometry import derivative_curve, eval_curve, sample_curve
+from cci.geometry import (
+    ControlNet,
+    Rect,
+    derivative_curve,
+    eval_curve,
+    reparametrize,
+    sample_curve,
+)
+from cci.kantorovich import (
+    COMPONENT_PAIRS,
+    PairSystem,
+    PairTest,
+    second_derivative_nets,
+    test_pairs,
+)
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
 
@@ -34,6 +48,24 @@ def subprocess_env(**extra: str) -> dict[str, str]:
     """
     path = [str(Path(cci.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+
+
+def pair_test_at(pair_net: ControlNet, x0: tuple[float, float], half_width: float) -> PairTest:
+    """The solver's convergence test of a 2-component net, as one ``PairTest``.
+
+    Runs ``test_pairs`` on the net padded with a zero third component, for
+    the square of ``half_width`` about ``x0`` at scale 1, so the test domain
+    is that square, and returns the (0, 1) pair's result: eta, omega and the
+    radii come from the only path the solver uses.
+    """
+    c = pair_net.coeffs
+    net = ControlNet(np.concatenate([c, np.zeros_like(c[:, :, :1])], axis=2))
+    systems = [PairSystem(net, pair) for pair in COMPONENT_PAIRS]
+    square = reparametrize(net, Rect.ball(x0, half_width))
+    outcome = test_pairs(
+        systems, second_derivative_nets(net), square, x0, half_width, (1.0, 1.0, 1.0)
+    )
+    return outcome.pairs[0]
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,14 @@ from cci.geometry import (
     bernstein_basis,
     eval_net,
     extract_pair,
-    jacobian,
+    jet,
     reparametrize,
     sample_net,
 )
-from cci.kantorovich import SingularJacobianError, lipschitz_bound
+from cci.kantorovich import PairStatus
 from cci.newton import newton_solve
 from cci.problems import load_problem
-from conftest import match_point_sets, random_net_coeffs, random_transversal_problem
+from conftest import match_point_sets, pair_test_at, random_net_coeffs, random_transversal_problem
 
 EPSILONS = ("0.01", "0.05", "0.1", "0.15", "0.2")
 # The paper's table: squares examined for p01..p08, one column per epsilon
@@ -206,7 +206,7 @@ def test_acceptance_6_numerical_kernels():
     for _ in range(10):
         net = ControlNet(random_net_coeffs(rng, 6, 6))
         for u, v in rng.uniform(0.05, 0.95, (10, 2)):
-            jac = jacobian(net, (u, v))
+            jac = jet(net, (u, v))[1]
             fd = np.stack(
                 [
                     (eval_net(net, u + h, v) - eval_net(net, u - h, v)) / (2 * h),
@@ -222,17 +222,16 @@ def test_acceptance_6_numerical_kernels():
     while checked < 10:
         pair_net = ControlNet(random_net_coeffs(rng, 3, 3, d=2))
         x0 = (0.5, 0.5)
-        domain = Rect.ball(x0, 0.6)
-        try:
-            omega = lipschitz_bound(pair_net, x0, domain)
-        except SingularJacobianError:
+        test = pair_test_at(pair_net, x0, 0.6)
+        if test.status is PairStatus.SINGULAR_JACOBIAN:
             continue
+        omega, domain = test.omega, test.test_domain
         checked += 1
-        jac0_inv = np.linalg.inv(jacobian(pair_net, x0))
+        jac0_inv = np.linalg.inv(jet(pair_net, x0)[1])
         for _ in range(100):
             x = rng.uniform(domain.lo_u, domain.hi_u, 2)
             y = rng.uniform(domain.lo_u, domain.hi_u, 2)
-            lhs = np.abs(jac0_inv @ (jacobian(pair_net, tuple(x)) - jacobian(pair_net, tuple(y)))).sum(axis=1).max()
+            lhs = np.abs(jac0_inv @ (jet(pair_net, tuple(x))[1] - jet(pair_net, tuple(y))[1])).sum(axis=1).max()
             if lhs > omega * np.abs(x - y).max() * (1 + 1e-9) + 1e-12:
                 violations += 1
     assert violations == 0

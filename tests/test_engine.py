@@ -14,7 +14,6 @@ from cci.engine import (
 )
 from cci.geometry import BezierCurve, Rect
 from cci.kantorovich import (
-    ExploredRegion,
     KantorovichOutcome,
     PairStatus,
     PairTest,
@@ -47,13 +46,26 @@ def test_crossing_segments_trace():
     assert report.squares_examined == 5
     assert report.subdivisions == 1
     assert report.kantorovich_passes == 1
-    assert report.newton_calls == 1
     assert not report.truncated
     assert len(report.intersections) == 1
     rec = report.intersections[0]
     assert (rec.u, rec.v) == (0.5, 0.5)
     assert np.array_equal(rec.point, [0.5, 0.5, 0.0])
     assert rec.residual == 0.0
+
+
+def test_uniqueness_ball_below_rounding_adds_no_region():
+    # A near-tangent crossing at the root square's center, exact in binary:
+    # eta is 0 and omega is about 1e17, so 0.5 +- rho_plus rounds to 0.5 and
+    # the uniqueness ball has no width. The crossing is still recorded once,
+    # and the near-tangency truncates.
+    a, d = 1536.0, 2.0**-43
+    c1 = BezierCurve([[0, a / 4 - d / 2, 0], [0.5, -a / 4, 0], [1, a / 4 + d / 2, 0]])
+    c2 = BezierCurve([[0, 0, 0], [0.5, 0, 0], [1, 0, 0]])
+    report = solve(c1, c2)
+    assert [(r.u, r.v) for r in report.intersections] == [(0.5, 0.5)]
+    assert report.squares_examined == 629
+    assert report.truncated
 
 
 def test_disjoint_segments_trace():
@@ -138,8 +150,8 @@ def test_update_scales_never_below_one():
 # Region pruning
 
 def _region(center, rho_plus):
-    # the clip domain is wider than the ball, so membership is the ball itself
-    return ExploredRegion(center=center, rho_plus=rho_plus, clip=Rect.ball(center, 2 * rho_plus))
+    # an explored region whose test domain is wider than its uniqueness ball
+    return Rect.ball(center, rho_plus)
 
 
 def test_region_prunes_square_empty_list():
@@ -188,8 +200,6 @@ def test_config_validation():
         SolverConfig(mode="other")
     with pytest.raises(ValueError):
         SolverConfig(epsilon=-0.1)
-    with pytest.raises(ValueError):
-        SolverConfig(fixed_scale=0.5)
     SolverConfig(epsilon=0.0)  # zero step must be allowed (baseline equivalence)
 
 

@@ -12,21 +12,20 @@ import numpy as np
 import pytest
 
 from cci import kantorovich
+from cci.engine import Square, region_prunes_square
 from cci.geometry import ControlNet, Rect, eval_net, jet, reparametrize, sample_net
 from cci.kantorovich import (
     COMPONENT_PAIRS,
-    ExploredRegion,
     PairStatus,
     PairSystem,
-    SingularJacobianError,
-    eta,
+    PairTest,
     explored_region,
-    lipschitz_bound,
+    inverse_2x2,
     rho_radii,
     second_derivative_nets,
 )
 from cci.newton import newton_solve
-from conftest import bernstein_to_monomial, horner, random_net_coeffs
+from conftest import bernstein_to_monomial, horner, pair_test_at, random_net_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -105,14 +104,19 @@ def _net_with_zero_at(rng, z, m=3, n=3):
 
 
 # ---------------------------------------------------------------------------
-# eta
+# eta = |J^-1 F| through inverse_2x2, the one 2x2 routine
+
+def _eta(jac, value):
+    return float(np.abs(inverse_2x2(jac) @ value).max())
+
 
 def test_eta_zero_value():
-    assert eta(np.eye(2), np.zeros(2)) == 0.0
+    assert _eta(np.eye(2), np.zeros(2)) == 0.0
 
 
 def test_eta_identity_jacobian():
-    assert eta(np.eye(2), np.array([0.3, -0.1])) == pytest.approx(0.3, abs=0)
+    assert np.array_equal(inverse_2x2(np.eye(2)), np.eye(2))
+    assert _eta(np.eye(2), np.array([0.3, -0.1])) == pytest.approx(0.3, abs=0)
 
 
 def test_eta_matches_lapack_solve():
@@ -122,13 +126,35 @@ def test_eta_matches_lapack_solve():
         if abs(np.linalg.det(jac)) < 0.1:
             continue
         value = rng.normal(size=2)
-        expected = float(np.abs(np.linalg.solve(jac, value)).max())
-        assert eta(jac, value) == pytest.approx(expected, abs=1e-12)
+        expected = np.linalg.solve(jac, value)
+        assert np.abs(inverse_2x2(jac) @ value - expected).max() <= 1e-12
+        assert _eta(jac, value) == pytest.approx(float(np.abs(expected).max()), abs=1e-12)
 
 
-def test_eta_singular_raises():
-    with pytest.raises(SingularJacobianError):
-        eta(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
+def test_inverse_2x2_singular_is_none():
+    assert inverse_2x2(np.array([[1.0, 2.0], [2.0, 4.0]])) is None
+
+
+@pytest.mark.parametrize("norm", [0.5, 1024.0])
+def test_inverse_2x2_singular_threshold(norm):
+    # J = diag(norm, x) with x < norm has |J| = norm in the infinity norm,
+    # and det J = norm * x is exact because norm is a power of two. J is
+    # singular exactly when det J <= 1e-14 * max(1, |J|^2).
+    threshold = 1e-14 * max(1.0, norm**2)
+    at = threshold / norm
+    for x, singular in [
+        (0.5 * at, True),
+        (at, True),
+        (np.nextafter(at, np.inf), False),
+        (2.0 * at, False),
+    ]:
+        jac = np.diag([norm, x])
+        jac_inv = inverse_2x2(jac)
+        if singular:
+            assert jac_inv is None
+        else:
+            assert jac_inv is not None
+            assert np.array_equal(jac_inv, np.diag([1.0 / norm, 1.0 / x]))
 
 
 # ---------------------------------------------------------------------------
@@ -139,17 +165,16 @@ def test_lipschitz_bound_affine_is_zero():
     net = _affine_net_2(
         np.array([0.25, -0.5]), np.array([1.0, 0.5]), np.array([-0.5, 2.0])
     )
-    assert lipschitz_bound(net, (0.5, 0.5), Rect.ball((0.5, 0.5), 0.75)) == 0.0
+    assert pair_test_at(net, (0.5, 0.5), 0.75).omega == 0.0
 
 
 def test_lipschitz_bound_scale_invariant():
     rng = np.random.default_rng(41)
-    domain = Rect.ball((0.5, 0.5), 0.75)
     for _ in range(20):
         coeffs = random_net_coeffs(rng, 3, 3, d=2)
-        base = lipschitz_bound(ControlNet(coeffs), (0.5, 0.5), domain)
+        base = pair_test_at(ControlNet(coeffs), (0.5, 0.5), 0.75).omega
         for c in (2.0, -3.5, 1e-4):
-            scaled = lipschitz_bound(ControlNet(c * coeffs), (0.5, 0.5), domain)
+            scaled = pair_test_at(ControlNet(c * coeffs), (0.5, 0.5), 0.75).omega
             assert scaled == pytest.approx(base, rel=1e-12)
 
 
@@ -159,11 +184,10 @@ def test_lipschitz_inequality_sampled():
     while checked < 10:
         net = ControlNet(random_net_coeffs(rng, 3, 3, d=2))
         x0 = (0.5, 0.5)
-        domain = Rect.ball(x0, 0.6)
-        try:
-            omega = lipschitz_bound(net, x0, domain)
-        except SingularJacobianError:
+        test = pair_test_at(net, x0, 0.6)
+        if test.status is PairStatus.SINGULAR_JACOBIAN:
             continue
+        omega, domain = test.omega, test.test_domain
         checked += 1
         mono = _mono2(net.coeffs)
         du, dv = _mono_du(mono), _mono_dv(mono)
@@ -186,21 +210,18 @@ def test_lipschitz_bound_monotone_in_domain():
     x0 = (0.5, 0.5)
     for _ in range(20):
         net = ControlNet(random_net_coeffs(rng, 3, 3, d=2))
-        try:
-            values = [
-                lipschitz_bound(net, x0, Rect.ball(x0, r))
-                for r in (0.2, 0.4, 0.6, 0.9)
-            ]
-        except SingularJacobianError:
+        tests = [pair_test_at(net, x0, r) for r in (0.2, 0.4, 0.6, 0.9)]
+        if any(t.status is PairStatus.SINGULAR_JACOBIAN for t in tests):
             continue
+        values = [t.omega for t in tests]
         for small, big in zip(values, values[1:]):
             assert small <= big * (1.0 + 1e-12)
 
 
-def test_lipschitz_bound_singular_raises():
-    net = ControlNet(np.zeros((3, 3, 2)))
-    with pytest.raises(SingularJacobianError):
-        lipschitz_bound(net, (0.5, 0.5), Rect.ball((0.5, 0.5), 0.75))
+def test_lipschitz_bound_singular_is_reported():
+    test = pair_test_at(ControlNet(np.zeros((3, 3, 2))), (0.5, 0.5), 0.75)
+    assert test.status is PairStatus.SINGULAR_JACOBIAN
+    assert test.omega is None
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +296,8 @@ def test_fail_containment_for_far_affine_zero():
         for j in range(2):
             coeffs[i, j] = b + i * gu + j * gv
     outcome = _test_square(ControlNet(coeffs), (0.5, 0.5), 0.1, (1.5, 1.5, 1.5))
-    t = outcome.by_pair((0, 1))
-    assert t is not None
+    t = outcome.pairs[0]
+    assert t.pair == (0, 1)
     assert t.status is PairStatus.FAIL_CONTAINMENT
     assert t.h == 0.0 and t.omega == 0.0
     assert t.rho_minus == t.eta > 0.15
@@ -288,8 +309,9 @@ def test_singular_pairs_recorded_for_planar_curves():
     coeffs[:, :, 2] = 0.0
     outcome = _test_square(ControlNet(coeffs), (0.5, 0.5), 0.25, (1.5, 1.5, 1.5))
     if outcome.passed is None:
-        assert outcome.by_pair((0, 2)).status is PairStatus.SINGULAR_JACOBIAN
-        assert outcome.by_pair((1, 2)).status is PairStatus.SINGULAR_JACOBIAN
+        assert [t.pair for t in outcome.pairs] == list(COMPONENT_PAIRS)
+        assert outcome.pairs[1].status is PairStatus.SINGULAR_JACOBIAN
+        assert outcome.pairs[2].status is PairStatus.SINGULAR_JACOBIAN
 
 
 def test_classification_matches_monomial_reimplementation():
@@ -335,23 +357,12 @@ def test_affine_invariance_of_test_quantities():
         if abs(np.linalg.det(mat)) < 0.2:
             continue
         x0 = (0.45, 0.55)
-        domain = Rect.ball(x0, 0.4)
-        base_net = ControlNet(coeffs)
-        mixed_net = ControlNet(coeffs @ mat.T)
-        try:
-            omega_a = lipschitz_bound(base_net, x0, domain)
-            omega_b = lipschitz_bound(mixed_net, x0, domain)
-        except SingularJacobianError:
+        test_a = pair_test_at(ControlNet(coeffs), x0, 0.4)
+        test_b = pair_test_at(ControlNet(coeffs @ mat.T), x0, 0.4)
+        if PairStatus.SINGULAR_JACOBIAN in (test_a.status, test_b.status):
             continue
-        mono = _mono2(coeffs)
-        jac = np.stack(
-            [_mono_eval(_mono_du(mono), *x0), _mono_eval(_mono_dv(mono), *x0)], axis=1
-        )
-        value = _mono_eval(mono, *x0)
-        eta_a = eta(jac, value)
-        eta_b = eta(mat @ jac, mat @ value)
-        assert eta_b == pytest.approx(eta_a, rel=1e-9, abs=1e-12)
-        assert omega_b == pytest.approx(omega_a, rel=1e-9, abs=1e-12)
+        assert test_b.eta == pytest.approx(test_a.eta, rel=1e-9, abs=1e-12)
+        assert test_b.omega == pytest.approx(test_a.omega, rel=1e-9, abs=1e-12)
         checked += 1
 
 
@@ -411,9 +422,8 @@ def test_uniqueness_inside_explored_region():
         result = newton_solve(pair_net, x0, tol=1e-10, max_iter=30)
         assert result.converged
         region = explored_region(passed, x0)
-        lo_u, hi_u, lo_v, hi_v = region.bounds()
-        us = np.linspace(lo_u, hi_u, 80)
-        vs = np.linspace(lo_v, hi_v, 80)
+        us = np.linspace(region.lo_u, region.hi_u, 80)
+        vs = np.linspace(region.lo_v, region.hi_v, 80)
         grid = np.abs(sample_net(pair_net, us, vs)).max(axis=2)
         uu, vv = np.meshgrid(us, vs, indexing="ij")
         near = np.maximum(np.abs(uu - result.root[0]), np.abs(vv - result.root[1])) <= 0.02
@@ -436,13 +446,13 @@ def test_explored_region_affine_case_equals_test_domain():
     passed = outcome.passed
     assert passed is not None and passed.rho_plus == math.inf
     region = explored_region(passed, (0.5, 0.5))
-    d = passed.test_domain
-    assert region.bounds() == (d.lo_u, d.hi_u, d.lo_v, d.hi_v)
+    assert region == passed.test_domain
 
 
 def test_explored_region_membership_closed_ball():
-    # a clip domain wider than the ball leaves the ball itself
-    region = ExploredRegion(center=(0.5, 0.5), rho_plus=0.2, clip=Rect.ball((0.5, 0.5), 0.4))
+    # a test domain wider than the uniqueness ball leaves the ball itself
+    passed = PairTest((0, 1), PairStatus.PASS, Rect.ball((0.5, 0.5), 0.4), rho_plus=0.2)
+    region = explored_region(passed, (0.5, 0.5))
     assert region.contains_point((0.7, 0.5))
     assert region.contains_point((0.3, 0.3))
     assert not region.contains_point((0.7000001, 0.5))
@@ -450,7 +460,8 @@ def test_explored_region_membership_closed_ball():
 
 def test_explored_region_square_containment_is_corner_test():
     rng = np.random.default_rng(51)
-    region = ExploredRegion(center=(0.5, 0.5), rho_plus=0.25, clip=Rect(0.2, 0.9, 0.3, 0.8))
+    passed = PairTest((0, 1), PairStatus.PASS, Rect(0.2, 0.9, 0.3, 0.8), rho_plus=0.25)
+    region = explored_region(passed, (0.5, 0.5))
     for _ in range(200):
         c = tuple(rng.uniform(0.2, 0.8, 2))
         r = float(rng.uniform(0.01, 0.2))
@@ -459,12 +470,16 @@ def test_explored_region_square_containment_is_corner_test():
             (c[0] - r, c[1] + r), (c[0] + r, c[1] + r),
         ]
         expected = all(region.contains_point(p) for p in corners)
-        assert region.contains_square(c, r) == expected
+        assert region_prunes_square([region], Square(c, r, (1.5, 1.5, 1.5))) == expected
+
+
+def test_explored_region_below_rounding_is_none():
+    # 0.5 - 1e-17 and 0.5 + 1e-17 both round to 0.5: the ball holds one point
+    passed = PairTest((0, 1), PairStatus.PASS, Rect.ball((0.5, 0.5), 0.1), rho_plus=1e-17)
+    assert explored_region(passed, (0.5, 0.5)) is None
 
 
 def test_explored_region_requires_pass():
-    from cci.kantorovich import PairTest
-
     failed = PairTest((0, 1), PairStatus.FAIL_CONVERGENCE, Rect.ball((0.5, 0.5), 0.5))
     with pytest.raises(ValueError):
         explored_region(failed, (0.5, 0.5))
