@@ -199,12 +199,20 @@ def eval_net(net: ControlNet, u: float, v: float) -> np.ndarray:
     return np.array(row[0], dtype=float)
 
 
+@functools.lru_cache(maxsize=32)
+def _binomials(m: int) -> np.ndarray:
+    """C(m, i) for i = 0..m, exact as floats up to m = 1029. Cached and
+    shared, hence read-only."""
+    binomials = np.array([math.comb(m, i) for i in range(m + 1)], dtype=float)
+    binomials.flags.writeable = False
+    return binomials
+
+
 def _basis_matrix(m: int, ts: np.ndarray) -> np.ndarray:
-    ts = np.asarray(ts, dtype=float)
-    cols = [
-        math.comb(m, i) * (1.0 - ts) ** (m - i) * ts**i for i in range(m + 1)
-    ]
-    return np.stack(cols, axis=1)
+    """Rows: the degree-m Bernstein basis C(m, i) (1 - t)^(m-i) t^i at each t."""
+    ts = np.asarray(ts, dtype=float)[:, None]
+    i = np.arange(m + 1)
+    return _binomials(m) * (1.0 - ts) ** (m - i) * ts**i
 
 
 def sample_net(net: ControlNet, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -234,20 +242,28 @@ def derivative_net(net: ControlNet, axis: str) -> ControlNet:
     return ControlNet(n * (c[:, 1:] - c[:, :-1]))
 
 
-@functools.lru_cache(maxsize=64)
 def _jet_weights(m: int, t: float) -> np.ndarray:
     """Rows: the degree-m Bernstein basis at t and its derivative there.
 
     The derivative of B_i^m is m (B_{i-1}^{m-1} - B_i^{m-1}). At t = 1/2
-    every weight is a dyadic rational, exact in floating point. Cached and
-    shared, hence read-only.
+    every weight is a dyadic rational, exact in floating point.
     """
+    ts = np.array([t])
     weights = np.zeros((2, m + 1))
-    weights[0] = _basis_matrix(m, np.array([t]))[0]
+    weights[0] = _basis_matrix(m, ts)[0]
     if m:
-        lower = m * _basis_matrix(m - 1, np.array([t]))[0]
+        lower = m * _basis_matrix(m - 1, ts)[0]
         weights[1, 1:] += lower
         weights[1, :-1] -= lower
+    return weights
+
+
+@functools.lru_cache(maxsize=32)
+def _center_weights(m: int) -> np.ndarray:
+    """``_jet_weights(m, 1/2)``, which every convergence test uses. Cached and
+    shared, hence read-only; weights at other points, such as Newton's
+    iterates, are built afresh so they cannot evict these."""
+    weights = _jet_weights(m, 0.5)
     weights.flags.writeable = False
     return weights
 
@@ -255,8 +271,9 @@ def _jet_weights(m: int, t: float) -> np.ndarray:
 def jet(net: ControlNet, x: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """Value (dim,) and Jacobian (dim, 2) of the net's map at x = (u, v)."""
     c = net.coeffs
-    wu = _jet_weights(net.degree_u, float(x[0]))
-    wv = _jet_weights(net.degree_v, float(x[1]))
+    u, v = float(x[0]), float(x[1])
+    wu = _center_weights(net.degree_u) if u == 0.5 else _jet_weights(net.degree_u, u)
+    wv = _center_weights(net.degree_v) if v == 0.5 else _jet_weights(net.degree_v, v)
     both = wv @ (wu @ c.reshape(c.shape[0], -1)).reshape(2, *c.shape[1:])
     return both[0, 0], np.stack([both[1, 0], both[0, 1]], axis=1)
 

@@ -1,8 +1,14 @@
 """Exclusion test: soundness, conservativeness and invariances."""
 
-import numpy as np
+import math
+from fractions import Fraction
 
-from cci.exclusion import exclusion_test, hull_excludes_origin
+import numpy as np
+import pytest
+
+import cci
+import cci.exclusion as exclusion
+from cci.exclusion import exclusion_test, hull_excludes_origin, inside_certificate
 from cci.geometry import BezierCurve, ControlNet, difference_net, sample_net
 from conftest import random_net_coeffs
 
@@ -83,3 +89,228 @@ def test_oblique_separation_detected():
         if (cloud.min(axis=0) > 0).any() or (cloud.max(axis=0) < 0).any():
             continue
         assert exclusion_test(ControlNet(coeffs))
+
+
+# ---------------------------------------------------------------------------
+# The inside certificate changes no decision
+
+
+def _gilbert_reference(points, tol=1e-12):
+    """The hull test without the inside certificate: axis test, then Gilbert.
+
+    A test oracle, kept verbatim from before the certificate was added; every
+    decision of ``hull_excludes_origin`` must equal its decision.
+    """
+    pts = np.asarray(points, dtype=float)
+    pts = pts.reshape(-1, pts.shape[-1])
+    scale = np.abs(pts).max(initial=0.0)
+    if scale == 0.0:
+        return False
+    margin = tol * scale
+    if (pts.min(axis=0) > margin).any() or (pts.max(axis=0) < -margin).any():
+        return True
+    x = pts[np.einsum("ij,ij->i", pts, pts).argmin()].copy()
+    stall = 0
+    nx2 = float(x @ x)
+    for _ in range(128):
+        nx = math.sqrt(nx2)
+        if nx <= margin:
+            return False
+        dots = pts @ x
+        j = int(dots.argmin())
+        if dots[j] > margin * nx:
+            return True
+        gap = nx2 - float(dots[j])
+        if gap <= 0.0:
+            return False
+        d = x - pts[j]
+        dd = float(d @ d)
+        if dd == 0.0:
+            return False
+        x -= min(1.0, gap / dd) * d
+        new_nx2 = float(x @ x)
+        stall = stall + 1 if new_nx2 > (1.0 - 1e-3) * nx2 else 0
+        nx2 = new_nx2
+        if stall >= 10:
+            break
+    return False
+
+
+def _certificate(points, tol=1e-12):
+    """The inside certificate as the hull test runs it, and its radius."""
+    pts = np.asarray(points, dtype=float)
+    pts = pts.reshape(-1, pts.shape[-1])
+    radius = tol * np.abs(pts).max(initial=0.0) / 2
+    start = int(np.einsum("ij,ij->i", pts, pts).argmin())
+    return inside_certificate(pts, start, pts @ pts[start], radius), radius
+
+
+def _assert_exactly_inside(points, certificate, radius):
+    """The certificate's weights are convex and their exactly normalised
+    combination of the float points lies within ``radius`` of the origin."""
+    pts = np.asarray(points, dtype=float)
+    pts = pts.reshape(-1, pts.shape[-1])
+    indices, weights = certificate
+    assert 1 <= len(indices) <= 4 and len(set(indices)) == len(indices)
+    exact = [Fraction(w) for w in weights]
+    assert all(w >= 0 for w in exact)
+    total = sum(exact)
+    assert total > 0
+    combination = [
+        sum(w * Fraction(float(pts[i, c])) for w, i in zip(exact, indices)) / total
+        for c in range(pts.shape[1])
+    ]
+    assert sum(c * c for c in combination) <= Fraction(radius) ** 2
+
+
+def _check_cloud(points):
+    """Decision equals the reference's; a certificate, if any, is exact. True if it fired."""
+    assert hull_excludes_origin(points) == _gilbert_reference(points)
+    certificate, radius = _certificate(points)
+    if certificate is None:
+        return False
+    assert not _gilbert_reference(points)
+    _assert_exactly_inside(points, certificate, radius)
+    return True
+
+
+# name: (decision, points)
+DEGENERATE_CLOUDS = {
+    "one point": (True, [[0.3, -0.2, 0.1]]),
+    "one point at the origin": (False, [[0.0, 0.0, 0.0]]),
+    "all identical": (True, [[0.0, 0.5, -0.25]] * 6),
+    "two antipodal": (False, [[1.0, -2.0, 0.5], [-1.0, 2.0, -0.5]]),
+    "collinear through the origin": (False, [[t, 2 * t, -3 * t] for t in (-1.0, -0.3, 0.2, 0.9)]),
+    "collinear within the margin": (False, [[t, 2 * t, 1e-13] for t in (-1.0, 0.5, 2.0)]),
+    "planar with z=0": (
+        False,
+        [[1.0, 0.2, 0.0], [-0.5, 0.8, 0.0], [-0.4, -0.9, 0.0], [0.3, -0.1, 0.0]],
+    ),
+    "planar 2D": (False, [[1.0, 0.2], [-0.5, 0.8], [-0.4, -0.9]]),
+    "duplicated vertices": (
+        False,
+        [[1.0, 0.2, 0.3], [-0.5, 0.8, -0.1], [-0.4, -0.9, 0.2], [0.1, 0.1, -1.0]] * 3,
+    ),
+    "all-zero column": (
+        False,
+        [[0.0, 1.0, 0.5], [0.0, -1.0, 0.5], [0.0, 0.0, -1.0], [0.0, 0.3, 0.3]],
+    ),
+    "exactly on an edge": (
+        False,
+        [[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0]],
+    ),
+    "exactly on a vertex": (
+        False,
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    ),
+    "just outside a face, within the margin": (
+        False,
+        [[1.0, 0.0, 2.0**-60], [-1.0, 1.0, 2.0**-60], [-1.0, -1.0, 2.0**-60], [0.0, 0.0, 1.0]],
+    ),
+    "just outside a face, beyond the margin": (
+        True,
+        [[1.0, 0.0, 1e-11], [-1.0, 1.0, 1e-11], [-1.0, -1.0, 1e-11], [0.0, 0.0, 1.0]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_CLOUDS))
+def test_degenerate_clouds_end_within_the_bound(name, monkeypatch):
+    decision, points = DEGENERATE_CLOUDS[name]
+    points = np.array(points, dtype=float)
+    minor_cycles = []
+    affine_minimizer = exclusion._affine_minimizer
+
+    def counted(corral_pts):
+        minor_cycles.append(len(corral_pts))
+        return affine_minimizer(corral_pts)
+
+    monkeypatch.setattr(exclusion, "_affine_minimizer", counted)
+    assert hull_excludes_origin(points) == decision
+    _check_cloud(points)
+    # Each major step adds one point and each minor cycle drops one.
+    assert len(minor_cycles) <= 5 * exclusion._MAX_MAJOR
+    assert all(size <= 5 for size in minor_cycles)
+
+
+def _seeded_clouds(seed, count):
+    """2D and 3D clouds with the origin inside, outside, or 1e-13 to 1e-2
+    (relative to the cloud's size) from a hull vertex or edge."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        d = 2 + k % 2
+        pts = rng.normal(size=(int(rng.integers(d + 1, 30)), d))
+        kind = (k // 2) % 5
+        size = np.abs(pts).max()
+        delta = 10.0 ** rng.uniform(-13, -2) * size
+        u = rng.normal(size=d)
+        u /= np.linalg.norm(u)
+        if kind == 0:
+            pts -= pts.mean(axis=0)
+        elif kind == 1:
+            pts += 3.0 * rng.normal(size=d)
+        elif kind in (2, 3):
+            # The vertex extreme along -u sits delta outside (or inside) the
+            # origin, so the hull lies on one side of the plane through it.
+            vertex = pts[(pts @ u).argmin()]
+            pts = pts - vertex + (delta if kind == 2 else -delta) * u
+        else:
+            # The origin near the midpoint of two points.
+            a, b = rng.choice(len(pts), size=2, replace=False)
+            pts = pts - (pts[a] + pts[b]) / 2 + delta * u
+        yield pts
+
+
+def test_certificate_agrees_with_gilbert_on_seeded_clouds():
+    fired = 0
+    for pts in _seeded_clouds(60, 3000):
+        fired += _check_cloud(pts)
+    assert fired >= 600  # the certificate must not be vacuous
+
+
+def _dyadic_tangential_pair(rng, degree):
+    """Planar degree-2..4 pair touching at (1/2, 1/2), every coefficient dyadic.
+
+    Both curves share x(s) = degree * s / 4; y1 = c + (s - 1/2)^2 h1 and
+    y2 = c - (s - 1/2)^2 h2 with h1, h2 > 0, so the contact is exact in
+    floating point and midpoint subdivision keeps it exact.
+    """
+    square = [Fraction(1, 4), Fraction(-1, 4), Fraction(1, 4)]
+
+    def bump():
+        while True:
+            h = [Fraction(int(k), 4) for k in rng.integers(1, 9, degree - 1)]
+            out = [Fraction(0)] * (degree + 1)
+            for i, a in enumerate(square):
+                for j, b in enumerate(h):
+                    out[i + j] += math.comb(2, i) * math.comb(degree - 2, j) * a * b
+            out = [c / math.comb(degree, k) for k, c in enumerate(out)]
+            if all(c.denominator & (c.denominator - 1) == 0 for c in out):
+                return out
+
+    c = Fraction(int(rng.integers(-8, 9)), 8)
+    y1, y2 = [c + b for b in bump()], [c - b for b in bump()]
+    return (
+        BezierCurve([[i / 4, float(y), 0.0] for i, y in enumerate(y1)]),
+        BezierCurve([[i / 4, float(y), 0.0] for i, y in enumerate(y2)]),
+    )
+
+
+def test_certificate_agrees_with_gilbert_on_tangential_nets(monkeypatch):
+    # Every net a solve hands to the hull test, down to depth 40 at an exact
+    # tangential contact: the clouds touch or nearly touch the origin.
+    clouds = []
+    reference = exclusion.hull_excludes_origin
+
+    def recorded(points, tol=1e-12):
+        clouds.append(np.array(points, copy=True))
+        return reference(points, tol)
+
+    monkeypatch.setattr(exclusion, "hull_excludes_origin", recorded)
+    rng = np.random.default_rng(61)
+    for degree in (2, 3, 4):
+        cci.solve(*_dyadic_tangential_pair(rng, degree))
+    monkeypatch.undo()
+    assert len(clouds) > 1000
+    fired = sum(_check_cloud(points) for points in clouds)
+    assert fired > 100

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cci.geometry import (
+    _basis_matrix,
     BezierCurve,
     ControlNet,
     Rect,
@@ -33,6 +34,20 @@ def test_bernstein_basis_values():
     assert bernstein_basis(1, 2, 0.5) == pytest.approx(0.5, abs=1e-15)
     # hand evaluation: 3 * 0.6 * 0.4^2
     assert bernstein_basis(2, 3, 0.4) == pytest.approx(0.288, abs=1e-15)
+
+
+def test_basis_matrix_matches_closed_form():
+    # Exact at t = 1/2, where every weight is C(m, i) / 2^m; within 4 ulp of
+    # the closed form C(m, i) (1 - t)^(m - i) t^i elsewhere.
+    ts = np.array([0.5, 0.0, 1.0, 0.1, 1 / 3, 0.7, 0.999, -0.25, 1.5])
+    for m in range(17):
+        weights = _basis_matrix(m, ts)
+        assert weights.shape == (len(ts), m + 1)
+        for i in range(m + 1):
+            assert weights[0, i] == math.comb(m, i) / 2**m
+            for row, t in zip(weights[1:], ts[1:]):
+                closed = bernstein_basis(i, m, float(t))
+                assert abs(row[i] - closed) <= 4 * math.ulp(closed)
 
 
 def test_bernstein_basis_bad_index():

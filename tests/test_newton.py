@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cci.geometry import ControlNet
+from cci.geometry import ControlNet, _center_weights, jet
 from cci.newton import newton_solve
 from conftest import random_net_coeffs
 
@@ -106,3 +106,16 @@ def test_quadratic_convergence_near_root():
         for s_prev, s_next in zip(tail, tail[1:]):
             assert s_next <= 100.0 * s_prev * s_prev + 1e-15
         seen += 1
+
+
+def test_newton_iterates_leave_the_center_weights_cached():
+    # Every convergence test reuses the Bernstein weights at t = 1/2; Newton's
+    # iterates build their weights afresh, so a long run cannot evict them.
+    net = _parabola_line_net()
+    _center_weights.cache_clear()
+    jet(net, (0.5, 0.5))
+    before = _center_weights.cache_info()
+    result = newton_solve(net, (0.9, 0.1))
+    assert result.converged and result.iterations > 3
+    after = _center_weights.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses)
