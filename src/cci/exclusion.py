@@ -198,7 +198,12 @@ def _affine_minimizer(corral_pts: np.ndarray) -> list[float] | None:
 
 def _gram_inverse(g: list[list[float]]) -> np.ndarray | None:
     """Inverse of a symmetric positive definite matrix of order 1 to 3, by
-    its adjugate; None for a larger or (nearly) singular one."""
+    its adjugate; None for a larger or (nearly) singular one.
+
+    Not ``np.linalg.inv``, which made ``paper_suite`` 14% slower end to end,
+    nor ``kantorovich.inverse_2x2``, whose absolute singularity floor would
+    make the hull test depend on the units of the input.
+    """
     if len(g) == 1:
         (a,), = g
         return np.array([[1.0 / a]]) if a > 0.0 else None

@@ -48,10 +48,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument(
-        "--seconds", type=float, default=contract["run_seconds"],
-        help="seconds per run (default: run_seconds of BENCHMARK.json)",
-    )
     args = parser.parse_args()
 
     record = {
@@ -61,13 +57,13 @@ def main() -> int:
         "numpy": np.__version__,
         "nproc": len(os.sched_getaffinity(0)),
         "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": contract["run_seconds"],
         "command": contract["command"],
         "runs": {},
     }
     for workload in (w["name"] for w in contract["workloads"]):
         record["runs"][workload] = {
-            f"trace{trace}": run(contract["command"], workload, args.seed, args.seconds, trace)
+            f"trace{trace}": run(contract["command"], workload, args.seed, contract["run_seconds"], trace)
             for trace in (0, 1)
         }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
