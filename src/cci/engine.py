@@ -14,6 +14,7 @@ same rule with a step of 0.
 from __future__ import annotations
 
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -290,8 +291,13 @@ def solve(
     The TRACE log is one more observer on the same events.
     """
     net = difference_net(c1, c2)
-    systems = [PairSystem(net, pair) for pair in COMPONENT_PAIRS]
-    seconds = second_derivative_nets(net)
+    # The solver runs on the net scaled exactly, by a power of two, to a
+    # largest coefficient in [0.5, 1), so its absolute singularity floors
+    # do not depend on the units of the input.
+    _, exponent = math.frexp(float(np.abs(net.coeffs).max()))
+    unit_net = ControlNet(np.ldexp(net.coeffs, -exponent))
+    systems = [PairSystem(unit_net, pair) for pair in COMPONENT_PAIRS]
+    seconds = second_derivative_nets(unit_net)
     zero_tol = effective_zero_tol(config, c1, c2)
 
     step = 0.0 if config.mode == "fixed" else config.epsilon
@@ -299,7 +305,7 @@ def solve(
     # A queue entry holds its square, its parent's net and its quarter of the
     # parent. The square's own net is restricted only once it is popped and
     # not pruned, so the queue holds one net per subdivided parent.
-    queue: deque[tuple[Square, ControlNet, Rect]] = deque([(root, net, UNIT_SQUARE)])
+    queue: deque[tuple[Square, ControlNet, Rect]] = deque([(root, unit_net, UNIT_SQUARE)])
     regions: list[Rect] = []
     report = SolveReport()
     emit = _with_trace_log(observer) if log.isEnabledFor(TRACE) else observer

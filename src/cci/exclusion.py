@@ -2,31 +2,26 @@
 
 By the convex-hull property of Bernstein coefficients, a net whose
 coefficient cloud excludes the origin represents a map with no zero on the
-unit square, so the corresponding subdomain can be discarded. A pass needs
-an explicit separating direction with margin ``tol * scale``, so a pass is
-always sound; anything ambiguous fails conservatively. The test runs in
-three stages, each ending the call as soon as it decides:
+unit square, so the corresponding subdomain can be discarded. With
+``margin = tol * scale``, scale the largest coefficient magnitude, the test
+runs in two stages:
 
 1. Axis test: some coordinate exceeds the margin, with one sign, at every
    coefficient. Pass.
-2. Inside certificate (``inside_certificate``): Wolfe's minimum-norm-point
-   corrals find convex weights over at most four coefficients (a simplex
-   in 3D) whose combination y lies within margin/2 of the origin, rounding
-   included.
-   Fail.
-3. Gilbert's minimum-norm-point iteration (Frank-Wolfe with exact line
-   search), which passes on the first direction x with min p.x > margin |x|
-   and fails when it stalls or runs out of iterations.
+2. Wolfe's minimum-norm-point corrals (Wolfe, "Finding the nearest point in
+   a polytope", 1976; also the termination test of GJK), which walk convex
+   combinations x of at most four coefficients toward the hull's point
+   nearest the origin. They pass at the first x with min p.x > margin |x|
+   over the coefficients p, and fail otherwise.
 
-Stage 2 only skips work: it cannot change a decision. The axis test would
-need every hull point beyond the margin on one axis, but y is a hull point
-with every coordinate within margin/2. Gilbert would need min p.x > margin
-|x|, but that minimum is at most y.x <= (margin/2) |x|, and the computed
-dot products differ from the exact ones by less than 2e-15 scale |x|,
-which stays below (margin/2) |x| whenever the certificate can fire. So
-the stages in any order reach the same decision; stage 2 merely settles
-most failing calls after a few steps instead of Gilbert's stall rule or
-its ``_MAX_ITER`` steps.
+A pass is sound: min p.x > margin |x| puts every coefficient, hence the
+whole hull, strictly on the positive side of the plane through the origin
+normal to x, and the dot products err by less than 2e-15 scale |x|, far
+below margin |x| at the default tol. A fail only means the origin could
+not be ruled out, so every other ending (x within the margin of the
+origin, x the minimum-norm point, a repeated vertex, a degenerate corral,
+a step that does not shorten x, or ``_MAX_MAJOR`` steps) fails
+conservatively.
 """
 
 from __future__ import annotations
@@ -37,19 +32,14 @@ import numpy as np
 
 from .geometry import ControlNet
 
-__all__ = ["exclusion_test", "hull_excludes_origin", "inside_certificate"]
+__all__ = ["exclusion_test", "hull_excludes_origin"]
 
-_MAX_ITER = 128
-_STALL_LIMIT = 10
-_STALL_FACTOR = 1.0 - 1e-3
 # Wolfe's method ends finitely in exact arithmetic; in floating point each
 # major step must shorten x, and at most _MAX_MAJOR are taken.
 _MAX_MAJOR = 32
 # A corral whose Gram determinant falls below this share of the product of
 # its diagonal is treated as affinely dependent.
 _SINGULAR = 1e-12
-_EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).smallest_subnormal)
 
 
 def hull_excludes_origin(points: np.ndarray, tol: float = 1e-12) -> bool:
@@ -66,79 +56,31 @@ def hull_excludes_origin(points: np.ndarray, tol: float = 1e-12) -> bool:
     if scale == 0.0:
         return False
     margin = tol * scale
-
     if (pts.min(axis=0) > margin).any() or (pts.max(axis=0) < -margin).any():
         return True
-
-    # Gilbert iteration toward the hull's minimum-norm point x. A single
-    # matvec per step yields both the Frank-Wolfe vertex and the support
-    # certificate: every hull point has inner product >= dots.min() with
-    # x, so dots.min() / |x| lower-bounds the distance to the origin.
-    # Wolfe's corrals share the first step: its start vertex and matvec.
-    start = int(np.einsum("ij,ij->i", pts, pts).argmin())
-    x = pts[start].copy()
-    dots = pts @ x
-    stall = 0
-    nx2 = float(x @ x)
-    for step in range(_MAX_ITER):
-        nx = math.sqrt(nx2)
-        if nx <= margin:
-            return False
-        j = int(dots.argmin())
-        if dots[j] > margin * nx:
-            return True
-        if not step and inside_certificate(pts, start, dots, margin / 2) is not None:
-            return False
-        gap = nx2 - float(dots[j])
-        if gap <= 0.0:
-            # x is the minimum-norm point but its certificate margin is not
-            # positive: origin on or within tolerance of the hull boundary.
-            return False
-        d = x - pts[j]
-        dd = float(d @ d)
-        if dd == 0.0:
-            return False
-        x -= min(1.0, gap / dd) * d
-        new_nx2 = float(x @ x)
-        stall = stall + 1 if new_nx2 > _STALL_FACTOR * nx2 else 0
-        nx2 = new_nx2
-        if stall >= _STALL_LIMIT:
-            break
-        dots = pts @ x
-    return False
+    return _separating_direction(pts, margin) is not None
 
 
-def inside_certificate(
-    pts: np.ndarray, start: int, dots: np.ndarray, radius: float
-) -> tuple[list[int], list[float]] | None:
-    """Indices and convex weights of at most four rows of ``pts`` whose
-    combination lies within ``radius`` of the origin, or None.
+def _separating_direction(pts: np.ndarray, margin: float) -> np.ndarray | None:
+    """A direction x with min(pts @ x) > margin |x|, found by Wolfe's
+    corrals from the row of least norm, or None.
 
-    Wolfe's corral iteration ("Finding the nearest point in a polytope",
-    1976) from the row ``start``, with ``dots = pts @ pts[start]``. The
-    weights are non-negative and their normalised combination, computed
-    exactly from the float rows, has norm at most ``radius``: the float
-    norm is checked against ``radius`` less a bound on its rounding. None
-    means no certificate: the origin lies farther than ``radius`` from the
-    hull, or the iteration met a degenerate corral or stopped making
-    progress. Each minor cycle drops a point and at most ``_MAX_MAJOR``
-    major steps run, so the call always ends.
+    Each minor cycle drops a point and at most ``_MAX_MAJOR`` major steps
+    run, so the call always ends.
     """
-    # For k <= 4 rows, the float combination of the float-normalised weights
-    # and its hypot differ from the exact normalised combination's norm by
-    # at most (2k + 2) sqrt(d) eps M <= 16 d eps M, M the largest |coefficient|
-    # (plus k halves of the least subnormal where products underflow).
-    limit = radius - 16 * pts.shape[1] * (_EPS * float(np.abs(pts).max()) + _TINY)
-    corral = [start]
+    corral = [int(np.einsum("ij,ij->i", pts, pts).argmin())]
     weights = [1.0]
     corral_pts = pts[corral]
-    nx = math.hypot(*corral_pts[0])
+    x = corral_pts[0]
+    nx = math.hypot(*x)
+    dots = pts @ x
     for _ in range(_MAX_MAJOR):
-        if nx <= limit:
-            return corral, weights
+        if nx <= margin:
+            return None
         j = int(dots.argmin())
-        # dots[j] / |x| lower-bounds the distance from the origin to the hull.
-        if dots[j] > radius * nx or nx * nx - dots[j] <= 0.0 or j in corral:
+        if dots[j] > margin * nx:
+            return x
+        if nx * nx - dots[j] <= 0.0 or j in corral:
             return None
         corral.append(j)
         weights.append(0.0)
@@ -166,10 +108,11 @@ def inside_certificate(
         weights = [w / total for w in weights]
         x = np.asarray(weights) @ corral_pts
         new_nx = math.hypot(*x)
-        if not new_nx < nx:
-            return None
-        nx = new_nx
         dots = pts @ x
+        if not new_nx < nx:
+            # Rounding stalled the walk; its last point may still separate.
+            return x if dots.min() > margin * new_nx else None
+        nx = new_nx
     return None
 
 

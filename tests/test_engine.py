@@ -18,6 +18,7 @@ from cci.kantorovich import (
     PairStatus,
     PairTest,
 )
+from cci.problems import load_problem
 from conftest import match_point_sets, random_transversal_problem
 
 CROSSING = (
@@ -54,18 +55,21 @@ def test_crossing_segments_trace():
     assert rec.residual == 0.0
 
 
-def test_uniqueness_ball_below_rounding_adds_no_region():
-    # A near-tangent crossing at the root square's center, exact in binary:
-    # eta is 0 and omega is about 1e17, so 0.5 +- rho_plus rounds to 0.5 and
-    # the uniqueness ball has no width. The crossing is still recorded once,
-    # and the near-tangency truncates.
+def test_rounding_level_near_tangency_is_singular_in_any_units():
+    # A near-tangent crossing at the root square's center, exact in binary,
+    # whose Jacobian row (d, 0) is two units in the last place of the
+    # coefficients a/4 = 384. Beside the net's scale that Jacobian is
+    # singular, so no pair certifies the crossing in any units, and the
+    # near-tangency truncates after the same squares.
     a, d = 1536.0, 2.0**-43
-    c1 = BezierCurve([[0, a / 4 - d / 2, 0], [0.5, -a / 4, 0], [1, a / 4 + d / 2, 0]])
-    c2 = BezierCurve([[0, 0, 0], [0.5, 0, 0], [1, 0, 0]])
-    report = solve(c1, c2)
-    assert [(r.u, r.v) for r in report.intersections] == [(0.5, 0.5)]
-    assert report.squares_examined == 629
-    assert report.truncated
+    c1 = np.array([[0, a / 4 - d / 2, 0], [0.5, -a / 4, 0], [1, a / 4 + d / 2, 0]])
+    c2 = np.array([[0, 0, 0], [0.5, 0, 0], [1, 0, 0]])
+    for exponent in (-4, 0, 10):
+        s = 2.0**exponent
+        report = solve(BezierCurve(c1 * s), BezierCurve(c2 * s))
+        assert report.intersections == []
+        assert report.squares_examined == 629
+        assert report.truncated
 
 
 def test_disjoint_segments_trace():
@@ -241,6 +245,24 @@ def test_determinism():
     assert [a.source_square for a in r1.intersections] == [
         b.source_square for b in r2.intersections
     ]
+
+
+def test_units_do_not_change_the_run(problems_dir):
+    # Scaling both curves scales the difference net: the same squares must be
+    # examined and the same (u, v) found, from 1e-12 to 1e12.
+    problem = load_problem(problems_dir / "suite" / "p07.json")
+    base = solve(problem.curve1, problem.curve2)
+    assert len(base.intersections) == 5
+    for exponent in range(-12, 13, 4):
+        s = 10.0**exponent
+        report = solve(
+            BezierCurve(problem.curve1.control_points * s),
+            BezierCurve(problem.curve2.control_points * s),
+        )
+        assert report.squares_examined == base.squares_examined, s
+        assert len(report.intersections) == len(base.intersections), s
+        for a, b in zip(report.intersections, base.intersections):
+            assert max(abs(a.u - b.u), abs(a.v - b.v)) <= 1e-12, s
 
 
 def test_baseline_equivalence_epsilon_zero():

@@ -1,6 +1,7 @@
 """Exclusion test: soundness, conservativeness and invariances."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import cci
 import cci.exclusion as exclusion
-from cci.exclusion import exclusion_test, hull_excludes_origin, inside_certificate
+from cci.exclusion import exclusion_test, hull_excludes_origin
 from cci.geometry import BezierCurve, ControlNet, difference_net, sample_net
 from conftest import random_net_coeffs
 
@@ -92,14 +93,16 @@ def test_oblique_separation_detected():
 
 
 # ---------------------------------------------------------------------------
-# The inside certificate changes no decision
+# Every pass holds exactly, and the corrals pass wherever Gilbert did,
+# except within a few margins of the origin
 
 
 def _gilbert_reference(points, tol=1e-12):
     """The hull test without the inside certificate: axis test, then Gilbert.
 
-    A test oracle, kept verbatim from before the certificate was added; every
-    decision of ``hull_excludes_origin`` must equal its decision.
+    A test oracle, kept verbatim from before the corrals replaced Gilbert's
+    iteration; wherever it passes, ``hull_excludes_origin`` must pass too,
+    unless the origin lies within a few margins of the hull.
     """
     pts = np.asarray(points, dtype=float)
     pts = pts.reshape(-1, pts.shape[-1])
@@ -136,42 +139,91 @@ def _gilbert_reference(points, tol=1e-12):
     return False
 
 
-def _certificate(points, tol=1e-12):
-    """The inside certificate as the hull test runs it, and its radius."""
+def _pass_direction(pts, tol=1e-12):
+    """The direction a pass rests on: a signed axis, or the corrals' x."""
+    margin = tol * np.abs(pts).max()
+    for axis in np.eye(pts.shape[1]):
+        for x in (axis, -axis):
+            if (pts @ x).min() > margin:
+                return x
+    return exclusion._separating_direction(pts, margin)
+
+
+def _exact_min_dot(pts, x):
+    """min p.x over the float points p, in exact arithmetic."""
+    x = [Fraction(float(c)) for c in x]
+    return min(sum(Fraction(float(c)) * w for c, w in zip(p, x)) for p in pts)
+
+
+def _solve_exactly(matrix, rhs):
+    """Gauss-Jordan elimination in rational arithmetic."""
+    rows = [[*row, b] for row, b in zip(matrix, rhs)]
+    n = len(rows)
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(n):
+            if r != c:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return [rows[r][n] / rows[r][r] for r in range(n)]
+
+
+def _exact_nearest_point(pts):
+    """Convex weights {index: weight} of the hull point nearest the origin.
+
+    Wolfe's corrals in rational arithmetic over the float points. Exact
+    affine minimizers keep every corral affinely independent, so the
+    iteration ends at the exact minimum-norm point.
+    """
+    pts = [[Fraction(float(c)) for c in p] for p in pts]
+
+    def dot(a, b):
+        return sum(s * t for s, t in zip(a, b))
+
+    def combine(weights):
+        return [sum(w * pts[i][c] for i, w in weights.items()) for c in range(len(pts[0]))]
+
+    weights = {min(range(len(pts)), key=lambda i: dot(pts[i], pts[i])): Fraction(1)}
+    while True:
+        x = combine(weights)
+        j = min(range(len(pts)), key=lambda i: dot(pts[i], x))
+        if dot(pts[j], x) >= dot(x, x):
+            return weights
+        weights[j] = Fraction(0)
+        while True:
+            p0, *rest = [pts[i] for i in weights]
+            q = [[a - b for a, b in zip(p, p0)] for p in rest]
+            beta = _solve_exactly([[dot(a, b) for b in q] for a in q], [-dot(a, p0) for a in q])
+            alpha = dict(zip(weights, [1 - sum(beta), *beta]))
+            if all(a > 0 for a in alpha.values()):
+                weights = alpha
+                break
+            theta = min(w / (w - alpha[i]) for i, w in weights.items() if alpha[i] <= 0)
+            weights = {i: (1 - theta) * w + theta * alpha[i] for i, w in weights.items()}
+            weights = {i: w for i, w in weights.items() if w > 0}
+
+
+def _check_cloud(points, tol=1e-12):
+    """A pass holds exactly, and a Gilbert pass is kept unless a hull point
+    lies within 4 margins of the origin. Returns both decisions."""
     pts = np.asarray(points, dtype=float)
     pts = pts.reshape(-1, pts.shape[-1])
-    radius = tol * np.abs(pts).max(initial=0.0) / 2
-    start = int(np.einsum("ij,ij->i", pts, pts).argmin())
-    return inside_certificate(pts, start, pts @ pts[start], radius), radius
-
-
-def _assert_exactly_inside(points, certificate, radius):
-    """The certificate's weights are convex and their exactly normalised
-    combination of the float points lies within ``radius`` of the origin."""
-    pts = np.asarray(points, dtype=float)
-    pts = pts.reshape(-1, pts.shape[-1])
-    indices, weights = certificate
-    assert 1 <= len(indices) <= 4 and len(set(indices)) == len(indices)
-    exact = [Fraction(w) for w in weights]
-    assert all(w >= 0 for w in exact)
-    total = sum(exact)
-    assert total > 0
-    combination = [
-        sum(w * Fraction(float(pts[i, c])) for w, i in zip(exact, indices)) / total
-        for c in range(pts.shape[1])
-    ]
-    assert sum(c * c for c in combination) <= Fraction(radius) ** 2
-
-
-def _check_cloud(points):
-    """Decision equals the reference's; a certificate, if any, is exact. True if it fired."""
-    assert hull_excludes_origin(points) == _gilbert_reference(points)
-    certificate, radius = _certificate(points)
-    if certificate is None:
-        return False
-    assert not _gilbert_reference(points)
-    _assert_exactly_inside(points, certificate, radius)
-    return True
+    passed = hull_excludes_origin(pts, tol)
+    if passed:
+        x = _pass_direction(pts, tol)
+        assert x is not None and _exact_min_dot(pts, x) > 0
+    reference = _gilbert_reference(pts, tol)
+    if reference and not passed:
+        weights = _exact_nearest_point(pts)
+        assert all(w >= 0 for w in weights.values()) and sum(weights.values()) == 1
+        y = [
+            sum(w * Fraction(float(pts[i, c])) for i, w in weights.items())
+            for c in range(pts.shape[1])
+        ]
+        margin = Fraction(tol * float(np.abs(pts).max()))
+        assert sum(c * c for c in y) <= (4 * margin) ** 2
+    return passed, reference
 
 
 # name: (decision, points)
@@ -227,10 +279,10 @@ def test_degenerate_clouds_end_within_the_bound(name, monkeypatch):
 
     monkeypatch.setattr(exclusion, "_affine_minimizer", counted)
     assert hull_excludes_origin(points) == decision
-    _check_cloud(points)
     # Each major step adds one point and each minor cycle drops one.
     assert len(minor_cycles) <= 5 * exclusion._MAX_MAJOR
     assert all(size <= 5 for size in minor_cycles)
+    _check_cloud(points)
 
 
 def _seeded_clouds(seed, count):
@@ -262,10 +314,8 @@ def _seeded_clouds(seed, count):
 
 
 def test_certificate_agrees_with_gilbert_on_seeded_clouds():
-    fired = 0
-    for pts in _seeded_clouds(60, 3000):
-        fired += _check_cloud(pts)
-    assert fired >= 600  # the certificate must not be vacuous
+    decisions = Counter(_check_cloud(pts) for pts in _seeded_clouds(60, 3000))
+    assert decisions[True, True] >= 1000  # the agreement must not be vacuous
 
 
 def _dyadic_tangential_pair(rng, degree):
@@ -312,5 +362,5 @@ def test_certificate_agrees_with_gilbert_on_tangential_nets(monkeypatch):
         cci.solve(*_dyadic_tangential_pair(rng, degree))
     monkeypatch.undo()
     assert len(clouds) > 1000
-    fired = sum(_check_cloud(points) for points in clouds)
-    assert fired > 100
+    decisions = Counter(_check_cloud(points) for points in clouds)
+    assert decisions[True, True] > 1000
