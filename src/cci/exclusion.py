@@ -70,8 +70,7 @@ def _separating_direction(pts: np.ndarray, margin: float) -> np.ndarray | None:
     """
     corral = [int(np.einsum("ij,ij->i", pts, pts).argmin())]
     weights = [1.0]
-    corral_pts = pts[corral]
-    x = corral_pts[0]
+    x = pts[corral[0]]
     nx = math.hypot(*x)
     dots = pts @ x
     for _ in range(_MAX_MAJOR):
