@@ -46,7 +46,11 @@ print("c1(0.3) - c2(0.8)       =", eval_curve(c1, u) - eval_curve(c2, v))
 target = Rect(0.25, 0.5, 0.5, 0.75)
 sub = reparametrize(net, target)
 s, t = 0.4, 0.6
-inside = target.map_from_unit(s, t)
+# (s, t) in the unit square stands for this point of the target.
+inside = (
+    target.lo_u + s * (target.hi_u - target.lo_u),
+    target.lo_v + t * (target.hi_v - target.lo_v),
+)
 print("\nrestriction to", target)
 print("restricted net at (0.4, 0.6) =", eval_net(sub, s, t))
 print("original net at", tuple(round(x, 4) for x in inside), "=", eval_net(net, *inside))

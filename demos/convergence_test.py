@@ -48,15 +48,18 @@ for t in outcome.pairs:
     if t.eta is not None:
         print(f"  eta   = {t.eta:.6g}   (first Newton step bound)")
         print(f"  omega = {t.omega:.6g}   (certified Lipschitz constant)")
-        print(f"  h     = {t.h:.6g}   (pass needs h <= 1/4)")
+        print(f"  h     = {t.eta * t.omega:.6g}   (eta * omega; pass needs h <= 1/4)")
     if t.rho_minus is not None:
         print(f"  rho- = {t.rho_minus:.6g}  rho+ = {t.rho_plus:.6g}")
 
 passed = outcome.passed
 assert passed is not None
 print("\nNewton from the square center on the passing pair:")
-result = newton_solve(extract_pair(net, passed.pair), center, keep_path=True)
-for k, p in enumerate(result.path):
+pair_net = extract_pair(net, passed.pair)
+result = newton_solve(pair_net, center)
+# Iterate k is where the same run stops when capped at k steps.
+for k in range(result.iterations + 1):
+    p = newton_solve(pair_net, center, max_iter=k).root
     print(f"  x{k} = ({p[0]:.12f}, {p[1]:.12f})")
 print("converged:", result.converged, " residual:", result.final_residual_norm)
 dist = max(abs(result.root[0] - center[0]), abs(result.root[1] - center[1]))

@@ -14,7 +14,6 @@ from .geometry import (
     ControlNet,
     Rect,
     UNIT_SQUARE,
-    bernstein_basis,
     derivative_curve,
     derivative_net,
     difference_net,
@@ -23,9 +22,8 @@ from .geometry import (
     extract_pair,
     reparametrize,
     sample_curve,
-    sample_net,
 )
-from .exclusion import exclusion_test, hull_excludes_origin
+from .exclusion import exclusion_test
 from .kantorovich import (
     COMPONENT_PAIRS,
     KantorovichOutcome,
@@ -54,7 +52,6 @@ __all__ = [
     "ControlNet",
     "Rect",
     "UNIT_SQUARE",
-    "bernstein_basis",
     "derivative_curve",
     "derivative_net",
     "difference_net",
@@ -63,9 +60,7 @@ __all__ = [
     "extract_pair",
     "reparametrize",
     "sample_curve",
-    "sample_net",
     "exclusion_test",
-    "hull_excludes_origin",
     "COMPONENT_PAIRS",
     "KantorovichOutcome",
     "PairStatus",

@@ -103,11 +103,11 @@ def _report_to_dict(problem: Problem, config: SolverConfig, report: SolveReport)
 def cmd_solve(input_path, output, **options) -> None:
     """Solve one problem file and emit a result document."""
     try:
+        config = SolverConfig(**options)
         problem = load_problem(input_path)
-    except ProblemFormatError as e:
+    except ValueError as e:  # a ProblemFormatError is a ValueError
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
-    config = SolverConfig(**options)
     report = solve(problem.curve1, problem.curve2, config)
     doc = _report_to_dict(problem, config, report)
     text = json.dumps(doc, indent=2)
@@ -144,6 +144,14 @@ def cmd_bench(input_dir, epsilons, baseline, max_depth, output) -> None:
     except ValueError:
         click.echo(f"error: bad --epsilons list {epsilons!r}", err=True)
         sys.exit(1)
+    try:
+        configs = [SolverConfig(mode="adaptive", epsilon=e, max_depth=max_depth)
+                   for e in eps_values]
+        if baseline:
+            configs.append(SolverConfig(mode="fixed", max_depth=max_depth))
+    except ValueError as e:
+        click.echo(f"error: {e}", err=True)
+        sys.exit(1)
     paths = sorted(input_dir.glob("*.json"))
     if not paths:
         click.echo(f"error: no .json problem files in {input_dir}", err=True)
@@ -161,12 +169,7 @@ def cmd_bench(input_dir, epsilons, baseline, max_depth, output) -> None:
             continue
         degrees = f"({problem.curve1.degree}, {problem.curve2.degree})"
         cells: list[str] = [problem.name, degrees]
-        for e in eps_values:
-            config = SolverConfig(mode="adaptive", epsilon=e, max_depth=max_depth)
-            report = solve(problem.curve1, problem.curve2, config)
-            cells.append(str(report.squares_examined))
-        if baseline:
-            config = SolverConfig(mode="fixed", max_depth=max_depth)
+        for config in configs:
             report = solve(problem.curve1, problem.curve2, config)
             cells.append(str(report.squares_examined))
         rows.append(cells)

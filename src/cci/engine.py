@@ -115,8 +115,8 @@ class SolverConfig:
     ``epsilon`` based on each parent square's failure mode; mode "fixed" is
     the same rule with a step of 0, so the multipliers stay at 1.5.
     ``zero_tol`` is the residual below which a refined point counts as an
-    intersection; None picks 1e-6 * (1 + max coefficient magnitude) at
-    solve time.
+    intersection; None picks 1e-6 * max coefficient magnitude at solve
+    time.
 
     ``max_squares`` is a safety valve for inputs with non-isolated
     intersections (overlapping curves), whose zero set makes the number of
@@ -135,8 +135,12 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("adaptive", "fixed"):
             raise ValueError(f"mode must be 'adaptive' or 'fixed', got {self.mode!r}")
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be nonnegative")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
+        if not self.newton_tol > 0.0:
+            raise ValueError(f"newton_tol must be positive, got {self.newton_tol}")
+        if self.zero_tol is not None and not self.zero_tol >= 0.0:
+            raise ValueError(f"zero_tol must be nonnegative, got {self.zero_tol}")
         if self.max_depth < 0:
             raise ValueError("max_depth must be nonnegative")
         if self.max_squares < 1:
@@ -166,12 +170,12 @@ class SolveReport:
 def effective_zero_tol(config: SolverConfig, c1: BezierCurve, c2: BezierCurve) -> float:
     """Residual acceptance tolerance of a run: ``config.zero_tol`` if set.
 
-    The unset default is scale-aware: 1e-6 times one plus the largest
-    difference-net coefficient magnitude.
+    The unset default is relative, so it means the same in any units: 1e-6
+    times the largest difference-net coefficient magnitude.
     """
     if config.zero_tol is not None:
         return config.zero_tol
-    return 1e-6 * (1.0 + float(np.abs(difference_net(c1, c2).coeffs).max()))
+    return 1e-6 * float(np.abs(difference_net(c1, c2).coeffs).max())
 
 
 def update_scales(

@@ -32,7 +32,7 @@ import numpy as np
 
 from .geometry import ControlNet
 
-__all__ = ["exclusion_test", "hull_excludes_origin"]
+__all__ = ["exclusion_test"]
 
 # Wolfe's method ends finitely in exact arithmetic; in floating point each
 # major step must shorten x, and at most _MAX_MAJOR are taken.
@@ -42,17 +42,17 @@ _MAX_MAJOR = 32
 _SINGULAR = 1e-12
 
 
-def hull_excludes_origin(points: np.ndarray, tol: float = 1e-12) -> bool:
-    """True iff the origin is certifiably outside conv(points).
+def exclusion_test(net: ControlNet, tol: float = 1e-12) -> bool:
+    """True iff the net's coefficient hull certifiably excludes the origin.
 
-    ``tol`` is relative to the coefficient scale (the decision is scale
-    invariant): an origin within tol * scale of the hull counts as inside,
-    a conservative fail. An all-zero cloud is the origin itself, so it
-    also fails.
+    A pass proves the net's map has no zero over the unit square. A fail
+    only means a zero could not be ruled out. ``tol`` is relative to the
+    coefficient scale (the decision is scale invariant): an origin within
+    tol * scale of the hull counts as inside, a conservative fail. An
+    all-zero net is the origin itself, so it also fails.
     """
-    pts = np.asarray(points, dtype=float)
-    pts = pts.reshape(-1, pts.shape[-1])
-    scale = np.abs(pts).max(initial=0.0)
+    pts = net.coeffs.reshape(-1, net.dim)
+    scale = np.abs(pts).max()
     if scale == 0.0:
         return False
     margin = tol * scale
@@ -167,12 +167,3 @@ def _gram_inverse(g: list[list[float]]) -> np.ndarray | None:
             return None
         return adj / det
     return None
-
-
-def exclusion_test(net: ControlNet, tol: float = 1e-12) -> bool:
-    """True iff the net's coefficient hull excludes the origin.
-
-    A pass proves the net's map has no zero over the unit square. A fail
-    only means a zero could not be ruled out.
-    """
-    return hull_excludes_origin(net.coeffs.reshape(-1, net.dim), tol)

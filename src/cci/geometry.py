@@ -1,7 +1,7 @@
 """Bernstein-basis arithmetic for Bezier curves and tensor-product control nets.
 
 Everything here is exact polynomial algebra up to floating-point rounding.
-Evaluation uses de Casteljau recurrences or Bernstein weights; restriction
+Evaluation applies Bernstein weights (``_basis_matrix``); restriction
 applies per-axis restriction matrices whose entries are de Casteljau's
 closed-form weights, so both stay stable on [0, 1] and remain exact (as
 polynomial identities) for parameters outside it, and nets may be
@@ -21,14 +21,12 @@ __all__ = [
     "UNIT_SQUARE",
     "BezierCurve",
     "ControlNet",
-    "bernstein_basis",
     "eval_curve",
     "sample_curve",
     "derivative_curve",
     "difference_net",
     "eval_net",
     "jet",
-    "sample_net",
     "derivative_net",
     "reparametrize",
     "extract_pair",
@@ -63,22 +61,10 @@ class Rect:
         cu, cv = center
         return cls(cu - radius, cu + radius, cv - radius, cv + radius)
 
-    @property
-    def width_u(self) -> float:
-        return self.hi_u - self.lo_u
-
-    @property
-    def width_v(self) -> float:
-        return self.hi_v - self.lo_v
-
     def contains_point(self, p: tuple[float, float]) -> bool:
         """Closed membership: the boundary belongs to the rectangle."""
         u, v = p
         return self.lo_u <= u <= self.hi_u and self.lo_v <= v <= self.hi_v
-
-    def map_from_unit(self, s: float, t: float) -> tuple[float, float]:
-        """Image of unit-square coordinates (s, t) under this rectangle's affine map."""
-        return (self.lo_u + s * self.width_u, self.lo_v + t * self.width_v)
 
 
 UNIT_SQUARE = Rect(0.0, 1.0, 0.0, 1.0)
@@ -140,32 +126,14 @@ class ControlNet:
         return self.coeffs.shape[2]
 
 
-def bernstein_basis(i: int, m: int, t: float) -> float:
-    """Degree-m Bernstein basis polynomial with index i, evaluated at t.
-
-    Defined for all real t; callers normally use t in [0, 1].
-    """
-    if not 0 <= i <= m:
-        raise ValueError(f"basis index {i} out of range for degree {m}")
-    return math.comb(m, i) * (1.0 - t) ** (m - i) * t**i
-
-
 def eval_curve(curve: BezierCurve, t: float) -> np.ndarray:
-    """Point on the curve at parameter t, by de Casteljau recursion."""
-    work = curve.control_points
-    for _ in range(curve.degree):
-        work = (1.0 - t) * work[:-1] + t * work[1:]
-    return np.array(work[0], dtype=float)
+    """Point on the curve at parameter t."""
+    return sample_curve(curve, [t])[0]
 
 
 def sample_curve(curve: BezierCurve, ts: np.ndarray) -> np.ndarray:
     """Curve points at every parameter in ``ts``; returns shape (len(ts), 3)."""
-    ts = np.asarray(ts, dtype=float)
-    w = ts[:, None]
-    work = np.repeat(curve.control_points[:, None, :], ts.shape[0], axis=1)
-    for _ in range(curve.degree):
-        work = (1.0 - w) * work[:-1] + w * work[1:]
-    return work[0]
+    return _basis_matrix(curve.degree, ts) @ curve.control_points
 
 
 def derivative_curve(curve: BezierCurve) -> BezierCurve:
@@ -188,17 +156,6 @@ def difference_net(c1: BezierCurve, c2: BezierCurve) -> ControlNet:
     return ControlNet(a[:, None, :] - b[None, :, :])
 
 
-def eval_net(net: ControlNet, u: float, v: float) -> np.ndarray:
-    """Value of the net's map at (u, v) by tensor-product de Casteljau."""
-    work = net.coeffs
-    for _ in range(net.degree_u):
-        work = (1.0 - u) * work[:-1] + u * work[1:]
-    row = work[0]
-    for _ in range(net.degree_v):
-        row = (1.0 - v) * row[:-1] + v * row[1:]
-    return np.array(row[0], dtype=float)
-
-
 @functools.lru_cache(maxsize=32)
 def _binomials(m: int) -> np.ndarray:
     """C(m, i) for i = 0..m, exact as floats up to m = 1029. Cached and
@@ -213,13 +170,6 @@ def _basis_matrix(m: int, ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)[:, None]
     i = np.arange(m + 1)
     return _binomials(m) * (1.0 - ts) ** (m - i) * ts**i
-
-
-def sample_net(net: ControlNet, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Net values on the grid us x vs; returns shape (len(us), len(vs), dim)."""
-    bu = _basis_matrix(net.degree_u, us)
-    bv = _basis_matrix(net.degree_v, vs)
-    return np.einsum("ui,vj,ijd->uvd", bu, bv, net.coeffs)
 
 
 def derivative_net(net: ControlNet, axis: str) -> ControlNet:
@@ -278,6 +228,11 @@ def jet(net: ControlNet, x: tuple[float, float]) -> tuple[np.ndarray, np.ndarray
     return both[0, 0], np.stack([both[1, 0], both[0, 1]], axis=1)
 
 
+def eval_net(net: ControlNet, u: float, v: float) -> np.ndarray:
+    """Value of the net's map at (u, v): the value half of ``jet``."""
+    return jet(net, (u, v))[0]
+
+
 @functools.lru_cache(maxsize=32)
 def _split_tables(m: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """(binomials, powers of t, powers of 1 - t) of the two degree-m split matrices.
@@ -323,7 +278,7 @@ def _restriction_matrix(m: int, a: float, b: float) -> np.ndarray:
 def reparametrize(net: ControlNet, target: Rect) -> ControlNet:
     """Net of the same degrees representing the input's map over ``target``.
 
-    The result g satisfies g(s, t) = f(lo_u + s*width_u, lo_v + t*width_v)
+    The result g satisfies g(s, t) = f(lo_u + s (hi_u - lo_u), lo_v + t (hi_v - lo_v))
     for all (s, t); the target may extend outside the unit square, in which
     case the subdivisions extrapolate (still exact for polynomials).
     """

@@ -71,7 +71,6 @@ class PairTest:
     test_domain: Rect
     eta: float | None = None
     omega: float | None = None
-    h: float | None = None
     rho_minus: float | None = None
     rho_plus: float | None = None
 
@@ -177,15 +176,13 @@ def _test_one_pair(
         return PairTest(system.pair, PairStatus.SINGULAR_JACOBIAN, domain)
     eta_value = float(np.abs(jac_inv @ value).max())
     omega_value = system.omega(jac_inv, seconds_over(domain))
-    h = eta_value * omega_value
-    if h > 0.25:
+    if eta_value * omega_value > 0.25:
         return PairTest(
             system.pair,
             PairStatus.FAIL_CONVERGENCE,
             domain,
             eta=eta_value,
             omega=omega_value,
-            h=h,
         )
     rho_minus, rho_plus = rho_radii(eta_value, omega_value)
     status = (
@@ -197,7 +194,6 @@ def _test_one_pair(
         domain,
         eta=eta_value,
         omega=omega_value,
-        h=h,
         rho_minus=rho_minus,
         rho_plus=rho_plus,
     )

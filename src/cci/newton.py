@@ -6,7 +6,7 @@ damping or globalization is needed; failures are reported, not patched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,10 +21,8 @@ class NewtonResult:
     converged: bool
     root: tuple[float, float]
     iterations: int
-    final_step_norm: float
     final_residual_norm: float
     failure_reason: str | None = None
-    path: tuple[tuple[float, float], ...] = field(default=(), repr=False)
 
 
 def newton_solve(
@@ -32,17 +30,14 @@ def newton_solve(
     x0: tuple[float, float],
     tol: float = 1e-7,
     max_iter: int = 50,
-    keep_path: bool = False,
 ) -> NewtonResult:
     """Newton iteration x <- x - J(x)^-1 f(x) from x0 on a 2-component net.
 
     Stops when the infinity norm of the step drops to ``tol`` or after
     ``max_iter`` iterations; a singular Jacobian at any iterate aborts.
-    ``keep_path`` records every iterate (x0 first) in the result.
+    A run capped at ``max_iter=k`` ends at the k-th iterate of a longer one.
     """
     x = np.array(x0, dtype=float)
-    path = [(float(x[0]), float(x[1]))] if keep_path else []
-    step_norm = np.inf
     iterations = 0
     failure = "max_iter reached"
     converged = False
@@ -55,10 +50,7 @@ def newton_solve(
         step = -(jac_inv @ value)
         x = x + step
         iterations += 1
-        if keep_path:
-            path.append((float(x[0]), float(x[1])))
-        step_norm = float(np.abs(step).max())
-        if step_norm <= tol:
+        if float(np.abs(step).max()) <= tol:
             converged = True
             failure = None
             break
@@ -67,8 +59,6 @@ def newton_solve(
         converged=converged,
         root=(float(x[0]), float(x[1])),
         iterations=iterations,
-        final_step_norm=float(step_norm),
         final_residual_norm=residual,
         failure_reason=failure,
-        path=tuple(path),
     )

@@ -1,6 +1,6 @@
 """Shared test helpers: independent evaluation oracles and problem generators.
 
-The monomial-basis evaluators here deliberately avoid the de Casteljau code
+The monomial-basis evaluators here deliberately avoid the Bernstein code
 paths under test; curve and net values are cross-checked against plain
 power-basis Horner evaluation.
 """
@@ -31,6 +31,7 @@ from cci.kantorovich import (
     second_derivative_nets,
     test_pairs,
 )
+from cci.newton import newton_solve
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
 
@@ -68,6 +69,19 @@ def pair_test_at(pair_net: ControlNet, x0: tuple[float, float], half_width: floa
     return outcome.pairs[0]
 
 
+def newton_path(pair_net: ControlNet, x0: tuple[float, float], **options) -> list:
+    """Every Newton iterate from x0, x0 first, as ``newton_solve`` takes them.
+
+    Iterate k is the root of the same run capped at ``max_iter=k``.
+    """
+    result = newton_solve(pair_net, x0, **options)
+    options.pop("max_iter", None)
+    return [
+        newton_solve(pair_net, x0, max_iter=k, **options).root
+        for k in range(result.iterations + 1)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Monomial (power-basis) oracles
 
@@ -93,11 +107,24 @@ def monomial_eval_curve(control_points: np.ndarray, t: float) -> np.ndarray:
     return horner(bernstein_to_monomial(control_points), t)
 
 
-def monomial_eval_net(coeffs: np.ndarray, u: float, v: float) -> np.ndarray:
+def _monomial_net(coeffs: np.ndarray) -> np.ndarray:
     mono = bernstein_to_monomial(coeffs)
-    mono = np.swapaxes(bernstein_to_monomial(np.swapaxes(mono, 0, 1)), 0, 1)
+    return np.swapaxes(bernstein_to_monomial(np.swapaxes(mono, 0, 1)), 0, 1)
+
+
+def monomial_eval_net(coeffs: np.ndarray, u: float, v: float) -> np.ndarray:
+    mono = _monomial_net(coeffs)
     rows = np.stack([horner(mono[k], v) for k in range(mono.shape[0])])
     return horner(rows, u)
+
+
+def monomial_grid(coeffs: np.ndarray, us, vs) -> np.ndarray:
+    """Net values on the grid us x vs, shape (len(us), len(vs), dim), from
+    power sums. Accurate to about 1e-9 up to degree 8."""
+    mono = _monomial_net(coeffs)
+    pu = np.asarray(us, dtype=float)[:, None] ** np.arange(mono.shape[0])
+    pv = np.asarray(vs, dtype=float)[:, None] ** np.arange(mono.shape[1])
+    return np.einsum("uk,vl,kld->uvd", pu, pv, mono)
 
 
 # ---------------------------------------------------------------------------

@@ -20,17 +20,23 @@ from cci.exclusion import exclusion_test
 from cci.geometry import (
     ControlNet,
     Rect,
-    bernstein_basis,
+    _basis_matrix,
     eval_net,
     extract_pair,
     jet,
     reparametrize,
-    sample_net,
 )
 from cci.kantorovich import PairStatus
 from cci.newton import newton_solve
 from cci.problems import load_problem
-from conftest import match_point_sets, pair_test_at, random_net_coeffs, random_transversal_problem
+from conftest import (
+    match_point_sets,
+    monomial_grid,
+    newton_path,
+    pair_test_at,
+    random_net_coeffs,
+    random_transversal_problem,
+)
 
 EPSILONS = ("0.01", "0.05", "0.1", "0.15", "0.2")
 # The paper's table: squares examined for p01..p08, one column per epsilon
@@ -144,17 +150,18 @@ def test_acceptance_4_kantorovich_pass_soundness(oracle_sweep):
         net = difference_net(problem.curve1, problem.curve2)
         for center, passed in passes:
             pair_net = extract_pair(net, passed.pair)
-            result = newton_solve(pair_net, center, tol=1e-7, max_iter=30,
-                                  keep_path=True)
+            result = newton_solve(pair_net, center, tol=1e-7, max_iter=30)
             assert result.converged, "Newton failed after a certified pass"
             assert result.iterations <= 30
             root = np.array(result.root)
             dist = np.abs(root - np.array(center)).max()
             assert dist <= passed.rho_minus + 1e-9
-            if passed.h > 0.0:
-                base = 1.0 - math.sqrt(1.0 - 2.0 * passed.h)
-                for k, p in enumerate(result.path):
-                    bound = (passed.eta / passed.h) * (base ** (2.0**k)) / (2.0**k)
+            h = passed.eta * passed.omega
+            if h > 0.0:
+                base = 1.0 - math.sqrt(1.0 - 2.0 * h)
+                path = newton_path(pair_net, center, tol=1e-7, max_iter=30)
+                for k, p in enumerate(path):
+                    bound = (passed.eta / h) * (base ** (2.0**k)) / (2.0**k)
                     assert np.abs(np.array(p) - root).max() <= bound + 1e-9
             audited += 1
     assert audited > 200, "pass audit must not be vacuous"
@@ -175,7 +182,7 @@ def test_acceptance_5_exclusion_soundness():
         net = ControlNet(coeffs)
         if exclusion_test(net):
             passes += 1
-            grid = np.abs(sample_net(net, ts, ts)).max(axis=2)
+            grid = np.abs(monomial_grid(net.coeffs, ts, ts)).max(axis=2)
             assert grid.min() > 0.0, "exclusion passed on a net with a zero"
     assert passes > 50
     print(f"ACCEPTANCE 5 PASS: 500 nets, {passes} exclusion passes, zero violations")
@@ -187,7 +194,7 @@ def test_acceptance_6_numerical_kernels():
     worst_pu = 0.0
     for m in range(21):
         for t in rng.uniform(0, 1, 50):
-            total = sum(bernstein_basis(i, m, t) for i in range(m + 1))
+            total = sum(_basis_matrix(m, [t])[0])
             worst_pu = max(worst_pu, abs(total - 1.0))
     assert worst_pu <= 1e-12
 
@@ -197,7 +204,8 @@ def test_acceptance_6_numerical_kernels():
         target = Rect(*sorted(rng.uniform(-0.3, 1.3, 2)), *sorted(rng.uniform(-0.3, 1.3, 2)))
         out = reparametrize(net, target)
         for s, t in rng.uniform(0, 1, (20, 2)):
-            u, v = target.map_from_unit(s, t)
+            u = target.lo_u + s * (target.hi_u - target.lo_u)
+            v = target.lo_v + t * (target.hi_v - target.lo_v)
             worst_rep = max(worst_rep, float(np.abs(eval_net(out, s, t) - eval_net(net, u, v)).max()))
     assert worst_rep <= 1e-10
 

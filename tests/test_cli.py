@@ -62,6 +62,34 @@ def test_solve_missing_file_exits_1(tmp_path):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["solve", "p06.json", "--max-depth=-1"],
+    ["solve", "p06.json", "--max-squares=0"],
+    ["solve", "p06.json", "--epsilon=-0.1"],
+    ["solve", "p06.json", "--epsilon=nan"],
+    ["solve", "p06.json", "--newton-tol=-1"],
+    ["solve", "p06.json", "--zero-tol=nan"],
+    ["bench", ".", "--epsilons=-0.1"],
+    ["bench", ".", "--epsilons=0.05,inf"],
+    ["bench", ".", "--max-depth=-1"],
+])
+def test_bad_settings_exit_1_before_solving(problems_dir, args):
+    command, path, option = args
+    result = _run([command, str(problems_dir / "suite" / path), option])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: ") and result.stdout == ""
+
+
+def test_bad_settings_print_no_traceback(problems_dir):
+    for args in (["solve", str(problems_dir / "suite" / "p06.json"), "--max-depth", "-1"],
+                 ["bench", str(problems_dir / "suite"), "--epsilons=-0.1"]):
+        proc = subprocess.run([sys.executable, "-m", "cci.cli", *args],
+                              capture_output=True, text=True, env=subprocess_env())
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
+
 def test_solve_tangential_contact_exits_2(problems_dir, tmp_path):
     out = tmp_path / "result.json"
     result = _run(["solve", str(problems_dir / "tangential_contact.json"), "-o", str(out)])

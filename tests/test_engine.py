@@ -205,6 +205,22 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(epsilon=-0.1)
     SolverConfig(epsilon=0.0)  # zero step must be allowed (baseline equivalence)
+    # Non-finite steps and tolerances, or tolerances of the wrong sign: with
+    # newton_tol=-1 or zero_tol=nan a run would report no roots at all.
+    for bad in (
+        {"epsilon": float("nan")},
+        {"epsilon": float("inf")},
+        {"newton_tol": 0.0},
+        {"newton_tol": -1.0},
+        {"newton_tol": float("nan")},
+        {"zero_tol": -1e-9},
+        {"zero_tol": float("nan")},
+        {"max_depth": -1},
+        {"max_squares": 0},
+    ):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
+    SolverConfig(zero_tol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +279,23 @@ def test_units_do_not_change_the_run(problems_dir):
         assert len(report.intersections) == len(base.intersections), s
         for a, b in zip(report.intersections, base.intersections):
             assert max(abs(a.u - b.u), abs(a.v - b.v)) <= 1e-12, s
+
+
+def test_near_miss_is_no_intersection_in_any_units():
+    # An arch in z = 0 and a line that crosses it in xy, 3e-6 above it in z
+    # there. The default residual tolerance is relative, so the near miss is
+    # rejected at every scale; an absolute floor accepted it below 2^-20.
+    c1 = np.array([[0.0, 0.0, 0.0], [0.5, 2.0, 0.0], [1.0, 0.0, 0.0]])
+    c2 = np.array([[0.0, 0.5, -0.25], [1.0, 0.5, 0.75]])
+    c2[:, 2] += 3e-6 + 0.25 - (1.0 - 0.5**0.5) / 2.0
+    squares = set()
+    for exponent in range(-40, 41, 20):
+        s = 2.0**exponent
+        report = solve(BezierCurve(c1 * s), BezierCurve(c2 * s))
+        assert report.intersections == [], exponent
+        assert not report.truncated
+        squares.add(report.squares_examined)
+    assert len(squares) == 1
 
 
 def test_baseline_equivalence_epsilon_zero():

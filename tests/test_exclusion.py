@@ -9,9 +9,15 @@ import pytest
 
 import cci
 import cci.exclusion as exclusion
-from cci.exclusion import exclusion_test, hull_excludes_origin
-from cci.geometry import BezierCurve, ControlNet, difference_net, sample_net
-from conftest import random_net_coeffs
+from cci.exclusion import exclusion_test
+from cci.geometry import BezierCurve, ControlNet, difference_net
+from conftest import monomial_grid, random_net_coeffs
+
+
+def _cloud_test(points, tol=1e-12):
+    """``exclusion_test`` on a net whose coefficients are the cloud's rows."""
+    pts = np.asarray(points, dtype=float)
+    return exclusion_test(ControlNet(pts.reshape(-1, 1, pts.shape[-1])), tol)
 
 
 def test_pass_when_plane_separates():
@@ -29,11 +35,11 @@ def test_fail_when_origin_is_midpoint():
 
 def test_fail_when_origin_on_hull_boundary():
     points = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    assert not hull_excludes_origin(points)
+    assert not _cloud_test(points)
 
 
 def test_fail_for_zero_cloud():
-    assert not hull_excludes_origin(np.zeros((4, 3)))
+    assert not _cloud_test(np.zeros((4, 3)))
 
 
 def test_soundness_on_random_nets():
@@ -48,7 +54,7 @@ def test_soundness_on_random_nets():
         net = ControlNet(coeffs)
         if exclusion_test(net):
             passes += 1
-            grid = np.abs(sample_net(net, us, us)).max(axis=2)
+            grid = np.abs(monomial_grid(net.coeffs, us, us)).max(axis=2)
             assert grid.min() > 0.0
     assert passes > 20  # the check must not be vacuous
 
@@ -101,7 +107,7 @@ def _gilbert_reference(points, tol=1e-12):
     """The hull test without the inside certificate: axis test, then Gilbert.
 
     A test oracle, kept verbatim from before the corrals replaced Gilbert's
-    iteration; wherever it passes, ``hull_excludes_origin`` must pass too,
+    iteration; wherever it passes, ``exclusion_test`` must pass too,
     unless the origin lies within a few margins of the hull.
     """
     pts = np.asarray(points, dtype=float)
@@ -209,7 +215,7 @@ def _check_cloud(points, tol=1e-12):
     lies within 4 margins of the origin. Returns both decisions."""
     pts = np.asarray(points, dtype=float)
     pts = pts.reshape(-1, pts.shape[-1])
-    passed = hull_excludes_origin(pts, tol)
+    passed = _cloud_test(pts, tol)
     if passed:
         x = _pass_direction(pts, tol)
         assert x is not None and _exact_min_dot(pts, x) > 0
@@ -278,7 +284,7 @@ def test_degenerate_clouds_end_within_the_bound(name, monkeypatch):
         return affine_minimizer(corral_pts)
 
     monkeypatch.setattr(exclusion, "_affine_minimizer", counted)
-    assert hull_excludes_origin(points) == decision
+    assert _cloud_test(points) == decision
     # Each major step adds one point and each minor cycle drops one.
     assert len(minor_cycles) <= 5 * exclusion._MAX_MAJOR
     assert all(size <= 5 for size in minor_cycles)
@@ -350,13 +356,13 @@ def test_certificate_agrees_with_gilbert_on_tangential_nets(monkeypatch):
     # Every net a solve hands to the hull test, down to depth 40 at an exact
     # tangential contact: the clouds touch or nearly touch the origin.
     clouds = []
-    reference = exclusion.hull_excludes_origin
+    reference = cci.engine.exclusion_test
 
-    def recorded(points, tol=1e-12):
-        clouds.append(np.array(points, copy=True))
-        return reference(points, tol)
+    def recorded(net, tol=1e-12):
+        clouds.append(net.coeffs.reshape(-1, net.dim).copy())
+        return reference(net, tol)
 
-    monkeypatch.setattr(exclusion, "hull_excludes_origin", recorded)
+    monkeypatch.setattr(cci.engine, "exclusion_test", recorded)
     rng = np.random.default_rng(61)
     for degree in (2, 3, 4):
         cci.solve(*_dyadic_tangential_pair(rng, degree))

@@ -1,6 +1,7 @@
 """Bernstein kernel tests, cross-checked against monomial-basis oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from cci.geometry import (
     ControlNet,
     Rect,
     UNIT_SQUARE,
-    bernstein_basis,
     derivative_curve,
     derivative_net,
     difference_net,
@@ -21,7 +21,6 @@ from cci.geometry import (
     jet,
     reparametrize,
     sample_curve,
-    sample_net,
 )
 from conftest import monomial_eval_curve, monomial_eval_net, random_net_coeffs
 
@@ -30,10 +29,10 @@ from conftest import monomial_eval_curve, monomial_eval_net, random_net_coeffs
 # Basis polynomials
 
 def test_bernstein_basis_values():
-    assert bernstein_basis(0, 0, 0.7) == 1.0
-    assert bernstein_basis(1, 2, 0.5) == pytest.approx(0.5, abs=1e-15)
+    assert _basis_matrix(0, [0.7])[0, 0] == 1.0
+    assert _basis_matrix(2, [0.5])[0, 1] == pytest.approx(0.5, abs=1e-15)
     # hand evaluation: 3 * 0.6 * 0.4^2
-    assert bernstein_basis(2, 3, 0.4) == pytest.approx(0.288, abs=1e-15)
+    assert _basis_matrix(3, [0.4])[0, 2] == pytest.approx(0.288, abs=1e-15)
 
 
 def test_basis_matrix_matches_closed_form():
@@ -46,22 +45,15 @@ def test_basis_matrix_matches_closed_form():
         for i in range(m + 1):
             assert weights[0, i] == math.comb(m, i) / 2**m
             for row, t in zip(weights[1:], ts[1:]):
-                closed = bernstein_basis(i, m, float(t))
+                closed = math.comb(m, i) * (1.0 - float(t)) ** (m - i) * float(t) ** i
                 assert abs(row[i] - closed) <= 4 * math.ulp(closed)
-
-
-def test_bernstein_basis_bad_index():
-    with pytest.raises(ValueError):
-        bernstein_basis(3, 2, 0.5)
-    with pytest.raises(ValueError):
-        bernstein_basis(-1, 2, 0.5)
 
 
 def test_partition_of_unity():
     rng = np.random.default_rng(1)
     for m in range(21):
         for t in rng.uniform(0, 1, 100):
-            total = sum(bernstein_basis(i, m, t) for i in range(m + 1))
+            total = sum(_basis_matrix(m, [t])[0])
             assert abs(total - 1.0) <= 1e-12
 
 
@@ -93,7 +85,7 @@ def test_sample_curve_matches_pointwise():
     ts = rng.uniform(0, 1, 17)
     pts = sample_curve(c, ts)
     for t, p in zip(ts, pts):
-        assert np.abs(p - eval_curve(c, t)).max() <= 1e-13
+        assert np.abs(p - monomial_eval_curve(c.control_points, t)).max() <= 1e-13
 
 
 def test_derivative_curve_finite_difference():
@@ -159,17 +151,6 @@ def test_eval_net_matches_monomial_oracle():
     net = ControlNet(random_net_coeffs(rng, 3, 3))
     for u, v in [(0.25, 0.75)] + list(rng.uniform(0, 1, (30, 2))):
         assert np.abs(eval_net(net, u, v) - monomial_eval_net(net.coeffs, u, v)).max() <= 1e-12
-
-
-def test_sample_net_matches_eval_net():
-    rng = np.random.default_rng(9)
-    net = ControlNet(random_net_coeffs(rng, 5, 4))
-    us = rng.uniform(0, 1, 6)
-    vs = rng.uniform(0, 1, 5)
-    grid = sample_net(net, us, vs)
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
-            assert np.abs(grid[i, j] - eval_net(net, u, v)).max() <= 1e-12
 
 
 def test_convex_hull_containment_sampled():
@@ -262,7 +243,27 @@ def test_jacobian_finite_difference_relative():
             assert np.abs(jac - fd).max() / scale <= 1e-6
 
 
-def test_jet_matches_de_casteljau():
+def _exact_eval_net(coeffs, u, v):
+    """The net's value at (u, v), its Bernstein sum taken in exact rationals.
+
+    The monomial oracle loses up to 5e-6 at degree (16, 12), so the
+    high-degree weights are checked against this one.
+    """
+    u, v = Fraction(u), Fraction(v)
+    m, n = coeffs.shape[0] - 1, coeffs.shape[1] - 1
+    bu = [math.comb(m, i) * (1 - u) ** (m - i) * u**i for i in range(m + 1)]
+    bv = [math.comb(n, j) * (1 - v) ** (n - j) * v**j for j in range(n + 1)]
+    return np.array([
+        float(sum(
+            bu[i] * bv[j] * Fraction(float(coeffs[i, j, d]))
+            for i in range(m + 1)
+            for j in range(n + 1)
+        ))
+        for d in range(coeffs.shape[2])
+    ])
+
+
+def test_jet_matches_exact_evaluation():
     rng = np.random.default_rng(13)
     for m, n in [(0, 0), (1, 0), (0, 2), (3, 5), (9, 9), (16, 12)]:
         net = ControlNet(random_net_coeffs(rng, m, n))
@@ -270,13 +271,26 @@ def test_jet_matches_de_casteljau():
         dv = derivative_net(net, "v")
         for x in [(0.5, 0.5), (0.0, 1.0), tuple(rng.uniform(0, 1, 2))]:
             value, jac = jet(net, x)
-            assert np.abs(value - eval_net(net, *x)).max() <= 1e-14
-            expected = np.stack([eval_net(du, *x), eval_net(dv, *x)], axis=1)
+            assert np.array_equal(eval_net(net, *x), value)
+            assert np.abs(value - _exact_eval_net(net.coeffs, *x)).max() <= 1e-14
+            expected = np.stack(
+                [_exact_eval_net(du.coeffs, *x), _exact_eval_net(dv.coeffs, *x)], axis=1
+            )
             assert np.abs(jac - expected).max() <= 1e-13 * max(1, m, n)
+            if m <= 5 and n <= 5:
+                assert np.abs(value - monomial_eval_net(net.coeffs, *x)).max() <= 1e-13
 
 
 # ---------------------------------------------------------------------------
 # Reparametrization
+
+def _from_unit(target, s, t):
+    """Image of unit-square coordinates (s, t) under the target's affine map."""
+    return (
+        target.lo_u + s * (target.hi_u - target.lo_u),
+        target.lo_v + t * (target.hi_v - target.lo_v),
+    )
+
 
 def test_reparametrize_identity():
     rng = np.random.default_rng(14)
@@ -291,7 +305,7 @@ def test_reparametrize_eval_consistency():
     target = Rect(0.25, 0.5, 0.5, 0.75)
     out = reparametrize(net, target)
     for s, t in rng.uniform(0, 1, (100, 2)):
-        u, v = target.map_from_unit(s, t)
+        u, v = _from_unit(target, s, t)
         assert np.abs(eval_net(out, s, t) - eval_net(net, u, v)).max() <= 1e-10
 
 
@@ -301,7 +315,7 @@ def test_reparametrize_outside_unit_square():
     target = Rect(-0.25, 1.25, -0.25, 1.25)
     out = reparametrize(net, target)
     for s, t in rng.uniform(0, 1, (50, 2)):
-        u, v = target.map_from_unit(s, t)
+        u, v = _from_unit(target, s, t)
         assert np.abs(eval_net(out, s, t) - eval_net(net, u, v)).max() <= 1e-10
 
 
@@ -317,7 +331,7 @@ def test_reparametrize_affine_corner_interpolation():
     target = Rect(0.2, 0.7, -0.1, 0.9)
     out = reparametrize(net, target)
     for (s, t), (i, j) in [((0, 0), (0, 0)), ((1, 0), (1, 0)), ((0, 1), (0, 1)), ((1, 1), (1, 1))]:
-        u, v = target.map_from_unit(s, t)
+        u, v = _from_unit(target, s, t)
         assert np.abs(out.coeffs[i, j] - eval_net(net, u, v)).max() <= 1e-12
 
 
@@ -327,8 +341,8 @@ def test_reparametrize_composition():
     r1 = Rect(0.1, 0.8, 0.2, 0.9)
     r2 = Rect(0.25, 0.75, 0.4, 0.6)
     nested = reparametrize(reparametrize(net, r1), r2)
-    lo_u, lo_v = r1.map_from_unit(r2.lo_u, r2.lo_v)
-    hi_u, hi_v = r1.map_from_unit(r2.hi_u, r2.hi_v)
+    lo_u, lo_v = _from_unit(r1, r2.lo_u, r2.lo_v)
+    hi_u, hi_v = _from_unit(r1, r2.hi_u, r2.hi_v)
     direct = reparametrize(net, Rect(lo_u, hi_u, lo_v, hi_v))
     for s, t in rng.uniform(0, 1, (50, 2)):
         assert np.abs(eval_net(nested, s, t) - eval_net(direct, s, t)).max() <= 1e-10
@@ -361,12 +375,12 @@ def test_derivative_commutes_with_reparametrize():
     net = ControlNet(random_net_coeffs(rng, 5, 5))
     target = Rect(0.3, 0.55, 0.6, 0.95)
     out = reparametrize(net, target)
-    # chain rule: d/ds of the restriction is width_u times the restricted du
+    # chain rule: d/ds of the restriction is the u-width times the restricted du
     lhs = derivative_net(out, "u")
     rhs = reparametrize(derivative_net(net, "u"), target)
     for s, t in rng.uniform(0, 1, (30, 2)):
         a = eval_net(lhs, s, t)
-        b = target.width_u * eval_net(rhs, s, t)
+        b = (target.hi_u - target.lo_u) * eval_net(rhs, s, t)
         assert np.abs(a - b).max() <= 1e-10
 
 

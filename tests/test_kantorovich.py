@@ -2,7 +2,7 @@
 
 The classification oracle here re-derives every quantity through monomial
 algebra (power-basis differentiation, LAPACK solves, least-squares Bernstein
-fits) so it shares no code with the de Casteljau implementation under test.
+fits) so it shares no code with the Bernstein implementation under test.
 """
 
 import math
@@ -13,7 +13,7 @@ import pytest
 
 from cci import kantorovich
 from cci.engine import Square, region_prunes_square
-from cci.geometry import ControlNet, Rect, eval_net, jet, reparametrize, sample_net
+from cci.geometry import ControlNet, Rect, eval_net, extract_pair, jet, reparametrize
 from cci.kantorovich import (
     COMPONENT_PAIRS,
     PairStatus,
@@ -25,7 +25,14 @@ from cci.kantorovich import (
     second_derivative_nets,
 )
 from cci.newton import newton_solve
-from conftest import bernstein_to_monomial, horner, pair_test_at, random_net_coeffs
+from conftest import (
+    bernstein_to_monomial,
+    horner,
+    monomial_grid,
+    newton_path,
+    pair_test_at,
+    random_net_coeffs,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -59,8 +66,9 @@ def _fit_bernstein_max_abs(fn, degrees, domain: Rect) -> float:
     bu = np.stack([[math.comb(m, i) * (1 - s) ** (m - i) * s**i for i in range(m + 1)] for s in su])
     bv = np.stack([[math.comb(n, j) * (1 - t) ** (n - j) * t**j for j in range(n + 1)] for t in sv])
     basis = np.kron(bu, bv)
+    du, dv = domain.hi_u - domain.lo_u, domain.hi_v - domain.lo_v
     values = np.array(
-        [fn(*domain.map_from_unit(s, t)) for s in su for t in sv]
+        [fn(domain.lo_u + s * du, domain.lo_v + t * dv) for s in su for t in sv]
     )
     coeffs, *_ = np.linalg.lstsq(basis, values, rcond=None)
     return float(np.abs(coeffs).max())
@@ -281,7 +289,7 @@ def test_pass_at_exact_transversal_zero():
     passed = outcome.passed
     assert passed is not None and passed.pair == (0, 1)
     assert passed.eta == 0.0
-    assert passed.h == 0.0
+    assert passed.eta * passed.omega == 0.0
     assert passed.rho_minus == 0.0
 
 
@@ -299,7 +307,7 @@ def test_fail_containment_for_far_affine_zero():
     t = outcome.pairs[0]
     assert t.pair == (0, 1)
     assert t.status is PairStatus.FAIL_CONTAINMENT
-    assert t.h == 0.0 and t.omega == 0.0
+    assert t.eta * t.omega == 0.0 and t.omega == 0.0
     assert t.rho_minus == t.eta > 0.15
 
 
@@ -375,7 +383,7 @@ def _passing_instances(seed, count):
     while len(found) < count:
         z = tuple(rng.uniform(0.35, 0.65, 2))
         net3 = random_net_coeffs(rng, 3, 3)
-        net3 -= sample_net(ControlNet(net3), [z[0]], [z[1]])[0, 0]
+        net3 -= eval_net(ControlNet(net3), *z)
         x0 = tuple(z + rng.uniform(-0.05, 0.05, 2))
         outcome = _test_square(ControlNet(net3), x0, 0.1, (1.5, 1.5, 1.5))
         if outcome.passed is not None:
@@ -385,38 +393,33 @@ def _passing_instances(seed, count):
 
 def test_pass_soundness_newton_lands_in_existence_ball():
     for net3, x0, passed in _passing_instances(48, 20):
-        from cci.geometry import extract_pair
-
         pair_net = extract_pair(net3, passed.pair)
-        result = newton_solve(pair_net, x0, tol=1e-7, max_iter=30, keep_path=True)
+        result = newton_solve(pair_net, x0, tol=1e-7, max_iter=30)
         assert result.converged
         dist = max(abs(result.root[0] - x0[0]), abs(result.root[1] - x0[1]))
         assert dist <= passed.rho_minus + 1e-9
         # iterates never leave the existence ball
-        for p in result.path:
+        for p in newton_path(pair_net, x0, tol=1e-7, max_iter=30):
             assert max(abs(p[0] - x0[0]), abs(p[1] - x0[1])) <= passed.rho_minus + 1e-9
 
 
 def test_convergence_speed_bound_along_iterates():
     for net3, x0, passed in _passing_instances(49, 20):
-        if not passed.h or passed.h <= 0.0:
+        h = passed.eta * passed.omega
+        if h <= 0.0:
             continue
-        from cci.geometry import extract_pair
-
         pair_net = extract_pair(net3, passed.pair)
-        result = newton_solve(pair_net, x0, tol=1e-10, max_iter=30, keep_path=True)
+        result = newton_solve(pair_net, x0, tol=1e-10, max_iter=30)
         assert result.converged
         root = np.array(result.root)
-        base = 1.0 - math.sqrt(1.0 - 2.0 * passed.h)
-        for k, p in enumerate(result.path):
-            bound = (passed.eta / passed.h) * (base ** (2.0**k)) / (2.0**k)
+        base = 1.0 - math.sqrt(1.0 - 2.0 * h)
+        for k, p in enumerate(newton_path(pair_net, x0, tol=1e-10, max_iter=30)):
+            bound = (passed.eta / h) * (base ** (2.0**k)) / (2.0**k)
             dist = np.abs(np.array(p) - root).max()
             assert dist <= bound + 1e-9
 
 
 def test_uniqueness_inside_explored_region():
-    from cci.geometry import extract_pair
-
     for net3, x0, passed in _passing_instances(50, 8):
         pair_net = extract_pair(net3, passed.pair)
         result = newton_solve(pair_net, x0, tol=1e-10, max_iter=30)
@@ -424,7 +427,7 @@ def test_uniqueness_inside_explored_region():
         region = explored_region(passed, x0)
         us = np.linspace(region.lo_u, region.hi_u, 80)
         vs = np.linspace(region.lo_v, region.hi_v, 80)
-        grid = np.abs(sample_net(pair_net, us, vs)).max(axis=2)
+        grid = np.abs(monomial_grid(pair_net.coeffs, us, vs)).max(axis=2)
         uu, vv = np.meshgrid(us, vs, indexing="ij")
         near = np.maximum(np.abs(uu - result.root[0]), np.abs(vv - result.root[1])) <= 0.02
         grid[near] = np.inf

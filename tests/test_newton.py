@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from cci.geometry import ControlNet, _center_weights, jet
+from cci.geometry import ControlNet, _center_weights, eval_net, jet
 from cci.newton import newton_solve
-from conftest import random_net_coeffs
+from conftest import newton_path, random_net_coeffs
 
 
 def _affine_pair_net(b, gu, gv):
@@ -43,24 +43,27 @@ def test_start_at_zero_stops_immediately():
     result = newton_solve(net, (0.5, 0.5))
     assert result.converged
     assert result.iterations <= 1
-    assert result.final_step_norm == 0.0
+    # f is exactly zero at the start, so the one step J^-1 f is exactly zero
+    assert not jet(net, (0.5, 0.5))[0].any()
     assert result.root == (0.5, 0.5)
 
 
 def test_scalar_newton_sequence():
     # u iterates follow u <- (u^2 + 0.25) / (2u) from 1; v lands in one step
     net = _parabola_line_net()
-    result = newton_solve(net, (1.0, 0.0), tol=1e-7, keep_path=True)
+    result = newton_solve(net, (1.0, 0.0), tol=1e-7)
+    path = newton_path(net, (1.0, 0.0), tol=1e-7)
     assert result.converged
+    assert path[-1] == result.root
     expected_u = [1.0]
-    while len(expected_u) < len(result.path):
+    while len(expected_u) < len(path):
         u = expected_u[-1]
         expected_u.append((u * u + 0.25) / (2.0 * u))
-    for (u, v), eu in zip(result.path, expected_u):
+    for (u, v), eu in zip(path, expected_u):
         assert u == pytest.approx(eu, abs=1e-14)
-    assert result.path[1][1] == pytest.approx(0.5, abs=1e-15)
+    assert path[1][1] == pytest.approx(0.5, abs=1e-15)
     assert result.root == pytest.approx((0.5, 0.5), abs=1e-7)
-    assert [round(u, 6) for u, _ in result.path[:4]] == [1.0, 0.625, 0.5125, 0.500152]
+    assert [round(u, 6) for u, _ in path[:4]] == [1.0, 0.625, 0.5125, 0.500152]
 
 
 def test_singular_jacobian_reported():
@@ -89,17 +92,16 @@ def test_quadratic_convergence_near_root():
     while seen < 10:
         coeffs = random_net_coeffs(rng, 3, 3, d=2)
         net = ControlNet(coeffs)
-        from cci.geometry import eval_net
-
         z = tuple(rng.uniform(0.3, 0.7, 2))
         net = ControlNet(coeffs - eval_net(net, *z))
         x0 = (z[0] + 0.02, z[1] - 0.02)
-        result = newton_solve(net, x0, tol=1e-13, max_iter=40, keep_path=True)
-        if not result.converged or len(result.path) < 4:
+        result = newton_solve(net, x0, tol=1e-13, max_iter=40)
+        path = newton_path(net, x0, tol=1e-13, max_iter=40)
+        if not result.converged or len(path) < 4:
             continue
         steps = [
             max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-            for a, b in zip(result.path, result.path[1:])
+            for a, b in zip(path, path[1:])
         ]
         # quadratic tail: each late step is at most C times the previous squared
         tail = [s for s in steps[-4:] if s > 0]
