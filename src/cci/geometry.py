@@ -165,6 +165,15 @@ def _binomials(m: int) -> np.ndarray:
     return binomials
 
 
+@functools.lru_cache(maxsize=32)
+def _exponents(m: int) -> np.ndarray:
+    """0.0, 1.0, ..., m: float exponents, so powers need no integer cast.
+    Cached and shared, hence read-only."""
+    exponents = np.arange(m + 1, dtype=float)
+    exponents.flags.writeable = False
+    return exponents
+
+
 def _basis_matrix(m: int, ts: np.ndarray) -> np.ndarray:
     """Rows: the degree-m Bernstein basis C(m, i) (1 - t)^(m-i) t^i at each t."""
     ts = np.asarray(ts, dtype=float)[:, None]
@@ -195,14 +204,17 @@ def derivative_net(net: ControlNet, axis: str) -> ControlNet:
 def _jet_weights(m: int, t: float) -> np.ndarray:
     """Rows: the degree-m Bernstein basis at t and its derivative there.
 
-    The derivative of B_i^m is m (B_{i-1}^{m-1} - B_i^{m-1}). At t = 1/2
-    every weight is a dyadic rational, exact in floating point.
+    The derivative of B_i^m is m (B_{i-1}^{m-1} - B_i^{m-1}). Both rows are
+    gathered from one vector of powers of t and one of 1 - t, entry for
+    entry the values of ``_basis_matrix``. At t = 1/2 every weight is a
+    dyadic rational, exact in floating point.
     """
-    ts = np.array([t])
+    exponents = _exponents(m)
+    t_powers, s_powers = t**exponents, (1.0 - t) ** exponents
     weights = np.zeros((2, m + 1))
-    weights[0] = _basis_matrix(m, ts)[0]
+    weights[0] = _binomials(m) * s_powers[::-1] * t_powers
     if m:
-        lower = m * _basis_matrix(m - 1, ts)[0]
+        lower = m * (_binomials(m - 1) * s_powers[m - 1 :: -1] * t_powers[:m])
         weights[1, 1:] += lower
         weights[1, :-1] -= lower
     return weights
@@ -225,7 +237,7 @@ def jet(net: ControlNet, x: tuple[float, float]) -> tuple[np.ndarray, np.ndarray
     wu = _center_weights(net.degree_u) if u == 0.5 else _jet_weights(net.degree_u, u)
     wv = _center_weights(net.degree_v) if v == 0.5 else _jet_weights(net.degree_v, v)
     both = wv @ (wu @ c.reshape(c.shape[0], -1)).reshape(2, *c.shape[1:])
-    return both[0, 0], np.stack([both[1, 0], both[0, 1]], axis=1)
+    return both[0, 0], both[(1, 0), (0, 1)].T
 
 
 def eval_net(net: ControlNet, u: float, v: float) -> np.ndarray:
@@ -252,7 +264,8 @@ def _split_tables(m: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ..
 def _split_matrix(m: int, t: float, side: int) -> np.ndarray:
     """Matrix restricting degree-m coefficients to [0, t] (side 0) or [t, 1] (side 1)."""
     binom, t_power, s_power = _split_tables(m)[side]
-    return binom * np.power(t, t_power) * np.power(1.0 - t, s_power)
+    exponents = _exponents(m)
+    return binom * (t**exponents)[t_power] * ((1.0 - t) ** exponents)[s_power]
 
 
 @functools.lru_cache(maxsize=256)

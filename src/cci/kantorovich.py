@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -97,17 +97,19 @@ class KantorovichOutcome:
 _SINGULAR_RTOL = 1e-14
 
 
-def inverse_2x2(jac: np.ndarray) -> np.ndarray | None:
-    """J^-1 of a 2x2 Jacobian, or None when J is numerically singular.
+def inverse_2x2(jac: np.ndarray | Sequence[Sequence[float]]) -> np.ndarray | None:
+    """J^-1 of a 2x2 Jacobian (array or nested sequence of floats), or None
+    when J is numerically singular.
 
     J counts as singular when |det J| <= 1e-14 * max(1, |J|^2) in the
-    infinity norm.
+    infinity norm, decided on the four entries as scalars.
     """
-    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-    norm = float(np.abs(jac).sum(axis=1).max())
+    (a, b), (c, d) = jac
+    det = a * d - b * c
+    norm = max(abs(a) + abs(b), abs(c) + abs(d))
     if abs(det) <= _SINGULAR_RTOL * max(1.0, norm**2):
         return None
-    return np.array([[jac[1, 1], -jac[0, 1]], [-jac[1, 0], jac[0, 0]]]) / det
+    return np.array([[d, -b], [-c, a]]) / det
 
 
 def second_derivative_nets(net: ControlNet) -> tuple[ControlNet, ControlNet, ControlNet]:
@@ -128,22 +130,17 @@ class PairSystem:
         self.pair = pair
         self.net = extract_pair(net, pair)
 
-    def omega(self, jac_inv: np.ndarray, seconds: tuple[np.ndarray, ...]) -> float:
+    def omega(self, jac_inv: np.ndarray, block: np.ndarray) -> float:
         """Certified Lipschitz constant for the preconditioned Jacobian on a test domain.
 
-        ``seconds`` are the coefficients of f_uu, f_uv and f_vv of the full
-        map over the domain. Bounds the operator norm of the second
-        derivative of J^-1 f by four times the largest absolute Bernstein
-        coefficient over the domain (each matrix row sums at most four
-        second-derivative entries); preconditioning by J^-1 is linear, so it
-        applies to coefficients.
+        ``block`` stacks the coefficients of f_uu, f_uv and f_vv of the full
+        map over the domain, one row per coefficient, shape (K, dim). Bounds
+        the operator norm of the second derivative of J^-1 f by four times
+        the largest absolute Bernstein coefficient over the domain (each
+        matrix row sums at most four second-derivative entries);
+        preconditioning by J^-1 is linear, so it applies to coefficients.
         """
-        pair = list(self.pair)
-        worst = 0.0
-        for second in seconds:
-            c = second[:, :, pair] @ jac_inv.T
-            worst = max(worst, float(np.abs(c).max()))
-        return 4.0 * worst
+        return 4.0 * float(np.abs(block[:, self.pair] @ jac_inv.T).max())
 
 
 def rho_radii(eta_value: float, omega_value: float) -> tuple[float, float]:
@@ -164,18 +161,20 @@ def rho_radii(eta_value: float, omega_value: float) -> tuple[float, float]:
 
 def _test_one_pair(
     system: PairSystem,
-    value: np.ndarray,
-    jac: np.ndarray,
-    seconds_over: Callable[[Rect], tuple[np.ndarray, ...]],
-    center: tuple[float, float],
+    value: list[float],
+    jac: list[list[float]],
+    block_over: Callable[[Rect], np.ndarray],
+    domain: Rect,
     domain_half_width: float,
 ) -> PairTest:
-    domain = Rect.ball(center, domain_half_width)
-    jac_inv = inverse_2x2(jac)
+    i, k = system.pair
+    jac_inv = inverse_2x2((jac[i], jac[k]))
     if jac_inv is None:
         return PairTest(system.pair, PairStatus.SINGULAR_JACOBIAN, domain)
-    eta_value = float(np.abs(jac_inv @ value).max())
-    omega_value = system.omega(jac_inv, seconds_over(domain))
+    (a, b), (c, d) = jac_inv.tolist()
+    f0, f1 = value[i], value[k]
+    eta_value = max(abs(a * f0 + b * f1), abs(c * f0 + d * f1))
+    omega_value = system.omega(jac_inv, block_over(domain))
     if eta_value * omega_value > 0.25:
         return PairTest(
             system.pair,
@@ -217,24 +216,26 @@ def test_pairs(
 
     Value and Jacobian at the center come from ``net`` at (1/2, 1/2); local
     derivatives are global ones times 2 * half_width, a power of two for
-    solver squares, so the conversion is exact. omega restricts ``seconds``
-    over each distinct test domain once and shares it across the pairs.
+    solver squares, so the conversion is exact. The 2x2 algebra runs on
+    Python floats. omega restricts ``seconds`` over each distinct test
+    domain once, with one ``reparametrize`` call per net, and stacks them
+    into one block that the pairs share.
     """
     value, jac = jet(net, (0.5, 0.5))
-    jac = jac / (2.0 * half_width)
-    restricted: dict[Rect, tuple[np.ndarray, ...]] = {}
+    value, jac = value.tolist(), (jac / (2.0 * half_width)).tolist()
+    domains = {s: Rect.ball(center, s * half_width) for s in set(scales)}
+    blocks: dict[Rect, np.ndarray] = {}
 
-    def seconds_over(domain: Rect) -> tuple[np.ndarray, ...]:
-        if domain not in restricted:
-            restricted[domain] = tuple(reparametrize(n, domain).coeffs for n in seconds)
-        return restricted[domain]
+    def block_over(domain: Rect) -> np.ndarray:
+        if domain not in blocks:
+            blocks[domain] = np.concatenate(
+                [reparametrize(n, domain).coeffs.reshape(-1, net.dim) for n in seconds]
+            )
+        return blocks[domain]
 
     results: list[PairTest] = []
     for system, scale in zip(systems, scales):
-        pair = list(system.pair)
-        t = _test_one_pair(
-            system, value[pair], jac[pair], seconds_over, center, scale * half_width
-        )
+        t = _test_one_pair(system, value, jac, block_over, domains[scale], scale * half_width)
         results.append(t)
         if t.status is PairStatus.PASS:
             break

@@ -281,6 +281,100 @@ def test_units_do_not_change_the_run(problems_dir):
             assert max(abs(a.u - b.u), abs(a.v - b.v)) <= 1e-12, s
 
 
+# Suite p01-p08 with both curves mapped by an invertible dyadic matrix, so the
+# curves leave the plane and no pair is singular: squares examined and every
+# root's (u.hex(), v.hex()), per config. A change that keeps every decision
+# and every rounding keeps these.
+SPATIAL_MAP = np.array([[1.0, 0.5, 0.25], [-0.25, 1.0, 0.5], [0.5, -0.5, 1.0]])
+SPATIAL_SUITE_FINGERPRINT = {
+    ("p01", 0.05): (25, [
+        ("0x1.7659a27611738p-2", "0x1.7ba331ffb07e9p-1"),
+    ]),
+    ("p01", "fixed"): (25, [
+        ("0x1.7659a27611738p-2", "0x1.7ba331ffb07e9p-1"),
+    ]),
+    ("p02", 0.05): (41, [
+        ("0x1.909fcadb8354ap-1", "0x1.a16eb77bded36p-2"),
+        ("0x1.227626ee3023dp-1", "0x1.ace122dccd70fp-1"),
+    ]),
+    ("p02", "fixed"): (41, [
+        ("0x1.909fcadb8354ap-1", "0x1.a16eb77bded36p-2"),
+        ("0x1.227626ee3023dp-1", "0x1.ace122dccd70fp-1"),
+    ]),
+    ("p03", 0.05): (33, [
+        ("0x1.94872a4ff5accp-2", "0x1.e62b754753fd4p-1"),
+    ]),
+    ("p03", "fixed"): (37, [
+        ("0x1.94872a4ff5b01p-2", "0x1.e62b754753fbfp-1"),
+    ]),
+    ("p04", 0.05): (37, [
+        ("0x1.6dd7a90b6ab3cp-2", "0x1.0c2e116fc59b2p-1"),
+    ]),
+    ("p04", "fixed"): (41, [
+        ("0x1.6dd7a90b6ab44p-2", "0x1.0c2e116fc59b1p-1"),
+    ]),
+    ("p05", 0.05): (45, [
+        ("0x1.4f3ada6661ba9p-1", "0x1.18e6901be989bp-1"),
+    ]),
+    ("p05", "fixed"): (45, [
+        ("0x1.4f3ada6661ba9p-1", "0x1.18e6901be989bp-1"),
+    ]),
+    ("p06", 0.05): (117, [
+        ("0x1.da54ee369e22ep-3", "0x1.b7ee8dfe078bap-1"),
+        ("0x1.fefaf8b5515c2p-2", "0x1.0cd23bb0099c6p-2"),
+        ("0x1.ddb3f9bee6b7fp-2", "0x1.b2050da65f1f8p-1"),
+        ("0x1.a677d7ff65b68p-2", "0x1.213b723a13839p-3"),
+    ]),
+    ("p06", "fixed"): (117, [
+        ("0x1.da54ee369e22ep-3", "0x1.b7ee8dfe078bap-1"),
+        ("0x1.fefaf8b5515c2p-2", "0x1.0cd23bb0099c6p-2"),
+        ("0x1.ddb3f9bee6b7fp-2", "0x1.b2050da65f1f8p-1"),
+        ("0x1.a677d7ff65b68p-2", "0x1.213b723a13839p-3"),
+    ]),
+    ("p07", 0.05): (161, [
+        ("0x1.6e68dac6534b8p-1", "0x1.9c0a5b724c7d1p-1"),
+        ("0x1.624c0aba5a529p-1", "0x1.2efa9c2ce1344p-5"),
+        ("0x1.c5991b9f3e6f8p-1", "0x1.b8e561badd100p-1"),
+        ("0x1.bfca333927c92p-1", "0x1.3df082bdfd6dbp-8"),
+        ("0x1.26853e952ef35p-2", "0x1.c8ec43c010845p-1"),
+    ]),
+    ("p07", "fixed"): (161, [
+        ("0x1.6e68dac6534b8p-1", "0x1.9c0a5b724c7d1p-1"),
+        ("0x1.624c0aba5a529p-1", "0x1.2efa9c2ce1344p-5"),
+        ("0x1.c5991b9f3e6f8p-1", "0x1.b8e561badd100p-1"),
+        ("0x1.bfca333927c92p-1", "0x1.3df082bdfd6dbp-8"),
+        ("0x1.26853e952ef35p-2", "0x1.c8ec43c010845p-1"),
+    ]),
+    ("p08", 0.05): (13, [
+    ]),
+    ("p08", "fixed"): (13, [
+    ]),
+}
+
+
+@pytest.mark.parametrize("name, config", sorted(SPATIAL_SUITE_FINGERPRINT, key=str))
+def test_spatial_suite_fingerprint(problems_dir, name, config):
+    problem = load_problem(problems_dir / "suite" / f"{name}.json")
+    singular = []
+
+    def observer(event, payload):
+        if event == "kantorovich":
+            singular.extend(
+                t for t in payload["outcome"].pairs if t.status is PairStatus.SINGULAR_JACOBIAN
+            )
+
+    report = solve(
+        BezierCurve(problem.curve1.control_points @ SPATIAL_MAP.T),
+        BezierCurve(problem.curve2.control_points @ SPATIAL_MAP.T),
+        SolverConfig(mode="fixed") if config == "fixed" else SolverConfig(epsilon=config),
+        observer=observer,
+    )
+    squares, roots = SPATIAL_SUITE_FINGERPRINT[name, config]
+    assert singular == [] and not report.truncated
+    assert report.squares_examined == squares
+    assert [(r.u.hex(), r.v.hex()) for r in report.intersections] == roots
+
+
 def test_near_miss_is_no_intersection_in_any_units():
     # An arch in z = 0 and a line that crosses it in xy, 3e-6 above it in z
     # there. The default residual tolerance is relative, so the near miss is

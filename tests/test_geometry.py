@@ -8,6 +8,8 @@ import pytest
 
 from cci.geometry import (
     _basis_matrix,
+    _jet_weights,
+    _split_matrix,
     BezierCurve,
     ControlNet,
     Rect,
@@ -55,6 +57,29 @@ def test_partition_of_unity():
         for t in rng.uniform(0, 1, 100):
             total = sum(_basis_matrix(m, [t])[0])
             assert abs(total - 1.0) <= 1e-12
+
+
+def test_split_and_jet_weights_are_the_closed_form_bit_for_bit():
+    # Both tables gather powers of t and 1 - t from short vectors; every
+    # entry must equal binom * t**j * (1 - t)**k evaluated elementwise over
+    # arrays, as numpy's vector pow may round differently from scalar pow.
+    comb = np.vectorize(math.comb, otypes=[float])
+    for m in range(21):
+        k, j = np.indices((m + 1, m + 1))
+        i = np.arange(m + 1)
+        for t in (0.0, 0.3, 0.5, 1.0, -0.25, 1.25):
+            left = comb(k, j) * t**j * (1.0 - t) ** np.maximum(k - j, 0)
+            binom = np.where(j >= k, comb(m - k, np.maximum(j - k, 0)), 0.0)
+            right = binom * t ** np.maximum(j - k, 0) * (1.0 - t) ** (m - j)
+            assert np.array_equal(_split_matrix(m, t, 0), left), (m, t)
+            assert np.array_equal(_split_matrix(m, t, 1), right), (m, t)
+            expected = np.zeros((2, m + 1))
+            expected[0] = comb(m, i) * (1.0 - t) ** (m - i) * t**i
+            if m:
+                lower = m * (comb(m - 1, i[:m]) * (1.0 - t) ** (m - 1 - i[:m]) * t ** i[:m])
+                expected[1, 1:] += lower
+                expected[1, :-1] -= lower
+            assert np.array_equal(_jet_weights(m, t), expected), (m, t)
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,35 @@ def test_singular_pairs_recorded_for_planar_curves():
         assert outcome.pairs[2].status is PairStatus.SINGULAR_JACOBIAN
 
 
+@pytest.mark.parametrize("planar, restrictions, omegas", [(False, 6, 3), (True, 3, 1)])
+def test_one_restriction_per_net_and_domain_one_omega_per_pair(
+    monkeypatch, planar, restrictions, omegas
+):
+    # The benchmark tracer times omega's restrictions through the module's
+    # ``reparametrize`` binding and omega through ``PairSystem.omega``. Scales
+    # (1.5, 1.5, 1.45) give two test domains; each restricts the three
+    # second-derivative nets once, and only when a non-singular pair needs it.
+    calls = {"reparametrize": 0, "omega": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(kantorovich, "reparametrize", counted("reparametrize", reparametrize))
+    monkeypatch.setattr(PairSystem, "omega", counted("omega", PairSystem.omega))
+    coeffs = random_net_coeffs(np.random.default_rng(49), 5, 4)
+    if planar:
+        coeffs[:, :, 2] = 0.0
+    outcome = _test_square(ControlNet(coeffs), (0.5, 0.5), 0.5, (1.5, 1.5, 1.45))
+    assert outcome.passed is None and len(outcome.pairs) == 3
+    singular = [t.status is PairStatus.SINGULAR_JACOBIAN for t in outcome.pairs]
+    assert singular == [False, planar, planar]
+    assert calls == {"reparametrize": restrictions, "omega": omegas}
+
+
 def test_classification_matches_monomial_reimplementation():
     rng = np.random.default_rng(46)
     checked = 0
