@@ -27,8 +27,10 @@ __all__ = [
     "difference_net",
     "eval_net",
     "jet",
+    "center_jet",
     "derivative_net",
     "reparametrize",
+    "restriction_growth",
     "extract_pair",
 ]
 
@@ -222,22 +224,42 @@ def _jet_weights(m: int, t: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _center_weights(m: int) -> np.ndarray:
-    """``_jet_weights(m, 1/2)``, which every convergence test uses. Cached and
-    shared, hence read-only; weights at other points, such as Newton's
-    iterates, are built afresh so they cannot evict these."""
-    weights = _jet_weights(m, 0.5)
+    """``_jet_weights(m, 1/2)`` and a third row, the basis's second derivative
+    at 1/2, m (m - 1) (B_{i-2}^{m-2} - 2 B_{i-1}^{m-2} + B_i^{m-2}). Every
+    convergence test uses them; all are dyadic rationals, exact in floating
+    point. Cached and shared, hence read-only; weights at other points, such
+    as Newton's iterates, are built afresh so they cannot evict these."""
+    weights = np.zeros((3, m + 1))
+    weights[:2] = _jet_weights(m, 0.5)
+    if m >= 2:
+        lower = m * (m - 1) * _basis_matrix(m - 2, [0.5])[0]
+        weights[2, 2:] += lower
+        weights[2, 1:-1] -= 2.0 * lower
+        weights[2, :-2] += lower
     weights.flags.writeable = False
     return weights
 
 
+def _derivatives(net: ControlNet, wu: np.ndarray, wv: np.ndarray) -> np.ndarray:
+    """Entry (i, j) is the net contracted with row i of ``wu`` and row j of ``wv``."""
+    c = net.coeffs
+    return wv @ (wu @ c.reshape(c.shape[0], -1)).reshape(len(wu), *c.shape[1:])
+
+
 def jet(net: ControlNet, x: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """Value (dim,) and Jacobian (dim, 2) of the net's map at x = (u, v)."""
-    c = net.coeffs
     u, v = float(x[0]), float(x[1])
     wu = _center_weights(net.degree_u) if u == 0.5 else _jet_weights(net.degree_u, u)
     wv = _center_weights(net.degree_v) if v == 0.5 else _jet_weights(net.degree_v, v)
-    both = wv @ (wu @ c.reshape(c.shape[0], -1)).reshape(2, *c.shape[1:])
+    both = _derivatives(net, wu, wv)
     return both[0, 0], both[(1, 0), (0, 1)].T
+
+
+def center_jet(net: ControlNet) -> np.ndarray:
+    """Derivatives of the net's map at (1/2, 1/2), shape (3, 3, dim): entry
+    (i, j) is taken i times along u and j times along v. The weights are
+    exact; (0, 0) and the Jacobian are ``jet``'s bit for bit."""
+    return _derivatives(net, _center_weights(net.degree_u), _center_weights(net.degree_v))
 
 
 def eval_net(net: ControlNet, u: float, v: float) -> np.ndarray:
@@ -300,6 +322,19 @@ def reparametrize(net: ControlNet, target: Rect) -> ControlNet:
     cols = _restriction_matrix(net.degree_v, target.lo_v, target.hi_v)
     c = (rows @ c.reshape(c.shape[0], -1)).reshape(c.shape)
     return ControlNet(cols @ c)
+
+
+def restriction_growth(net: ControlNet, target: Rect) -> float:
+    """Bound on how much ``reparametrize(net, target)`` magnifies rounding.
+
+    The product over both axes of the absolute row sums of the two splits
+    behind each restriction matrix. A split at t has row sums at most
+    (|t| + |1 - t|)^m; in either split order this is at most (1 + 2e)^m for
+    a target reaching a distance e past 0 or past 1, and 1 inside [0, 1].
+    """
+    u = (1.0 + 2.0 * max(0.0, -target.lo_u)) * (1.0 + 2.0 * max(0.0, target.hi_u - 1.0))
+    v = (1.0 + 2.0 * max(0.0, -target.lo_v)) * (1.0 + 2.0 * max(0.0, target.hi_v - 1.0))
+    return u**net.degree_u * v**net.degree_v
 
 
 def extract_pair(net: ControlNet, pair: tuple[int, int]) -> ControlNet:

@@ -9,6 +9,11 @@ test domain. A pass guarantees Newton's method from x0 converges
 quadratically to the unique zero of that sub-system nearby, and yields an
 explored region around the zero in which no other zero can hide.
 
+Most tested squares fail, and a failure needs only a lower bound on omega:
+4 |J^-1 f''| at the square's center, less a proven rounding allowance.
+Pairs it fails restrict nothing and compute omega only when it is read;
+the others take the full test, so every status and value is unchanged.
+
 ``test_pairs`` is the only producer of eta, omega, rho_minus and rho_plus;
 a numerically singular Jacobian is a pair status, not an exception. All
 norms are infinity norms, so balls, test domains and explored regions are
@@ -27,11 +32,12 @@ import numpy as np
 from .geometry import (
     ControlNet,
     Rect,
+    center_jet,
     derivative_net,
     eval_net,  # noqa: F401 -- unused here; bench/tracing.py patches this binding
     extract_pair,
-    jet,
     reparametrize,
+    restriction_growth,
 )
 
 __all__ = [
@@ -62,17 +68,34 @@ class PairStatus(enum.Enum):
     SINGULAR_JACOBIAN = "singular_jacobian"
 
 
-@dataclass(frozen=True)
 class PairTest:
-    """Result of the convergence test for one component pair."""
+    """Result of the convergence test for one component pair.
 
-    pair: tuple[int, int]
-    status: PairStatus
-    test_domain: Rect
-    eta: float | None = None
-    omega: float | None = None
-    rho_minus: float | None = None
-    rho_plus: float | None = None
+    ``eta`` and ``omega`` are None for a singular Jacobian; the radii are set
+    only when eta * omega <= 1/4. ``omega`` may be given as a function of no
+    arguments, called on the first read and then kept: ``test_pairs`` defers
+    it for a convergence failure that omega's lower bound settled, since the
+    solver never reads that omega.
+    """
+
+    def __init__(
+        self,
+        pair: tuple[int, int],
+        status: PairStatus,
+        test_domain: Rect,
+        eta: float | None = None,
+        omega: float | Callable[[], float] | None = None,
+        rho_minus: float | None = None,
+        rho_plus: float | None = None,
+    ):
+        self.pair, self.status, self.test_domain, self.eta = pair, status, test_domain, eta
+        self._omega, self.rho_minus, self.rho_plus = omega, rho_minus, rho_plus
+
+    @property
+    def omega(self) -> float | None:
+        if callable(self._omega):
+            self._omega = self._omega()
+        return self._omega
 
 
 @dataclass(frozen=True)
@@ -129,6 +152,8 @@ class PairSystem:
     def __init__(self, net: ControlNet, pair: tuple[int, int]):
         self.pair = pair
         self.net = extract_pair(net, pair)
+        # The scale of every rounding error in the nets derived from ``net``.
+        self.max_coeff = float(np.abs(self.net.coeffs).max())
 
     def omega(self, jac_inv: np.ndarray, block: np.ndarray) -> float:
         """Certified Lipschitz constant for the preconditioned Jacobian on a test domain.
@@ -159,29 +184,90 @@ def rho_radii(eta_value: float, omega_value: float) -> tuple[float, float]:
     return 2.0 * eta_value / (1.0 + s), (1.0 + s) / omega_value
 
 
+_UNIT_ROUNDOFF = 2.0**-53
+# Relative margin of omega's lower bound: it absorbs the rounding of the
+# bound's own arithmetic and of comparing eta * omega with 1/4.
+_FLOOR_GUARD = 1e-9
+
+
+def _floor_slack(net: ControlNet, half_width: float, domain: Rect) -> float:
+    """The rounding allowance of ``_omega_floor`` over ``domain``, per unit of S |J^-1|."""
+    m, n = net.degree_u, net.degree_v
+    width = 2.0 * half_width
+    depth = max(0, 1 - math.frexp(width)[1])  # log2(1 / width), rounded up
+    levels = (depth + 2) / (width * width)
+    growth = restriction_growth(net, domain)
+    return 32 * (m + n + 2) * max(m, n) ** 2 * _UNIT_ROUNDOFF * (levels + 8.0 * growth)
+
+
+def _omega_floor(
+    system: PairSystem,
+    jac_inv: list[list[float]],
+    curvature: list[list[float]],
+    slack: float,
+) -> float:
+    """A lower bound on the pair's omega, as the full test computes it.
+
+    ``curvature`` holds f_uu, f_uv and f_vv at the square's center, from the
+    square's net with exact weights, divided by (2h)^2. In exact arithmetic
+    each is a convex combination of its second-derivative net's Bernstein
+    coefficients over any domain that holds the center, so
+    4 max |J^-1 f''(center)| <= omega. The allowance ``slack`` S |J^-1|, with
+    S = ``system.max_coeff``, is 4 |J^-1| 4 M^2 2 (m + n + 2) u S
+    ((d + 2) / (2h)^2 + 8 G) (``_floor_slack``), M = max(m, n), u the unit
+    roundoff, d the depth:
+
+    - The net went down d quarter restrictions with exact, convex weights,
+      each adding at most (m + n + 2) u S to a coefficient; second-derivative
+      weights at 1/2 sum in absolute value to at most 4 M^2. The d levels,
+      the contraction's rounding and that of the J^-1 products: d + 2.
+    - The second-derivative nets are rounded differences of the root net,
+      off by at most 16 M^2 u S, and the full test restricts them with split
+      weights good to (m + 4) u each, two products and the J^-1 product: at
+      most (4 (m + n) + 22) u G 4 M^2 S, with G the domain's
+      ``restriction_growth``. 8 G covers both.
+
+    ``_FLOOR_GUARD`` covers the rest, so eta * floor > 1/4 implies that the
+    full test's eta * omega exceeds 1/4 as well.
+    """
+    (a, b), (c, d) = jac_inv
+    i, k = system.pair
+    lower = 4.0 * max(
+        max(abs(a * f[i] + b * f[k]), abs(c * f[i] + d * f[k])) for f in curvature
+    )
+    norm = max(abs(a) + abs(b), abs(c) + abs(d))
+    return lower * (1.0 - _FLOOR_GUARD) - slack * system.max_coeff * norm
+
+
 def _test_one_pair(
     system: PairSystem,
     value: list[float],
     jac: list[list[float]],
+    curvature: list[list[float]],
     block_over: Callable[[Rect], np.ndarray],
     domain: Rect,
+    slack: float,
     domain_half_width: float,
 ) -> PairTest:
     i, k = system.pair
     jac_inv = inverse_2x2((jac[i], jac[k]))
     if jac_inv is None:
         return PairTest(system.pair, PairStatus.SINGULAR_JACOBIAN, domain)
-    (a, b), (c, d) = jac_inv.tolist()
+    inv = jac_inv.tolist()
+    (a, b), (c, d) = inv
     f0, f1 = value[i], value[k]
     eta_value = max(abs(a * f0 + b * f1), abs(c * f0 + d * f1))
-    omega_value = system.omega(jac_inv, block_over(domain))
+    def omega() -> float:
+        return system.omega(jac_inv, block_over(domain))
+
+    if eta_value * _omega_floor(system, inv, curvature, slack) > 0.25:
+        return PairTest(
+            system.pair, PairStatus.FAIL_CONVERGENCE, domain, eta=eta_value, omega=omega
+        )
+    omega_value = omega()
     if eta_value * omega_value > 0.25:
         return PairTest(
-            system.pair,
-            PairStatus.FAIL_CONVERGENCE,
-            domain,
-            eta=eta_value,
-            omega=omega_value,
+            system.pair, PairStatus.FAIL_CONVERGENCE, domain, eta=eta_value, omega=omega_value
         )
     rho_minus, rho_plus = rho_radii(eta_value, omega_value)
     status = (
@@ -210,20 +296,31 @@ def test_pairs(
 
     ``seconds`` are the full map's second-derivative nets over the unit
     square (``second_derivative_nets``) and ``net`` is the full difference
-    net restricted to the square of the given center and half-width.
-    ``scales`` are the per-pair test-domain multipliers: pair k is tested in
-    the square of half-width scales[k] * half_width about ``center``.
+    net restricted to the square of the given center and half-width, carried
+    down by quarter restrictions as ``solve`` does (omega's lower bound
+    assumes so). ``scales`` are the per-pair test-domain multipliers: pair k
+    is tested in the square of half-width scales[k] * half_width about
+    ``center``.
 
-    Value and Jacobian at the center come from ``net`` at (1/2, 1/2); local
-    derivatives are global ones times 2 * half_width, a power of two for
-    solver squares, so the conversion is exact. The 2x2 algebra runs on
-    Python floats. omega restricts ``seconds`` over each distinct test
-    domain once, with one ``reparametrize`` call per net, and stacks them
-    into one block that the pairs share.
+    Value, Jacobian and second derivatives at the center come from one
+    contraction of ``net`` at (1/2, 1/2); derivatives of order j are local
+    ones divided by (2 * half_width)^j, a power of two for solver squares, so
+    the conversion is exact. The 2x2 algebra runs on Python floats. Pairs
+    that omega's lower bound cannot fail restrict ``seconds`` over each
+    distinct test domain once, with one ``reparametrize`` call per net,
+    stacked into one block that the pairs share.
     """
-    value, jac = jet(net, (0.5, 0.5))
-    value, jac = value.tolist(), (jac / (2.0 * half_width)).tolist()
-    domains = {s: Rect.ball(center, s * half_width) for s in set(scales)}
+    grid = center_jet(net).tolist()
+    width = 2.0 * half_width
+    value = grid[0][0]
+    jac = [[du / width, dv / width] for du, dv in zip(grid[1][0], grid[0][1])]
+    curvature = [
+        [x / (width * width) for x in f] for f in (grid[2][0], grid[1][1], grid[0][2])
+    ]
+    domains = {}
+    for s in set(scales):
+        domain = Rect.ball(center, s * half_width)
+        domains[s] = domain, _floor_slack(net, half_width, domain)
     blocks: dict[Rect, np.ndarray] = {}
 
     def block_over(domain: Rect) -> np.ndarray:
@@ -235,7 +332,10 @@ def test_pairs(
 
     results: list[PairTest] = []
     for system, scale in zip(systems, scales):
-        t = _test_one_pair(system, value, jac, block_over, domains[scale], scale * half_width)
+        domain, slack = domains[scale]
+        t = _test_one_pair(
+            system, value, jac, curvature, block_over, domain, slack, scale * half_width
+        )
         results.append(t)
         if t.status is PairStatus.PASS:
             break

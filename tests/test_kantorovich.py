@@ -13,7 +13,15 @@ import pytest
 
 from cci import kantorovich
 from cci.engine import Square, region_prunes_square
-from cci.geometry import ControlNet, Rect, eval_net, extract_pair, jet, reparametrize
+from cci.geometry import (
+    ControlNet,
+    Rect,
+    center_jet,
+    eval_net,
+    extract_pair,
+    jet,
+    reparametrize,
+)
 from cci.kantorovich import (
     COMPONENT_PAIRS,
     PairStatus,
@@ -322,14 +330,9 @@ def test_singular_pairs_recorded_for_planar_curves():
         assert outcome.pairs[2].status is PairStatus.SINGULAR_JACOBIAN
 
 
-@pytest.mark.parametrize("planar, restrictions, omegas", [(False, 6, 3), (True, 3, 1)])
-def test_one_restriction_per_net_and_domain_one_omega_per_pair(
-    monkeypatch, planar, restrictions, omegas
-):
+def _count_restrictions_and_omegas(monkeypatch) -> dict[str, int]:
     # The benchmark tracer times omega's restrictions through the module's
-    # ``reparametrize`` binding and omega through ``PairSystem.omega``. Scales
-    # (1.5, 1.5, 1.45) give two test domains; each restricts the three
-    # second-derivative nets once, and only when a non-singular pair needs it.
+    # ``reparametrize`` binding and omega through ``PairSystem.omega``.
     calls = {"reparametrize": 0, "omega": 0}
 
     def counted(name, fn):
@@ -341,14 +344,60 @@ def test_one_restriction_per_net_and_domain_one_omega_per_pair(
 
     monkeypatch.setattr(kantorovich, "reparametrize", counted("reparametrize", reparametrize))
     monkeypatch.setattr(PairSystem, "omega", counted("omega", PairSystem.omega))
-    coeffs = random_net_coeffs(np.random.default_rng(49), 5, 4)
-    if planar:
-        coeffs[:, :, 2] = 0.0
+    return calls
+
+
+@pytest.mark.parametrize("planar, restrictions, omegas", [(False, 6, 3), (True, 3, 1)])
+def test_one_restriction_per_net_and_domain_one_omega_per_pair(
+    monkeypatch, planar, restrictions, omegas
+):
+    # An affine map has omega = 0, so omega's lower bound decides nothing and
+    # every non-singular pair takes the full test. Scales (1.5, 1.5, 1.45)
+    # give two test domains; each restricts the three second-derivative nets
+    # once, and only when a non-singular pair needs it. The zero lies far
+    # outside the domains, so every pair fails containment.
+    b = np.array([8.0, 8.0, 0.0 if planar else 8.0])
+    gu = np.array([1.0, 0.0, 0.0 if planar else 0.5])
+    gv = np.array([0.0, 1.0, 0.0 if planar else -0.5])
+    coeffs = np.array([[b + (i / 2) * gu + (j / 2) * gv for j in range(3)] for i in range(3)])
+    calls = _count_restrictions_and_omegas(monkeypatch)
     outcome = _test_square(ControlNet(coeffs), (0.5, 0.5), 0.5, (1.5, 1.5, 1.45))
     assert outcome.passed is None and len(outcome.pairs) == 3
     singular = [t.status is PairStatus.SINGULAR_JACOBIAN for t in outcome.pairs]
     assert singular == [False, planar, planar]
+    assert outcome.pairs[0].status is PairStatus.FAIL_CONTAINMENT
     assert calls == {"reparametrize": restrictions, "omega": omegas}
+
+
+def test_pairs_failed_by_omegas_lower_bound_restrict_nothing(monkeypatch):
+    calls = _count_restrictions_and_omegas(monkeypatch)
+    coeffs = random_net_coeffs(np.random.default_rng(49), 5, 4)
+    outcome = _test_square(ControlNet(coeffs), (0.5, 0.5), 0.5, (1.5, 1.5, 1.45))
+    assert [t.status for t in outcome.pairs] == [PairStatus.FAIL_CONVERGENCE] * 3
+    assert calls == {"reparametrize": 0, "omega": 0}
+
+
+def test_deferred_omega_restricts_once_per_domain_and_equals_the_eager_one(monkeypatch):
+    net = ControlNet(random_net_coeffs(np.random.default_rng(49), 5, 4))
+    seconds = second_derivative_nets(net)
+    systems = [PairSystem(net, pair) for pair in COMPONENT_PAIRS]
+    jac = jet(net, (0.5, 0.5))[1]
+    eager = []
+    for system, scale in zip(systems, (1.5, 1.5, 1.45)):
+        domain = Rect.ball((0.5, 0.5), scale * 0.5)
+        block = np.concatenate([reparametrize(n, domain).coeffs.reshape(-1, 3) for n in seconds])
+        eager.append(system.omega(inverse_2x2(jac[list(system.pair)]), block))
+    calls = _count_restrictions_and_omegas(monkeypatch)
+    outcome = kantorovich.test_pairs(systems, seconds, net, (0.5, 0.5), 0.5, (1.5, 1.5, 1.45))
+    first, second, third = outcome.pairs
+    assert calls == {"reparametrize": 0, "omega": 0}
+    assert first.omega == eager[0] and first.omega == eager[0]
+    assert calls == {"reparametrize": 3, "omega": 1}
+    # The second pair shares the first one's test domain and its block.
+    assert second.omega == eager[1]
+    assert calls == {"reparametrize": 3, "omega": 2}
+    assert third.omega == eager[2]
+    assert calls == {"reparametrize": 6, "omega": 3}
 
 
 def test_classification_matches_monomial_reimplementation():
@@ -529,48 +578,145 @@ def _exact_restriction(m: int, a: float, b: float) -> np.ndarray:
     return matrix
 
 
+_QUARTERS = [Rect(a, a + 0.5, b, b + 0.5) for b in (0.0, 0.5) for a in (0.0, 0.5)]
+
+
+def _carried_square(net, path):
+    """(net, center, half-width) of the square reached by quartering along ``path``.
+
+    The net is carried down one quarter restriction per step, as ``solve``
+    carries it; ``path`` holds quarter indices in ``_QUARTERS`` order.
+    """
+    carried, lo_u, lo_v, width = net, 0.0, 0.0, 1.0
+    for k in path:
+        carried = reparametrize(carried, _QUARTERS[k])
+        width *= 0.5
+        lo_u += _QUARTERS[k].lo_u * 2.0 * width
+        lo_v += _QUARTERS[k].lo_v * 2.0 * width
+    h = 0.5 * width
+    return carried, (lo_u + h, lo_v + h), h
+
+
+def _curvature(carried, half_width):
+    """f_uu, f_uv and f_vv at the square's center, as ``test_pairs`` takes them."""
+    grid = center_jet(carried)
+    return (grid[(2, 1, 0), (0, 1, 2)] / (2.0 * half_width) ** 2).tolist()
+
+
+def _always_restricting_test(systems, seconds, net, center, half_width, scales):
+    """(status, eta, omega, rho_minus) per tested pair, omega always restricted.
+
+    The convergence test without omega's lower bound: every non-singular
+    pair restricts the second-derivative nets over its test domain.
+    """
+    value, jac = jet(net, (0.5, 0.5))
+    value, jac = value.tolist(), jac / (2.0 * half_width)
+    results = []
+    for system, scale in zip(systems, scales):
+        i, k = system.pair
+        jac_inv = inverse_2x2(jac[[i, k]])
+        if jac_inv is None:
+            results.append((PairStatus.SINGULAR_JACOBIAN, None, None, None))
+            continue
+        (a, b), (c, d) = jac_inv.tolist()
+        eta = max(abs(a * value[i] + b * value[k]), abs(c * value[i] + d * value[k]))
+        domain = Rect.ball(center, scale * half_width)
+        block = np.concatenate([reparametrize(n, domain).coeffs.reshape(-1, 3) for n in seconds])
+        omega = system.omega(jac_inv, block)
+        if eta * omega > 0.25:
+            results.append((PairStatus.FAIL_CONVERGENCE, eta, omega, None))
+            continue
+        rho_minus = rho_radii(eta, omega)[0]
+        status = PairStatus.PASS if rho_minus <= scale * half_width else PairStatus.FAIL_CONTAINMENT
+        results.append((status, eta, omega, rho_minus))
+        if status is PairStatus.PASS:
+            break
+    return results
+
+
+def test_statuses_and_read_values_match_the_always_restricting_test():
+    # Squares along random quarter paths toward a zero of the net, carried
+    # down as the solver carries them, at depths 0-24 and random per-pair
+    # scales: some planar (singular pairs), some passing, most failing.
+    rng = np.random.default_rng(52)
+    seen = {"deferred": 0, "restricted failure": 0, "pass": 0, "singular": 0}
+    for _ in range(300):
+        m, n = (int(k) for k in rng.integers(2, 10, 2))
+        coeffs = random_net_coeffs(rng, m, n)
+        if rng.random() < 0.2:
+            coeffs[:, :, 2] = 0.0
+        z = tuple(rng.uniform(0.0, 1.0, 2))
+        net = ControlNet(coeffs - eval_net(ControlNet(coeffs), *z))
+        path, lo, width = [], [0.0, 0.0], 1.0
+        for _ in range(int(rng.integers(0, 25))):
+            width *= 0.5
+            k = int(rng.integers(0, 4)) if rng.random() < 0.1 else (
+                int(z[0] >= lo[0] + width) + 2 * int(z[1] >= lo[1] + width)
+            )
+            lo[0] += width * (k % 2)
+            lo[1] += width * (k // 2)
+            path.append(k)
+        carried, center, h = _carried_square(net, path)
+        scales = tuple(float(x) for x in 1.0 + 0.05 * rng.integers(0, 31, 3))
+        seconds = second_derivative_nets(net)
+        systems = [PairSystem(net, pair) for pair in COMPONENT_PAIRS]
+        outcome = kantorovich.test_pairs(systems, seconds, carried, center, h, scales)
+        expected = _always_restricting_test(systems, seconds, carried, center, h, scales)
+        assert len(outcome.pairs) == len(expected)
+        for t, (status, eta, omega, rho_minus) in zip(outcome.pairs, expected):
+            if callable(t._omega):
+                seen["deferred"] += 1
+            elif status is PairStatus.FAIL_CONVERGENCE:
+                seen["restricted failure"] += 1
+            elif status is not PairStatus.FAIL_CONTAINMENT:
+                seen[status.value.split("_")[0]] += 1
+            assert t.status is status
+            assert t.eta == eta and t.omega == omega and t.rho_minus == rho_minus
+    assert min(seen.values()) >= 5, seen
+
+
 def test_omega_on_deep_squares_matches_exact_restriction():
     # The solver tests a depth-d square from its net carried down d quarter
     # restrictions; omega must still equal, to rounding, the bound from the
     # root's second-derivative nets restricted exactly over the test domain.
     # Taking omega from the carried net's own second differences lost
     # relative accuracy like 2^d and undershot here by up to 1e-7.
+    # omega's lower bound at the center, less its rounding allowance, must
+    # never exceed the exact omega, and it must decide shallow squares.
     rng = np.random.default_rng(48)
-    quarters = [Rect(a, a + 0.5, b, b + 0.5) for b in (0.0, 0.5) for a in (0.0, 0.5)]
-    checked = 0
-    for depth in (20, 30, 40):
-        for _ in range(2):
-            m, n = (int(k) for k in rng.integers(6, 10, 2))
-            net = ControlNet(random_net_coeffs(rng, m, n))
-            carried, lo_u, lo_v, width = net, 0.0, 0.0, 1.0
-            for k in rng.integers(0, 4, depth):
-                carried = reparametrize(carried, quarters[k])
-                width *= 0.5
-                lo_u += quarters[k].lo_u * 2.0 * width
-                lo_v += quarters[k].lo_v * 2.0 * width
-            h = 0.5 * width
-            center = (lo_u + h, lo_v + h)
-            seconds = second_derivative_nets(net)
-            systems = [PairSystem(net, pair) for pair in COMPONENT_PAIRS]
-            for scale in (1.0, 1.5, 2.5):
-                outcome = kantorovich.test_pairs(
-                    systems, seconds, carried, center, h, (scale,) * 3
-                )
-                jac = jet(carried, (0.5, 0.5))[1] / width
-                for t in outcome.pairs:
-                    if t.status is PairStatus.SINGULAR_JACOBIAN:
-                        continue
-                    pair = list(t.pair)
-                    jac_inv = np.linalg.inv(jac[pair])
-                    d = t.test_domain
-                    exact = 0.0
-                    for second in seconds:
-                        c = second.coeffs[:, :, pair].astype(object)
-                        rows = _exact_restriction(c.shape[0] - 1, d.lo_u, d.hi_u)
-                        cols = _exact_restriction(c.shape[1] - 1, d.lo_v, d.hi_v)
-                        c = np.einsum("ik,kld,jl->ijd", rows, c, cols).astype(float)
-                        exact = max(exact, float(np.abs(c @ jac_inv.T).max()))
-                    assert t.omega >= 4.0 * exact * (1.0 - 1e-13)
-                    assert t.omega <= 4.0 * exact * (1.0 + 1e-13)
-                    checked += 1
-    assert checked >= 12
+    checked = decided = 0
+    for depth in (*range(13), 20, 30, 40):
+        m, n = (int(k) for k in rng.integers(6, 10, 2))
+        net = ControlNet(random_net_coeffs(rng, m, n))
+        carried, center, h = _carried_square(net, rng.integers(0, 4, depth))
+        seconds = second_derivative_nets(net)
+        systems = [PairSystem(net, pair) for pair in COMPONENT_PAIRS]
+        jac = jet(carried, (0.5, 0.5))[1] / (2.0 * h)
+        curvature = _curvature(carried, h)
+        for scale in (1.0, 1.5, 2.5):
+            outcome = kantorovich.test_pairs(systems, seconds, carried, center, h, (scale,) * 3)
+            d = outcome.pairs[0].test_domain
+            restricted = []
+            for second in seconds:
+                c = second.coeffs.astype(object)
+                rows = _exact_restriction(c.shape[0] - 1, d.lo_u, d.hi_u)
+                cols = _exact_restriction(c.shape[1] - 1, d.lo_v, d.hi_v)
+                restricted.append(np.einsum("ik,kld,jl->ijd", rows, c, cols).reshape(-1, 3))
+            restricted = np.concatenate(restricted)
+            for system, t in zip(systems, outcome.pairs):
+                if t.status is PairStatus.SINGULAR_JACOBIAN:
+                    continue
+                pair = list(t.pair)
+                jac_inv = inverse_2x2(jac[pair])
+                exact_inv = np.array([[Fraction(x) for x in row] for row in jac_inv], dtype=object)
+                exact = 4 * max(abs(x) for x in (restricted[:, pair] @ exact_inv.T).flat)
+                assert t.omega >= float(exact) * (1.0 - 1e-13)
+                assert t.omega <= float(exact) * (1.0 + 1e-13)
+                slack = kantorovich._floor_slack(carried, h, d)
+                floor = kantorovich._omega_floor(system, jac_inv.tolist(), curvature, slack)
+                assert floor <= exact and floor <= t.omega
+                if t.eta * floor > 0.25:
+                    assert t.status is PairStatus.FAIL_CONVERGENCE
+                    decided += depth <= 6
+                checked += 1
+    assert checked >= 40 and decided >= 20
