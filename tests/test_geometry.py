@@ -14,6 +14,7 @@ from cci.geometry import (
     ControlNet,
     Rect,
     UNIT_SQUARE,
+    center_jet,
     derivative_curve,
     derivative_net,
     difference_net,
@@ -286,6 +287,25 @@ def _exact_eval_net(coeffs, u, v):
         ))
         for d in range(coeffs.shape[2])
     ])
+
+
+def test_center_jet_matches_jet_and_exact_second_derivatives():
+    # Entry (i, j) is the derivative i times along u and j times along v at
+    # (1/2, 1/2); value and Jacobian are jet's bit for bit.
+    rng = np.random.default_rng(14)
+    for m, n in [(0, 0), (1, 0), (0, 2), (2, 1), (3, 5), (9, 9), (16, 12)]:
+        net = ControlNet(random_net_coeffs(rng, m, n))
+        grid = center_jet(net)
+        value, jac = jet(net, (0.5, 0.5))
+        assert np.array_equal(grid[0, 0], value)
+        assert np.array_equal(grid[(1, 0), (0, 1)].T, jac)
+        for i, j in [(2, 0), (1, 1), (0, 2)]:
+            d = net
+            for axis in "u" * i + "v" * j:
+                d = derivative_net(d, axis)
+            exact = _exact_eval_net(d.coeffs, 0.5, 0.5)
+            scale = max(1.0, np.abs(d.coeffs).max())
+            assert np.abs(grid[i, j] - exact).max() <= 1e-14 * scale
 
 
 def test_jet_matches_exact_evaluation():
