@@ -8,20 +8,25 @@ runs in two stages:
 
 1. Axis test: some coordinate exceeds the margin, with one sign, at every
    coefficient. Pass.
-2. Wolfe's minimum-norm-point corrals (Wolfe, "Finding the nearest point in
-   a polytope", 1976; also the termination test of GJK), which walk convex
-   combinations x of at most four coefficients toward the hull's point
-   nearest the origin. They pass at the first x with min p.x > margin |x|
-   over the coefficients p, and fail otherwise.
+2. A GJK walk (Gilbert, Johnson & Keerthi, "A fast procedure for computing
+   the distance between complex objects in three-dimensional space", 1988)
+   toward the hull's point nearest the origin. Each major step adds the
+   coefficient p of least p.x to a simplex of at most four coefficients,
+   which a closed-form step in Python floats reduces to its point nearest
+   the origin and the smallest face that holds it (barycentric weights from
+   cross products and signed volumes, as in Montanari, Petrinic & Barbieri,
+   ACM TOG 2017). The walk passes at the first x with min p.x > margin |x|
+   over the coefficients p, and fails otherwise.
 
 A pass is sound: min p.x > margin |x| puts every coefficient, hence the
 whole hull, strictly on the positive side of the plane through the origin
 normal to x, and the dot products err by less than 2e-15 scale |x|, far
-below margin |x| at the default tol. A fail only means the origin could
-not be ruled out, so every other ending (x within the margin of the
-origin, x the minimum-norm point, a repeated vertex, a degenerate corral,
-a step that does not shorten x, or ``_MAX_MAJOR`` steps) fails
-conservatively.
+below margin |x| at the default tol. numpy computes that minimum over every
+coefficient, so soundness never rests on the simplex step. A fail only
+means the origin could not be ruled out, so every other ending (x within
+the margin of the origin, x the minimum-norm point, a repeated support
+coefficient, a degenerate face, a step that does not shorten x, or
+``_MAX_MAJOR`` steps) fails conservatively.
 """
 
 from __future__ import annotations
@@ -34,12 +39,12 @@ from .geometry import ControlNet
 
 __all__ = ["exclusion_test"]
 
-# Wolfe's method ends finitely in exact arithmetic; in floating point each
-# major step must shorten x, and at most _MAX_MAJOR are taken.
+# GJK ends finitely in exact arithmetic; in floating point each major step
+# must shorten x, and at most _MAX_MAJOR are taken.
 _MAX_MAJOR = 32
-# A corral whose Gram determinant falls below this share of the product of
-# its diagonal is treated as affinely dependent.
-_SINGULAR = 1e-12
+# A face whose squared volume falls below this share of the product of its
+# squared edge lengths from its first vertex is treated as degenerate.
+_DEGENERATE = 1e-12
 
 
 def exclusion_test(net: ControlNet, tol: float = 1e-12) -> bool:
@@ -49,7 +54,9 @@ def exclusion_test(net: ControlNet, tol: float = 1e-12) -> bool:
     only means a zero could not be ruled out. ``tol`` is relative to the
     coefficient scale (the decision is scale invariant): an origin within
     tol * scale of the hull counts as inside, a conservative fail. An
-    all-zero net is the origin itself, so it also fails.
+    all-zero net is the origin itself, so it also fails. The GJK walk works
+    in at most three dimensions; on a net of higher dimension the axis test
+    alone decides, and what it cannot pass fails conservatively.
     """
     pts = net.coeffs.reshape(-1, net.dim)
     scale = np.abs(pts).max()
@@ -58,55 +65,39 @@ def exclusion_test(net: ControlNet, tol: float = 1e-12) -> bool:
     margin = tol * scale
     if (pts.min(axis=0) > margin).any() or (pts.max(axis=0) < -margin).any():
         return True
-    return _separating_direction(pts, margin) is not None
+    return net.dim <= 3 and _separating_direction(pts, margin) is not None
 
 
 def _separating_direction(pts: np.ndarray, margin: float) -> np.ndarray | None:
-    """A direction x with min(pts @ x) > margin |x|, found by Wolfe's
-    corrals from the row of least norm, or None.
+    """A direction x with min(pts @ x) > margin |x|, found by a GJK walk from
+    the row of least norm, or None.
 
-    Each minor cycle drops a point and at most ``_MAX_MAJOR`` major steps
-    run, so the call always ends.
+    Rows of 1 to 3 columns are padded to three for the simplex step, and x
+    is cut back to the rows' width. At most ``_MAX_MAJOR`` major steps run,
+    so the call always ends.
     """
-    corral = [int(np.einsum("ij,ij->i", pts, pts).argmin())]
-    weights = [1.0]
-    x = pts[corral[0]]
-    nx = math.hypot(*x)
+    dim = pts.shape[1]
+    pad = (0.0,) * (3 - dim)
+    x = pts[np.einsum("ij,ij->i", pts, pts).argmin()]
+    simplex = [(*x.tolist(), *pad)]
+    nx = math.hypot(*simplex[0])
     dots = pts @ x
     for _ in range(_MAX_MAJOR):
         if nx <= margin:
             return None
         j = int(dots.argmin())
-        if dots[j] > margin * nx:
+        support = float(dots[j])
+        if support > margin * nx:
             return x
-        if nx * nx - dots[j] <= 0.0 or j in corral:
+        point = (*pts[j].tolist(), *pad)
+        if nx * nx - support <= 0.0 or point in simplex:
             return None
-        corral.append(j)
-        weights.append(0.0)
-        while True:  # minor cycles: each one drops at least one point
-            corral_pts = pts[corral]
-            alpha = _affine_minimizer(corral_pts)
-            if alpha is None:
-                return None
-            if min(alpha) > 0.0:
-                weights = alpha
-                break
-            # Move from the weights toward alpha until a weight reaches 0.
-            theta, drop = min(
-                (w / (w - a) if w > 0.0 else 0.0, i)
-                for i, (w, a) in enumerate(zip(weights, alpha))
-                if a <= 0.0
-            )
-            weights = [(1.0 - theta) * w + theta * a for w, a in zip(weights, alpha)]
-            keep = [i for i, w in enumerate(weights) if i != drop and w > 0.0]
-            if not keep:
-                return None
-            corral = [corral[i] for i in keep]
-            weights = [weights[i] for i in keep]
-        total = sum(weights)
-        weights = [w / total for w in weights]
-        x = np.asarray(weights) @ corral_pts
-        new_nx = math.hypot(*x)
+        nearest = _nearest_face([*simplex, point])
+        if nearest is None:
+            return None
+        y, simplex = nearest
+        x = np.array(y[:dim])
+        new_nx = math.hypot(*y)
         dots = pts @ x
         if not new_nx < nx:
             # Rounding stalled the walk; its last point may still separate.
@@ -115,55 +106,64 @@ def _separating_direction(pts: np.ndarray, margin: float) -> np.ndarray | None:
     return None
 
 
-def _affine_minimizer(corral_pts: np.ndarray) -> list[float] | None:
-    """Weights, summing to 1, of the least-norm point of the rows' affine hull.
+def _nearest_face(simplex: list[tuple]) -> tuple[tuple, list[tuple]] | None:
+    """The point y of the hull of 1 to 4 points in 3D nearest the origin, and
+    the smallest face of the simplex that holds it; None when a segment,
+    triangle or tetrahedron met on the way is degenerate.
 
-    With q_i = p_i - p_0, the point y = p_0 + sum b_i q_i is least when
-    G b = -Q p_0 for the Gram matrix G = Q Q^T. One step of iterative
-    refinement against the residual Q y recovers the accuracy that forming
-    G loses on flat corrals. None when the rows are affinely dependent to
-    within ``_SINGULAR``, there are more than four, or a weight is not
-    finite.
+    When the origin's projection onto the points' affine hull has positive
+    barycentric weights (kept up to a positive factor), it is y. Otherwise y
+    lies on a facet opposite a point of weight <= 0: the nearest facet's y.
     """
-    p0 = corral_pts[0]
-    q = corral_pts[1:] - p0
-    if q.shape[0] == 0:
-        return [1.0]
-    inverse = _gram_inverse((q @ q.T).tolist())
-    if inverse is None:
-        return None
-    beta = inverse @ -(q @ p0)
-    beta -= inverse @ (q @ (p0 + beta @ q))
-    alpha = [1.0 - float(beta.sum()), *beta.tolist()]
-    return alpha if all(math.isfinite(a) for a in alpha) else None
-
-
-def _gram_inverse(g: list[list[float]]) -> np.ndarray | None:
-    """Inverse of a symmetric positive definite matrix of order 1 to 3, by
-    its adjugate; None for a larger or (nearly) singular one.
-
-    Not ``np.linalg.inv``, which made ``paper_suite`` 14% slower end to end,
-    nor ``kantorovich.inverse_2x2``, whose absolute singularity floor would
-    make the hull test depend on the units of the input.
-    """
-    if len(g) == 1:
-        (a,), = g
-        return np.array([[1.0 / a]]) if a > 0.0 else None
-    if len(g) == 2:
-        (a, b), (_, c) = g
-        det = a * c - b * b
-        if not det > _SINGULAR * a * c:
+    a, *rest = simplex
+    if not rest:
+        return a, simplex
+    u = _sub(rest[0], a)
+    if len(simplex) == 2:
+        uu = _dot(u, u)
+        if not uu > 0.0:
             return None
-        return np.array([[c, -b], [-b, a]]) / det
-    if len(g) == 3:
-        (a, b, c), (_, e, f), (_, _, i) = g
-        adj = np.array([
-            [e * i - f * f, c * f - b * i, b * f - c * e],
-            [c * f - b * i, a * i - c * c, b * c - a * f],
-            [b * f - c * e, b * c - a * f, a * e - b * b],
-        ])
-        det = a * adj[0, 0] + b * adj[0, 1] + c * adj[0, 2]
-        if not det > _SINGULAR * a * e * i:
+        t = -_dot(a, u) / uu
+        y, weights = (a[0] + t * u[0], a[1] + t * u[1], a[2] + t * u[2]), (1.0 - t, t)
+    elif len(simplex) == 3:
+        b, c = rest
+        v = _sub(c, a)
+        n = _cross(u, v)
+        nn = _dot(n, n)
+        if not nn > _DEGENERATE * _dot(u, u) * _dot(v, v):
             return None
-        return adj / det
-    return None
+        t = _dot(a, n) / nn
+        y = (t * n[0], t * n[1], t * n[2])
+        weights = (_dot(n, _cross(b, c)), _dot(n, _cross(c, a)), _dot(n, _cross(a, b)))
+    else:
+        b, c, d = rest
+        v, w = _sub(c, a), _sub(d, a)
+        volume = _dot(u, _cross(v, w))
+        if not volume * volume > _DEGENERATE * _dot(u, u) * _dot(v, v) * _dot(w, w):
+            return None
+        cd, ab = _cross(c, d), _cross(a, b)
+        y = (0.0, 0.0, 0.0)
+        weights = [volume * s for s in (_dot(b, cd), -_dot(a, cd), _dot(ab, d), -_dot(ab, c))]
+    if min(weights) > 0.0:
+        return y, simplex
+    best = None
+    for drop, weight in enumerate(weights):
+        if weight <= 0.0:
+            found = _nearest_face(simplex[:drop] + simplex[drop + 1:])
+            if found is None:
+                return None
+            if best is None or _dot(found[0], found[0]) < _dot(best[0], best[0]):
+                best = found
+    return best
+
+
+def _sub(p: tuple, q: tuple) -> tuple:
+    return p[0] - q[0], p[1] - q[1], p[2] - q[2]
+
+
+def _dot(p: tuple, q: tuple) -> float:
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+
+def _cross(p: tuple, q: tuple) -> tuple:
+    return p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0]

@@ -120,19 +120,20 @@ class KantorovichOutcome:
 _SINGULAR_RTOL = 1e-14
 
 
-def inverse_2x2(jac: np.ndarray | Sequence[Sequence[float]]) -> np.ndarray | None:
-    """J^-1 of a 2x2 Jacobian (array or nested sequence of floats), or None
-    when J is numerically singular.
+def inverse_2x2(jac: np.ndarray | Sequence[Sequence[float]]) -> list[list[float]] | None:
+    """J^-1 of a 2x2 Jacobian (array or nested sequence of floats) as nested
+    lists of its entries' type, or None when J is numerically singular.
 
     J counts as singular when |det J| <= 1e-14 * max(1, |J|^2) in the
-    infinity norm, decided on the four entries as scalars.
+    infinity norm, decided on the four entries as scalars. The entries stay
+    scalars: a caller that needs an array builds it.
     """
     (a, b), (c, d) = jac
     det = a * d - b * c
     norm = max(abs(a) + abs(b), abs(c) + abs(d))
     if abs(det) <= _SINGULAR_RTOL * max(1.0, norm**2):
         return None
-    return np.array([[d, -b], [-c, a]]) / det
+    return [[d / det, -b / det], [-c / det, a / det]]
 
 
 def second_derivative_nets(net: ControlNet) -> tuple[ControlNet, ControlNet, ControlNet]:
@@ -155,7 +156,7 @@ class PairSystem:
         # The scale of every rounding error in the nets derived from ``net``.
         self.max_coeff = float(np.abs(self.net.coeffs).max())
 
-    def omega(self, jac_inv: np.ndarray, block: np.ndarray) -> float:
+    def omega(self, jac_inv: Sequence[Sequence[float]], block: np.ndarray) -> float:
         """Certified Lipschitz constant for the preconditioned Jacobian on a test domain.
 
         ``block`` stacks the coefficients of f_uu, f_uv and f_vv of the full
@@ -165,7 +166,7 @@ class PairSystem:
         matrix row sums at most four second-derivative entries);
         preconditioning by J^-1 is linear, so it applies to coefficients.
         """
-        return 4.0 * float(np.abs(block[:, self.pair] @ jac_inv.T).max())
+        return 4.0 * float(np.abs(block[:, self.pair] @ np.array(jac_inv).T).max())
 
 
 def rho_radii(eta_value: float, omega_value: float) -> tuple[float, float]:
@@ -253,14 +254,13 @@ def _test_one_pair(
     jac_inv = inverse_2x2((jac[i], jac[k]))
     if jac_inv is None:
         return PairTest(system.pair, PairStatus.SINGULAR_JACOBIAN, domain)
-    inv = jac_inv.tolist()
-    (a, b), (c, d) = inv
+    (a, b), (c, d) = jac_inv
     f0, f1 = value[i], value[k]
     eta_value = max(abs(a * f0 + b * f1), abs(c * f0 + d * f1))
     def omega() -> float:
         return system.omega(jac_inv, block_over(domain))
 
-    if eta_value * _omega_floor(system, inv, curvature, slack) > 0.25:
+    if eta_value * _omega_floor(system, jac_inv, curvature, slack) > 0.25:
         return PairTest(
             system.pair, PairStatus.FAIL_CONVERGENCE, domain, eta=eta_value, omega=omega
         )

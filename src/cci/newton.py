@@ -43,11 +43,11 @@ def newton_solve(
     converged = False
     for _ in range(max_iter):
         value, jac = jet(pair_net, x)
-        jac_inv = inverse_2x2(jac)
+        jac_inv = inverse_2x2(jac.tolist())
         if jac_inv is None:
             failure = "singular Jacobian at iterate"
             break
-        step = -(jac_inv @ value)
+        step = -(np.array(jac_inv) @ value)
         x = x + step
         iterations += 1
         if float(np.abs(step).max()) <= tol:

@@ -123,7 +123,7 @@ def _net_with_zero_at(rng, z, m=3, n=3):
 # eta = |J^-1 F| through inverse_2x2, the one 2x2 routine
 
 def _eta(jac, value):
-    return float(np.abs(inverse_2x2(jac) @ value).max())
+    return float(np.abs(np.array(inverse_2x2(jac)) @ value).max())
 
 
 def test_eta_zero_value():
@@ -143,7 +143,7 @@ def test_eta_matches_lapack_solve():
             continue
         value = rng.normal(size=2)
         expected = np.linalg.solve(jac, value)
-        assert np.abs(inverse_2x2(jac) @ value - expected).max() <= 1e-12
+        assert np.abs(np.array(inverse_2x2(jac)) @ value - expected).max() <= 1e-12
         assert _eta(jac, value) == pytest.approx(float(np.abs(expected).max()), abs=1e-12)
 
 
@@ -618,7 +618,7 @@ def _always_restricting_test(systems, seconds, net, center, half_width, scales):
         if jac_inv is None:
             results.append((PairStatus.SINGULAR_JACOBIAN, None, None, None))
             continue
-        (a, b), (c, d) = jac_inv.tolist()
+        (a, b), (c, d) = jac_inv
         eta = max(abs(a * value[i] + b * value[k]), abs(c * value[i] + d * value[k]))
         domain = Rect.ball(center, scale * half_width)
         block = np.concatenate([reparametrize(n, domain).coeffs.reshape(-1, 3) for n in seconds])
@@ -713,7 +713,7 @@ def test_omega_on_deep_squares_matches_exact_restriction():
                 assert t.omega >= float(exact) * (1.0 - 1e-13)
                 assert t.omega <= float(exact) * (1.0 + 1e-13)
                 slack = kantorovich._floor_slack(carried, h, d)
-                floor = kantorovich._omega_floor(system, jac_inv.tolist(), curvature, slack)
+                floor = kantorovich._omega_floor(system, jac_inv, curvature, slack)
                 assert floor <= exact and floor <= t.omega
                 if t.eta * floor > 0.25:
                     assert t.status is PairStatus.FAIL_CONVERGENCE
