@@ -278,20 +278,20 @@ DEGENERATE_CLOUDS = {
 def test_degenerate_clouds_end_within_the_bound(name, monkeypatch):
     decision, points = DEGENERATE_CLOUDS[name]
     points = np.array(points, dtype=float)
-    steps, calls = [], []
+    steps, active = [], []
     nearest_face = exclusion._nearest_face
 
     def counted(simplex):
-        if not calls:  # a major step's call, not one it makes on a facet
+        if not active:  # a major step's call, not one it makes on a facet
             steps.append(len(simplex))
-        calls.append(len(simplex))
+        active.append(simplex)
         try:
             return nearest_face(simplex)
         finally:
-            calls.pop()
+            active.pop()
 
     monkeypatch.setattr(exclusion, "_nearest_face", counted)
-    assert _cloud_test(points) == decision
+    assert _cloud_test(points) == decision == wolfe_reference.decides(points)
     # Each major step reduces one simplex of at most four points.
     assert len(steps) <= exclusion._MAX_MAJOR
     assert all(size <= 4 for size in steps)
@@ -397,11 +397,6 @@ def _walk_decisions(clouds, tol=1e-12):
         if passed != wolfe_reference.decides(pts, tol):
             differing.append(pts)
     return decisions, differing
-
-
-def test_decisions_match_wolfe_on_degenerate_clouds():
-    decisions, differing = _walk_decisions(points for _, points in DEGENERATE_CLOUDS.values())
-    assert not differing and decisions[True, False] >= 8
 
 
 def test_decisions_match_wolfe_on_every_suite_hull_call(problems_dir, monkeypatch):
