@@ -9,6 +9,11 @@ exclusion are always quartered, and the children's per-pair test-domain
 multipliers are adapted from the parent's test outcome (grown after a
 containment failure, shrunk after a convergence failure). Fixed mode is the
 same rule with a step of 0.
+
+The queue runs breadth-first, so the squares next in line come in families
+of four siblings. The nets of the next families are restricted from their
+parents' nets, and put through the exclusion test's axis stage, in one
+batch; each square then meets its fate one at a time, in queue order.
 """
 
 from __future__ import annotations
@@ -17,21 +22,24 @@ import logging
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable
 
 import numpy as np
 
-from .exclusion import exclusion_test
+from .exclusion import (
+    axis_test,
+    exclusion_test,  # noqa: F401 -- unused here; bench/tracing.py patches this binding
+    walk_test,
+)
 from .geometry import (
     BezierCurve,
     ControlNet,
     Rect,
-    UNIT_SQUARE,
     difference_net,
     eval_curve,
     eval_net,
-    reparametrize,
+    reparametrize,  # noqa: F401 -- unused here; bench/tracing.py patches this binding
+    restrict_quarters,
 )
 from .kantorovich import (
     COMPONENT_PAIRS,
@@ -71,15 +79,11 @@ INITIAL_SCALE = 1.5
 _DOMAIN_SLACK = 1e-9
 _DUPLICATE_TOL = 1e-9
 
-Observer = Callable[[str, dict], None]
+# At most this many parents have their children restricted and axis-tested
+# in one batch.
+_BATCH_PARENTS = 64
 
-# Each child's quarter of its parent's local unit square, in child order.
-_QUARTERS = (
-    Rect(0.0, 0.5, 0.0, 0.5),
-    Rect(0.5, 1.0, 0.0, 0.5),
-    Rect(0.0, 0.5, 0.5, 1.0),
-    Rect(0.5, 1.0, 0.5, 1.0),
-)
+Observer = Callable[[str, dict], None]
 
 
 @dataclass(frozen=True)
@@ -218,6 +222,7 @@ def point_is_known(regions: list[Rect], x: tuple[float, float]) -> bool:
 
 
 def _children(square: Square, scales: tuple[float, float, float]) -> list[Square]:
+    """The square's quarters, in the order of ``geometry.QUARTERS``."""
     cu, cv = square.center
     h = 0.5 * square.half_width
     depth = square.depth + 1
@@ -227,6 +232,17 @@ def _children(square: Square, scales: tuple[float, float, float]) -> list[Square
         Square((cu - h, cv + h), h, scales, depth),
         Square((cu + h, cv + h), h, scales, depth),
     ]
+
+
+def _axis_tested(squares: list[Square], coeffs: np.ndarray) -> deque:
+    """(square, net, margin) per square, from its net's coefficients, a row of
+    ``coeffs``. The net is None where the axis test excludes the square; an
+    open square's net is a view of ``coeffs``."""
+    passed, margins = axis_test(coeffs)
+    return deque(
+        (sq, None if excluded else ControlNet(c), margin)
+        for sq, c, excluded, margin in zip(squares, coeffs, passed.tolist(), margins.tolist())
+    )
 
 
 _TRACE_LINES = {
@@ -292,7 +308,9 @@ def solve(
     each truncation ("truncated": reason "max_squares" once when the budget
     runs out, reason "max_depth" with the square for each square left
     unsplit). It exists for instrumentation and does not affect the run.
-    The TRACE log is one more observer on the same events.
+    The TRACE log is one more observer on the same events. Batching the
+    restriction and the axis test moves no event: a square's net and its
+    axis decision depend on nothing but its parent's net.
     """
     net = difference_net(c1, c2)
     # The solver runs on the net scaled exactly, by a power of two, to a
@@ -306,20 +324,30 @@ def solve(
 
     step = 0.0 if config.mode == "fixed" else config.epsilon
     root = Square((0.5, 0.5), 0.5, (INITIAL_SCALE,) * 3, 0)
-    # A queue entry holds its square, its parent's net and its quarter of the
-    # parent. The square's own net is restricted only once it is popped and
-    # not pruned, so the queue holds one net per subdivided parent.
-    queue: deque[tuple[Square, ControlNet, Rect]] = deque([(root, unit_net, UNIT_SQUARE)])
+    # The queue is FIFO, in two parts. ``ready`` holds squares whose nets are
+    # built and axis-tested. ``families`` holds, per subdivided parent, its
+    # four children and its net. When ``ready`` runs dry, the next
+    # ``_BATCH_PARENTS`` families are restricted and axis-tested in one
+    # batch, so the solver still runs breadth-first and the queue holds one
+    # net per subdivided parent plus one batch.
+    ready = _axis_tested([root], unit_net.coeffs[None])
+    families: deque[tuple[list[Square], np.ndarray]] = deque()
     regions: list[Rect] = []
     report = SolveReport()
     emit = _with_trace_log(observer) if log.isEnabledFor(TRACE) else observer
 
-    while queue:
+    while ready or families:
         if report.squares_examined >= config.max_squares:
             report.truncated = True
             emit("truncated", {"reason": "max_squares"})
             break
-        sq, parent_net, quarter = queue.popleft()
+        if not ready:
+            batch = [families.popleft() for _ in range(min(len(families), _BATCH_PARENTS))]
+            ready = _axis_tested(
+                [sq for children, _ in batch for sq in children],
+                restrict_quarters(np.stack([coeffs for _, coeffs in batch])),
+            )
+        sq, square_net, margin = ready.popleft()
         report.squares_examined += 1
         report.max_depth_reached = max(report.max_depth_reached, sq.depth)
         emit("square", {"square": sq})
@@ -328,8 +356,7 @@ def solve(
             emit("pruned", {"square": sq})
             continue
 
-        square_net = reparametrize(parent_net, quarter)
-        if exclusion_test(square_net):
+        if square_net is None or walk_test(square_net.coeffs.reshape(-1, square_net.dim), margin):
             report.exclusion_passes += 1
             emit("excluded", {"square": sq})
             continue
@@ -377,7 +404,8 @@ def solve(
             continue
 
         child_scales = update_scales(outcome, sq.scales, step)
-        queue.extend(zip(_children(sq, child_scales), repeat(square_net), _QUARTERS))
+        # A copy, so a queued parent does not keep its batch alive.
+        families.append((_children(sq, child_scales), square_net.coeffs.copy()))
         report.subdivisions += 1
 
     return report

@@ -30,6 +30,8 @@ __all__ = [
     "center_jet",
     "derivative_net",
     "reparametrize",
+    "QUARTERS",
+    "restrict_quarters",
     "restriction_growth",
     "extract_pair",
 ]
@@ -322,6 +324,41 @@ def reparametrize(net: ControlNet, target: Rect) -> ControlNet:
     cols = _restriction_matrix(net.degree_v, target.lo_v, target.hi_v)
     c = (rows @ c.reshape(c.shape[0], -1)).reshape(c.shape)
     return ControlNet(cols @ c)
+
+
+# The quarters of the unit square, in the order ``restrict_quarters`` returns
+# them: u varies fastest.
+QUARTERS = (
+    Rect(0.0, 0.5, 0.0, 0.5),
+    Rect(0.5, 1.0, 0.0, 0.5),
+    Rect(0.0, 0.5, 0.5, 1.0),
+    Rect(0.5, 1.0, 0.5, 1.0),
+)
+
+
+def restrict_quarters(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients of each net of a stack over each of ``QUARTERS``.
+
+    ``coeffs`` has shape (P, m+1, n+1, d), a stack of P nets of one shape.
+    The result has shape (4P, m+1, n+1, d); rows 4p to 4p+3 are net p over
+    the four quarters, each equal bit for bit to ``reparametrize``'s. Each
+    half matrix multiplies every net, and then every row of a net, exactly
+    as there: the products keep ``reparametrize``'s shapes, so BLAS takes
+    the same path and rounds the same way. (One product spanning several
+    nets, or both halves at once, rounds differently on some shapes.)
+    """
+    count, rows, cols, dim = coeffs.shape
+    halves = ((0.0, 0.5), (0.5, 1.0))
+    stack = coeffs.reshape(count, rows, cols * dim)
+    by_u = np.empty((count, 2, rows, cols * dim))
+    for k, (a, b) in enumerate(halves):
+        np.matmul(_restriction_matrix(rows - 1, a, b), stack, out=by_u[:, k])
+    by_u = by_u.reshape(count, 2, rows, cols, dim)
+    # Axes: net, v half, u half, then the net's own; u varies fastest.
+    out = np.empty((count, 2, 2, rows, cols, dim))
+    for k, (a, b) in enumerate(halves):
+        np.matmul(_restriction_matrix(cols - 1, a, b), by_u, out=out[:, k])
+    return out.reshape(4 * count, rows, cols, dim)
 
 
 def restriction_growth(net: ControlNet, target: Rect) -> float:

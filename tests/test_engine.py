@@ -1,6 +1,8 @@
 """Driver tests: hand-traced fixtures, adaptation rules, pruning, and
 whole-solver properties on generated transversal problems."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -373,6 +375,55 @@ def test_spatial_suite_fingerprint(problems_dir, name, config):
     assert singular == [] and not report.truncated
     assert report.squares_examined == squares
     assert [(r.u.hex(), r.v.hex()) for r in report.intersections] == roots
+
+
+# Suite p01-p08: the number of observer events and the first 16 hex digits of
+# the SHA-256 of their lines, one per event: its name, then the depth and
+# the center's (u.hex(), v.hex()) of its square (an intersection's source
+# square; none for the budget's truncation). FIFO order and child order are
+# part of ``solve``'s contract, so batching the nets' restriction must not
+# move a single event.
+EVENT_STREAMS = {
+    ("p01", 0.05): (44, "260fe3e9feb55221"),
+    ("p01", "fixed"): (44, "260fe3e9feb55221"),
+    ("p02", 0.05): (86, "9ad2721bc6d0435c"),
+    ("p02", "fixed"): (86, "9ad2721bc6d0435c"),
+    ("p03", 0.05): (68, "51d600f3f949925c"),
+    ("p03", "fixed"): (76, "241ac35d6dbf523e"),
+    ("p04", 0.05): (76, "d4b06f61d3aaf346"),
+    ("p04", "fixed"): (84, "2ee9a43e756cc440"),
+    ("p05", 0.05): (84, "bec32d92796b6790"),
+    ("p05", "fixed"): (92, "79a9ff42fd345958"),
+    ("p06", 0.05): (242, "5f6010b55ae25a1d"),
+    ("p06", "fixed"): (242, "5f6010b55ae25a1d"),
+    ("p07", 0.05): (332, "09cb52ee1c4f64ef"),
+    ("p07", "fixed"): (332, "09cb52ee1c4f64ef"),
+    ("p08", 0.05): (26, "a6f5f967e5fac52d"),
+    ("p08", "fixed"): (26, "a6f5f967e5fac52d"),
+}
+
+
+@pytest.mark.parametrize("name, config", sorted(EVENT_STREAMS, key=str))
+def test_suite_event_stream(problems_dir, name, config):
+    problem = load_problem(problems_dir / "suite" / f"{name}.json")
+    digest, lines = hashlib.sha256(), []
+
+    def observer(event, payload):
+        square = payload["record"].source_square if event == "intersection" else payload.get("square")
+        if square is None:
+            line = event
+        else:
+            line = f"{event} {square.depth} {square.center[0].hex()} {square.center[1].hex()}"
+        digest.update(line.encode() + b"\n")
+        lines.append(line)
+
+    solve(
+        problem.curve1,
+        problem.curve2,
+        SolverConfig(mode="fixed") if config == "fixed" else SolverConfig(epsilon=config),
+        observer=observer,
+    )
+    assert (len(lines), digest.hexdigest()[:16]) == EVENT_STREAMS[name, config]
 
 
 def test_near_miss_is_no_intersection_in_any_units():

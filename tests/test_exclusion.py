@@ -359,21 +359,38 @@ def _dyadic_tangential_pair(rng, degree):
     )
 
 
+def _record_hull_tested_batches(monkeypatch):
+    """A list that collects every batch of nets the solver hull-tests.
+
+    The solver axis-tests each batch of nets at once, so every net it
+    hull-tests passes through ``engine.axis_test``, axis-decided ones
+    included.
+    """
+    batches = []
+    reference = cci.engine.axis_test
+
+    def recorded(nets, tol=1e-12):
+        batches.append(nets.copy())
+        return reference(nets, tol)
+
+    monkeypatch.setattr(cci.engine, "axis_test", recorded)
+    return batches
+
+
+def _clouds(batches):
+    """Each net's coefficient cloud, as rows, over every batch."""
+    return [net.reshape(-1, net.shape[-1]) for batch in batches for net in batch]
+
+
 def test_certificate_agrees_with_gilbert_on_tangential_nets(monkeypatch):
     # Every net a solve hands to the hull test, down to depth 40 at an exact
     # tangential contact: the clouds touch or nearly touch the origin.
-    clouds = []
-    reference = cci.engine.exclusion_test
-
-    def recorded(net, tol=1e-12):
-        clouds.append(net.coeffs.reshape(-1, net.dim).copy())
-        return reference(net, tol)
-
-    monkeypatch.setattr(cci.engine, "exclusion_test", recorded)
+    batches = _record_hull_tested_batches(monkeypatch)
     rng = np.random.default_rng(61)
     for degree in (2, 3, 4):
         cci.solve(*_dyadic_tangential_pair(rng, degree))
     monkeypatch.undo()
+    clouds = _clouds(batches)
     assert len(clouds) > 1000
     decisions = Counter(_check_cloud(points) for points in clouds)
     assert decisions[True, True] > 1000
@@ -399,20 +416,18 @@ def _walk_decisions(clouds, tol=1e-12):
     return decisions, differing
 
 
-def test_decisions_match_wolfe_on_every_suite_hull_call(problems_dir, monkeypatch):
-    clouds = []
-    reference = cci.engine.exclusion_test
-
-    def recorded(net, tol=1e-12):
-        clouds.append(net.coeffs.reshape(-1, net.dim).copy())
-        return reference(net, tol)
-
-    monkeypatch.setattr(cci.engine, "exclusion_test", recorded)
+def _suite_batches(problems_dir, monkeypatch):
+    """Every batch of nets the 8 suite problems hull-test at epsilon 0.05."""
+    batches = _record_hull_tested_batches(monkeypatch)
     for path in sorted((problems_dir / "suite").glob("*.json")):
         problem = load_problem(path)
         cci.solve(problem.curve1, problem.curve2, cci.SolverConfig(epsilon=0.05))
     monkeypatch.undo()
-    decisions, differing = _walk_decisions(clouds)
+    return batches
+
+
+def test_decisions_match_wolfe_on_every_suite_hull_call(problems_dir, monkeypatch):
+    decisions, differing = _walk_decisions(_clouds(_suite_batches(problems_dir, monkeypatch)))
     assert not differing
     # The walk both passes and fails many times.
     assert decisions[True, True] >= 50 and decisions[True, False] >= 50
@@ -496,3 +511,87 @@ def test_nets_of_more_than_three_dimensions_take_the_axis_test_alone(monkeypatch
     # coefficient's coordinates sum to 1: an oblique plane would. It fails.
     oblique = [[2.0, -1.0, 0.0, 0.0], [-1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 2.0, -1.0], [0.0, 0.0, -1.0, 2.0]]
     assert not _cloud_test(oblique)
+
+
+# ---------------------------------------------------------------------------
+# The axis test over a stack of nets decides, and sets each margin, bit for
+# bit as it did one net at a time
+
+
+def _single_axis_test(pts, tol=1e-12):
+    """The axis stage on one cloud's rows, as ``exclusion_test`` ran it
+    before the solver batched it: (decision, margin)."""
+    margin = tol * np.abs(pts).max()
+    return bool((pts.min(axis=0) > margin).any() or (pts.max(axis=0) < -margin).any()), margin
+
+
+def _check_axis_batch(batch, tol=1e-12):
+    """``axis_test`` on the stack equals the single-net stage on each net, in
+    decision and in every bit of the margin. Returns the decisions."""
+    passed, margins = exclusion.axis_test(batch, tol)
+    assert passed.shape == margins.shape == (len(batch),)
+    decisions = []
+    for net, got, margin in zip(batch, passed.tolist(), margins.tolist()):
+        expected, expected_margin = _single_axis_test(net.reshape(-1, net.shape[-1]), tol)
+        assert got == expected
+        assert margin.hex() == float(expected_margin).hex()
+        decisions.append(got)
+    return decisions
+
+
+_AT = 2.0**-40  # the margin of a cloud whose largest magnitude is 1, at tol 2^-40
+# name: (axis decision, points), every margin computed at tol 2^-40
+AXIS_CLOUDS = {
+    "all zero": (False, [[0.0, 0.0, 0.0]] * 4),
+    "signed zeros": (False, [[-0.0, 0.0, -0.0], [0.0, -0.0, -0.0], [-0.0, -0.0, -0.0]]),
+    "signed zeros beside a positive column": (True, [[-0.0, 1.0, 0.0], [0.0, 0.5, -0.0], [-0.0, 0.25, -0.0]]),
+    "a single coefficient": (True, [[0.3, -0.2, 0.1]]),
+    "a single coefficient at the origin": (False, [[0.0, -0.0, 0.0]]),
+    "exactly at +margin": (False, [[1.0, _AT, 0.0], [-1.0, _AT, 0.5], [0.5, 0.25, -0.5]]),
+    "just above +margin": (
+        True,
+        [[1.0, np.nextafter(_AT, 1.0), 0.0], [-1.0, _AT * 2, 0.5], [0.5, 0.25, -0.5]],
+    ),
+    "exactly at -margin": (False, [[1.0, -_AT, 0.0], [-1.0, -_AT, 0.5], [0.5, -0.25, -0.5]]),
+    "just below -margin": (
+        True,
+        [[1.0, np.nextafter(-_AT, -1.0), 0.0], [-1.0, -_AT * 2, 0.5], [0.5, -0.25, -0.5]],
+    ),
+    "dim 4, no axis": (
+        False,
+        [[2.0, -1.0, 0.0, 0.0], [-1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 2.0, -1.0], [0.0, 0.0, -1.0, 2.0]],
+    ),
+    "dim 4, a positive column": (
+        True,
+        [[2.0, -1.0, 0.0, 0.5], [-1.0, 2.0, 0.0, 0.5], [0.0, 0.0, 2.0, 1.0], [0.0, 0.0, -1.0, 2.0]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AXIS_CLOUDS))
+def test_axis_test_of_a_stack_matches_the_single_net_stage_on_edge_clouds(name):
+    decision, points = AXIS_CLOUDS[name]
+    cloud = np.array(points, dtype=float)
+    rng = np.random.default_rng(64)
+    for count, position in ((1, 0), (5, 0), (5, 2), (9, 8)):
+        batch = rng.normal(size=(count, *cloud.shape))
+        batch[position] = cloud
+        assert _check_axis_batch(batch, _AT)[position] == decision
+        # The batch kept the signs of its zeros.
+        assert np.array_equal(np.signbit(batch[position]), np.signbit(cloud))
+    # The whole hull test passes what the axis test passes, and in four
+    # dimensions, where the walk does not run, the axis test alone decides.
+    if decision or cloud.shape[1] > 3:
+        assert _cloud_test(cloud, _AT) == decision
+
+
+def test_axis_test_of_a_stack_matches_the_single_net_stage_on_every_suite_net(
+    problems_dir, monkeypatch
+):
+    batches = _suite_batches(problems_dir, monkeypatch)
+    decisions = Counter()
+    for batch in batches:
+        decisions.update(_check_axis_batch(batch))
+    # Batches of one and of many nets; both decisions, many times.
+    assert min(map(len, batches)) == 1 and max(map(len, batches)) >= 16
+    assert decisions[True] >= 150 and decisions[False] >= 150

@@ -12,6 +12,7 @@ from cci.geometry import (
     _split_matrix,
     BezierCurve,
     ControlNet,
+    QUARTERS,
     Rect,
     UNIT_SQUARE,
     center_jet,
@@ -23,6 +24,7 @@ from cci.geometry import (
     extract_pair,
     jet,
     reparametrize,
+    restrict_quarters,
     sample_curve,
 )
 from conftest import monomial_eval_curve, monomial_eval_net, random_net_coeffs
@@ -397,7 +399,6 @@ def test_carried_nets_match_direct_restriction():
     # Nets carried down 40 quarterings agree with restricting the root net
     # over the same square, to well inside the exclusion test's 1e-12 margin.
     rng = np.random.default_rng(19)
-    quarters = [Rect(a, a + 0.5, b, b + 0.5) for b in (0.0, 0.5) for a in (0.0, 0.5)]
     for _ in range(24):
         m, n = rng.integers(0, 17, 2)
         root = ControlNet(random_net_coeffs(rng, m, n))
@@ -405,7 +406,7 @@ def test_carried_nets_match_direct_restriction():
         lo_u = lo_v = 0.0
         width = 1.0
         for k in rng.integers(0, 4, 40):
-            quarter = quarters[k]
+            quarter = QUARTERS[k]
             carried = reparametrize(carried, quarter)
             width *= 0.5
             lo_u += quarter.lo_u * 2.0 * width
@@ -413,6 +414,26 @@ def test_carried_nets_match_direct_restriction():
             direct = reparametrize(root, Rect(lo_u, lo_u + width, lo_v, lo_v + width))
             drift = np.abs(carried.coeffs - direct.coeffs).max()
             assert drift <= 1e-13 * np.abs(direct.coeffs).max()
+
+
+def test_restrict_quarters_equals_reparametrize_bit_for_bit():
+    # Every degree pair 0-16 in every dimension 1-4, stacks of 1-8 nets, and
+    # a few stacks of the solver's largest batch, 64 nets; coefficients
+    # random over many magnitudes, or dyadic so every quarter is exact.
+    rng = np.random.default_rng(20)
+    shapes = [(m, n, d, int(rng.integers(1, 9))) for m in range(17) for n in range(17) for d in range(1, 5)]
+    shapes += [(16, 16, 3, 64), (16, 10, 3, 64), (0, 0, 1, 64), (5, 12, 2, 64), (9, 0, 4, 64)]
+    for k, (m, n, d, count) in enumerate(shapes):
+        if k % 2:
+            stack = rng.integers(-256, 257, size=(count, m + 1, n + 1, d)) / 64.0
+        else:
+            stack = rng.normal(size=(count, m + 1, n + 1, d)) * 10.0 ** rng.uniform(-8, 8)
+        children = restrict_quarters(stack)
+        assert children.shape == (4 * count, m + 1, n + 1, d)
+        for p in range(count):
+            for q, quarter in enumerate(QUARTERS):
+                expected = reparametrize(ControlNet(stack[p]), quarter).coeffs
+                assert np.array_equal(children[4 * p + q], expected), (m, n, d, count, p, q)
 
 
 def test_derivative_commutes_with_reparametrize():

@@ -14,6 +14,7 @@ import pytest
 from cci import kantorovich
 from cci.engine import Square, region_prunes_square
 from cci.geometry import (
+    QUARTERS,
     ControlNet,
     Rect,
     center_jet,
@@ -578,21 +579,18 @@ def _exact_restriction(m: int, a: float, b: float) -> np.ndarray:
     return matrix
 
 
-_QUARTERS = [Rect(a, a + 0.5, b, b + 0.5) for b in (0.0, 0.5) for a in (0.0, 0.5)]
-
-
 def _carried_square(net, path):
     """(net, center, half-width) of the square reached by quartering along ``path``.
 
     The net is carried down one quarter restriction per step, as ``solve``
-    carries it; ``path`` holds quarter indices in ``_QUARTERS`` order.
+    carries it; ``path`` holds quarter indices in ``QUARTERS`` order.
     """
     carried, lo_u, lo_v, width = net, 0.0, 0.0, 1.0
     for k in path:
-        carried = reparametrize(carried, _QUARTERS[k])
+        carried = reparametrize(carried, QUARTERS[k])
         width *= 0.5
-        lo_u += _QUARTERS[k].lo_u * 2.0 * width
-        lo_v += _QUARTERS[k].lo_v * 2.0 * width
+        lo_u += QUARTERS[k].lo_u * 2.0 * width
+        lo_v += QUARTERS[k].lo_v * 2.0 * width
     h = 0.5 * width
     return carried, (lo_u + h, lo_v + h), h
 
