@@ -47,8 +47,11 @@ for t in outcome.pairs:
     print(f"\npair {t.pair}: {t.status.value}")
     if t.eta is not None:
         print(f"  eta   = {t.eta:.6g}   (first Newton step bound)")
+    if t.omega is not None:
         print(f"  omega = {t.omega:.6g}   (certified Lipschitz constant)")
         print(f"  h     = {t.eta * t.omega:.6g}   (eta * omega; pass needs h <= 1/4)")
+    elif t.eta is not None:
+        print("  failed by omega's lower bound at the center; omega not computed")
     if t.rho_minus is not None:
         print(f"  rho- = {t.rho_minus:.6g}  rho+ = {t.rho_plus:.6g}")
 

@@ -235,12 +235,11 @@ def _children(square: Square, scales: tuple[float, float, float]) -> list[Square
 
 
 def _axis_tested(squares: list[Square], coeffs: np.ndarray) -> deque:
-    """(square, net, margin) per square, from its net's coefficients, a row of
-    ``coeffs``. The net is None where the axis test excludes the square; an
-    open square's net is a view of ``coeffs``."""
+    """(square, coefficients, margin) per square, its coefficients a row of
+    ``coeffs``, or None where the axis test excludes the square."""
     passed, margins = axis_test(coeffs)
     return deque(
-        (sq, None if excluded else ControlNet(c), margin)
+        (sq, None if excluded else c, margin)
         for sq, c, excluded, margin in zip(squares, coeffs, passed.tolist(), margins.tolist())
     )
 
@@ -325,11 +324,12 @@ def solve(
     step = 0.0 if config.mode == "fixed" else config.epsilon
     root = Square((0.5, 0.5), 0.5, (INITIAL_SCALE,) * 3, 0)
     # The queue is FIFO, in two parts. ``ready`` holds squares whose nets are
-    # built and axis-tested. ``families`` holds, per subdivided parent, its
-    # four children and its net. When ``ready`` runs dry, the next
-    # ``_BATCH_PARENTS`` families are restricted and axis-tested in one
-    # batch, so the solver still runs breadth-first and the queue holds one
-    # net per subdivided parent plus one batch.
+    # restricted and axis-tested. ``families`` holds, per subdivided parent,
+    # its four children and its net's coefficients. When ``ready`` runs dry,
+    # the next ``_BATCH_PARENTS`` families are restricted and axis-tested in
+    # one batch, so the solver still runs breadth-first and the queue holds
+    # one net per subdivided parent plus one batch. Only a square that
+    # reaches the convergence test wraps its row in a ``ControlNet``.
     ready = _axis_tested([root], unit_net.coeffs[None])
     families: deque[tuple[list[Square], np.ndarray]] = deque()
     regions: list[Rect] = []
@@ -345,9 +345,9 @@ def solve(
             batch = [families.popleft() for _ in range(min(len(families), _BATCH_PARENTS))]
             ready = _axis_tested(
                 [sq for children, _ in batch for sq in children],
-                restrict_quarters(np.stack([coeffs for _, coeffs in batch])),
+                restrict_quarters(np.stack([parent for _, parent in batch])),
             )
-        sq, square_net, margin = ready.popleft()
+        sq, coeffs, margin = ready.popleft()
         report.squares_examined += 1
         report.max_depth_reached = max(report.max_depth_reached, sq.depth)
         emit("square", {"square": sq})
@@ -356,13 +356,13 @@ def solve(
             emit("pruned", {"square": sq})
             continue
 
-        if square_net is None or walk_test(square_net.coeffs.reshape(-1, square_net.dim), margin):
+        if coeffs is None or walk_test(coeffs.reshape(-1, net.dim), margin):
             report.exclusion_passes += 1
             emit("excluded", {"square": sq})
             continue
 
         outcome = test_pairs(
-            systems, seconds, square_net, sq.center, sq.half_width, sq.scales
+            systems, seconds, ControlNet(coeffs), sq.center, sq.half_width, sq.scales
         )
         emit("kantorovich", {"square": sq, "outcome": outcome})
 
@@ -405,7 +405,7 @@ def solve(
 
         child_scales = update_scales(outcome, sq.scales, step)
         # A copy, so a queued parent does not keep its batch alive.
-        families.append((_children(sq, child_scales), square_net.coeffs.copy()))
+        families.append((_children(sq, child_scales), coeffs.copy()))
         report.subdivisions += 1
 
     return report

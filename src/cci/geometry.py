@@ -1,11 +1,11 @@
 """Bernstein-basis arithmetic for Bezier curves and tensor-product control nets.
 
 Everything here is exact polynomial algebra up to floating-point rounding.
-Evaluation applies Bernstein weights (``_basis_matrix``); restriction
-applies per-axis restriction matrices whose entries are de Casteljau's
-closed-form weights, so both stay stable on [0, 1] and remain exact (as
-polynomial identities) for parameters outside it, and nets may be
-reparametrized over rectangles extending past the unit square.
+Evaluation applies Bernstein weights (``_jet_weights``, ``_basis_matrix``);
+restriction applies per-axis restriction matrices whose entries are
+de Casteljau's closed-form weights, so both stay stable on [0, 1] and
+remain exact (as polynomial identities) for parameters outside it, and nets
+may be reparametrized over rectangles extending past the unit square.
 """
 
 from __future__ import annotations
@@ -181,8 +181,8 @@ def _exponents(m: int) -> np.ndarray:
 def _basis_matrix(m: int, ts: np.ndarray) -> np.ndarray:
     """Rows: the degree-m Bernstein basis C(m, i) (1 - t)^(m-i) t^i at each t."""
     ts = np.asarray(ts, dtype=float)[:, None]
-    i = np.arange(m + 1)
-    return _binomials(m) * (1.0 - ts) ** (m - i) * ts**i
+    exponents = _exponents(m)
+    return _binomials(m) * ((1.0 - ts) ** exponents)[:, ::-1] * ts**exponents
 
 
 def derivative_net(net: ControlNet, axis: str) -> ControlNet:
@@ -205,39 +205,36 @@ def derivative_net(net: ControlNet, axis: str) -> ControlNet:
     return ControlNet(n * (c[:, 1:] - c[:, :-1]))
 
 
-def _jet_weights(m: int, t: float) -> np.ndarray:
-    """Rows: the degree-m Bernstein basis at t and its derivative there.
+def _jet_weights(m: int, t: float, order: int = 1) -> np.ndarray:
+    """Rows 0..order: the degree-m Bernstein basis at t and its derivatives there.
 
-    The derivative of B_i^m is m (B_{i-1}^{m-1} - B_i^{m-1}). Both rows are
-    gathered from one vector of powers of t and one of 1 - t, entry for
-    entry the values of ``_basis_matrix``. At t = 1/2 every weight is a
+    Row k is m!/(m-k)! times the degree-(m-k) basis differenced k times, each
+    backward difference taking entry i to B_{i-1} - B_i. Every row is
+    gathered from one vector of powers of t and one of 1 - t, so row 0 is,
+    entry for entry, ``_basis_matrix``'s. At t = 1/2 every weight is a
     dyadic rational, exact in floating point.
     """
     exponents = _exponents(m)
     t_powers, s_powers = t**exponents, (1.0 - t) ** exponents
-    weights = np.zeros((2, m + 1))
-    weights[0] = _binomials(m) * s_powers[::-1] * t_powers
-    if m:
-        lower = m * (_binomials(m - 1) * s_powers[m - 1 :: -1] * t_powers[:m])
-        weights[1, 1:] += lower
-        weights[1, :-1] -= lower
+    weights = np.zeros((order + 1, m + 1))
+    for k in range(min(order, m) + 1):
+        j = m - k
+        row = math.perm(m, k) * (_binomials(j) * s_powers[j::-1] * t_powers[: j + 1])
+        for size in range(j + 2, m + 2):
+            step = np.zeros(size)
+            step[1:] += row
+            step[:-1] -= row
+            row = step
+        weights[k] = row
     return weights
 
 
 @functools.lru_cache(maxsize=32)
 def _center_weights(m: int) -> np.ndarray:
-    """``_jet_weights(m, 1/2)`` and a third row, the basis's second derivative
-    at 1/2, m (m - 1) (B_{i-2}^{m-2} - 2 B_{i-1}^{m-2} + B_i^{m-2}). Every
-    convergence test uses them; all are dyadic rationals, exact in floating
-    point. Cached and shared, hence read-only; weights at other points, such
-    as Newton's iterates, are built afresh so they cannot evict these."""
-    weights = np.zeros((3, m + 1))
-    weights[:2] = _jet_weights(m, 0.5)
-    if m >= 2:
-        lower = m * (m - 1) * _basis_matrix(m - 2, [0.5])[0]
-        weights[2, 2:] += lower
-        weights[2, 1:-1] -= 2.0 * lower
-        weights[2, :-2] += lower
+    """``_jet_weights(m, 1/2, 2)``, which every convergence test uses. Cached
+    and shared, hence read-only; weights at other points, such as Newton's
+    iterates, are built afresh so they cannot evict these."""
+    weights = _jet_weights(m, 0.5, 2)
     weights.flags.writeable = False
     return weights
 

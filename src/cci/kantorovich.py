@@ -11,8 +11,8 @@ explored region around the zero in which no other zero can hide.
 
 Most tested squares fail, and a failure needs only a lower bound on omega:
 4 |J^-1 f''| at the square's center, less a proven rounding allowance.
-Pairs it fails restrict nothing and compute omega only when it is read;
-the others take the full test, so every status and value is unchanged.
+Pairs it fails restrict nothing and report no omega; the others take the
+full test, so every status is the one the full test alone would give.
 
 ``test_pairs`` is the only producer of eta, omega, rho_minus and rho_plus;
 a numerically singular Jacobian is a pair status, not an exception. All
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,34 +68,23 @@ class PairStatus(enum.Enum):
     SINGULAR_JACOBIAN = "singular_jacobian"
 
 
+@dataclass(frozen=True)
 class PairTest:
     """Result of the convergence test for one component pair.
 
-    ``eta`` and ``omega`` are None for a singular Jacobian; the radii are set
-    only when eta * omega <= 1/4. ``omega`` may be given as a function of no
-    arguments, called on the first read and then kept: ``test_pairs`` defers
-    it for a convergence failure that omega's lower bound settled, since the
-    solver never reads that omega.
+    ``eta`` and ``omega`` are None for a singular Jacobian, and ``omega``
+    also for a convergence failure that omega's lower bound decided: the
+    test never computes that omega. The radii are set only when
+    eta * omega <= 1/4.
     """
 
-    def __init__(
-        self,
-        pair: tuple[int, int],
-        status: PairStatus,
-        test_domain: Rect,
-        eta: float | None = None,
-        omega: float | Callable[[], float] | None = None,
-        rho_minus: float | None = None,
-        rho_plus: float | None = None,
-    ):
-        self.pair, self.status, self.test_domain, self.eta = pair, status, test_domain, eta
-        self._omega, self.rho_minus, self.rho_plus = omega, rho_minus, rho_plus
-
-    @property
-    def omega(self) -> float | None:
-        if callable(self._omega):
-            self._omega = self._omega()
-        return self._omega
+    pair: tuple[int, int]
+    status: PairStatus
+    test_domain: Rect
+    eta: float | None = None
+    omega: float | None = None
+    rho_minus: float | None = None
+    rho_plus: float | None = None
 
 
 @dataclass(frozen=True)
@@ -240,50 +229,6 @@ def _omega_floor(
     return lower * (1.0 - _FLOOR_GUARD) - slack * system.max_coeff * norm
 
 
-def _test_one_pair(
-    system: PairSystem,
-    value: list[float],
-    jac: list[list[float]],
-    curvature: list[list[float]],
-    block_over: Callable[[Rect], np.ndarray],
-    domain: Rect,
-    slack: float,
-    domain_half_width: float,
-) -> PairTest:
-    i, k = system.pair
-    jac_inv = inverse_2x2((jac[i], jac[k]))
-    if jac_inv is None:
-        return PairTest(system.pair, PairStatus.SINGULAR_JACOBIAN, domain)
-    (a, b), (c, d) = jac_inv
-    f0, f1 = value[i], value[k]
-    eta_value = max(abs(a * f0 + b * f1), abs(c * f0 + d * f1))
-    def omega() -> float:
-        return system.omega(jac_inv, block_over(domain))
-
-    if eta_value * _omega_floor(system, jac_inv, curvature, slack) > 0.25:
-        return PairTest(
-            system.pair, PairStatus.FAIL_CONVERGENCE, domain, eta=eta_value, omega=omega
-        )
-    omega_value = omega()
-    if eta_value * omega_value > 0.25:
-        return PairTest(
-            system.pair, PairStatus.FAIL_CONVERGENCE, domain, eta=eta_value, omega=omega_value
-        )
-    rho_minus, rho_plus = rho_radii(eta_value, omega_value)
-    status = (
-        PairStatus.PASS if rho_minus <= domain_half_width else PairStatus.FAIL_CONTAINMENT
-    )
-    return PairTest(
-        system.pair,
-        status,
-        domain,
-        eta=eta_value,
-        omega=omega_value,
-        rho_minus=rho_minus,
-        rho_plus=rho_plus,
-    )
-
-
 def test_pairs(
     systems: list[PairSystem],
     seconds: tuple[ControlNet, ...],
@@ -305,10 +250,10 @@ def test_pairs(
     Value, Jacobian and second derivatives at the center come from one
     contraction of ``net`` at (1/2, 1/2); derivatives of order j are local
     ones divided by (2 * half_width)^j, a power of two for solver squares, so
-    the conversion is exact. The 2x2 algebra runs on Python floats. Pairs
-    that omega's lower bound cannot fail restrict ``seconds`` over each
-    distinct test domain once, with one ``reparametrize`` call per net,
-    stacked into one block that the pairs share.
+    the conversion is exact. The 2x2 algebra runs on Python floats. A pair
+    that omega's lower bound fails computes no omega. The others restrict
+    ``seconds`` over each distinct test domain once, with one
+    ``reparametrize`` call per net, stacked into one block that they share.
     """
     grid = center_jet(net).tolist()
     width = 2.0 * half_width
@@ -321,23 +266,33 @@ def test_pairs(
     for s in set(scales):
         domain = Rect.ball(center, s * half_width)
         domains[s] = domain, _floor_slack(net, half_width, domain)
-    blocks: dict[Rect, np.ndarray] = {}
-
-    def block_over(domain: Rect) -> np.ndarray:
-        if domain not in blocks:
-            blocks[domain] = np.concatenate(
-                [reparametrize(n, domain).coeffs.reshape(-1, net.dim) for n in seconds]
-            )
-        return blocks[domain]
-
+    blocks: dict[float, np.ndarray] = {}
     results: list[PairTest] = []
     for system, scale in zip(systems, scales):
         domain, slack = domains[scale]
-        t = _test_one_pair(
-            system, value, jac, curvature, block_over, domain, slack, scale * half_width
-        )
-        results.append(t)
-        if t.status is PairStatus.PASS:
+        i, k = system.pair
+        jac_inv = inverse_2x2((jac[i], jac[k]))
+        if jac_inv is None:
+            results.append(PairTest(system.pair, PairStatus.SINGULAR_JACOBIAN, domain))
+            continue
+        (a, b), (c, d) = jac_inv
+        eta = max(abs(a * value[i] + b * value[k]), abs(c * value[i] + d * value[k]))
+        if eta * _omega_floor(system, jac_inv, curvature, slack) > 0.25:
+            results.append(PairTest(system.pair, PairStatus.FAIL_CONVERGENCE, domain, eta))
+            continue
+        if scale not in blocks:
+            blocks[scale] = np.concatenate(
+                [reparametrize(n, domain).coeffs.reshape(-1, net.dim) for n in seconds]
+            )
+        omega = system.omega(jac_inv, blocks[scale])
+        if eta * omega > 0.25:
+            status, radii = PairStatus.FAIL_CONVERGENCE, (None, None)
+        else:
+            radii = rho_radii(eta, omega)
+            inside = radii[0] <= scale * half_width
+            status = PairStatus.PASS if inside else PairStatus.FAIL_CONTAINMENT
+        results.append(PairTest(system.pair, status, domain, eta, omega, *radii))
+        if status is PairStatus.PASS:
             break
     return KantorovichOutcome(tuple(results))
 

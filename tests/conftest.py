@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import cci
-from cci import BezierCurve, Problem, brute_force_intersections
+from cci import BezierCurve, Problem, brute_force_intersections, kantorovich
 from cci.geometry import (
     ControlNet,
     Rect,
@@ -28,6 +28,7 @@ from cci.kantorovich import (
     COMPONENT_PAIRS,
     PairSystem,
     PairTest,
+    inverse_2x2,
     second_derivative_nets,
     test_pairs,
 )
@@ -67,6 +68,26 @@ def pair_test_at(pair_net: ControlNet, x0: tuple[float, float], half_width: floa
         systems, second_derivative_nets(net), square, x0, half_width, (1.0, 1.0, 1.0)
     )
     return outcome.pairs[0]
+
+
+def full_test_omega(net: ControlNet, jac: np.ndarray, test: PairTest) -> float:
+    """The omega the full convergence test computes over ``test``'s test domain.
+
+    ``net`` is the map over the unit square and ``jac`` its Jacobian at the
+    square's center, shape (dim, 2). The second-derivative nets of ``net``
+    are restricted through ``kantorovich.reparametrize``, as ``test_pairs``
+    restricts them, and ``PairSystem.omega`` takes the block with J^-1 of
+    the pair's rows. Defined also where omega's lower bound decided the pair
+    and ``test.omega`` is None.
+    """
+    block = np.concatenate(
+        [
+            kantorovich.reparametrize(n, test.test_domain).coeffs.reshape(-1, net.dim)
+            for n in second_derivative_nets(net)
+        ]
+    )
+    jac_inv = inverse_2x2(np.asarray(jac)[list(test.pair)])
+    return PairSystem(net, test.pair).omega(jac_inv, block)
 
 
 def newton_path(pair_net: ControlNet, x0: tuple[float, float], **options) -> list:

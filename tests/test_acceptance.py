@@ -30,6 +30,7 @@ from cci.kantorovich import PairStatus
 from cci.newton import newton_solve
 from cci.problems import load_problem
 from conftest import (
+    full_test_omega,
     match_point_sets,
     monomial_grid,
     newton_path,
@@ -233,9 +234,10 @@ def test_acceptance_6_numerical_kernels():
         test = pair_test_at(pair_net, x0, 0.6)
         if test.status is PairStatus.SINGULAR_JACOBIAN:
             continue
-        omega, domain = test.omega, test.test_domain
+        jac0 = jet(pair_net, x0)[1]
+        omega, domain = full_test_omega(pair_net, jac0, test), test.test_domain
         checked += 1
-        jac0_inv = np.linalg.inv(jet(pair_net, x0)[1])
+        jac0_inv = np.linalg.inv(jac0)
         for _ in range(100):
             x = rng.uniform(domain.lo_u, domain.hi_u, 2)
             y = rng.uniform(domain.lo_u, domain.hi_u, 2)

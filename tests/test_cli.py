@@ -118,7 +118,7 @@ def test_bench_default_columns(problems_dir, tmp_path):
     out = tmp_path / "table.csv"
     result = _run(["bench", str(problems_dir / "suite"), "-o", str(out)])
     assert result.exit_code == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["name", "degrees", "eps=0.01", "eps=0.05", "eps=0.1",
                        "eps=0.15", "eps=0.2", "fixed"]
     assert len(rows) == 9  # header + 8 problems
@@ -140,7 +140,7 @@ def test_bench_epsilon_zero_matches_baseline(problems_dir, tmp_path):
     out = tmp_path / "table.csv"
     result = _run(["bench", str(problems_dir / "suite"), "--epsilons", "0", "-o", str(out)])
     assert result.exit_code == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["name", "degrees", "eps=0", "fixed"]
     for row in rows[1:]:
         assert row[2] == row[3]
@@ -169,7 +169,7 @@ def test_plot_data_two_samples_are_endpoints(problems_dir, tmp_path):
     result = _run(["plot-data", str(problems_dir / "crossing_segments.json"),
                    "--samples", "2", "-o", str(tmp_path)])
     assert result.exit_code == 0
-    rows = list(csv.reader((tmp_path / "crossing_segments_curves.csv").open()))
+    rows = list(csv.reader((tmp_path / "crossing_segments_curves.csv").read_text().splitlines()))
     assert rows[0] == ["curve_id", "t", "x", "y", "z"]
     data = [[float(x) for x in row[1:]] for row in rows[1:]]
     assert data == [
@@ -183,7 +183,7 @@ def test_plot_data_samples_inside_control_bbox(problems_dir, tmp_path):
     result = _run(["plot-data", str(path), "--samples", "64", "-o", str(tmp_path)])
     assert result.exit_code == 0
     problem = load_problem(path)
-    rows = list(csv.reader((tmp_path / "p05_curves.csv").open()))[1:]
+    rows = list(csv.reader((tmp_path / "p05_curves.csv").read_text().splitlines()))[1:]
     for curve_id, curve in ((1, problem.curve1), (2, problem.curve2)):
         lo = curve.control_points.min(axis=0) - 1e-12
         hi = curve.control_points.max(axis=0) + 1e-12
@@ -195,7 +195,7 @@ def test_plot_data_samples_inside_control_bbox(problems_dir, tmp_path):
 def test_plot_data_intersections_match_solve(problems_dir, tmp_path):
     path = problems_dir / "suite" / "p02.json"
     _run(["plot-data", str(path), "-o", str(tmp_path)])
-    rows = list(csv.reader((tmp_path / "p02_intersections.csv").open()))
+    rows = list(csv.reader((tmp_path / "p02_intersections.csv").read_text().splitlines()))
     assert rows[0] == ["u", "v", "x", "y", "z"]
     solved = _run(["solve", str(path)])
     doc = json.loads(solved.output)

@@ -8,6 +8,7 @@ import pytest
 
 from cci.geometry import (
     _basis_matrix,
+    _center_weights,
     _jet_weights,
     _split_matrix,
     BezierCurve,
@@ -63,14 +64,17 @@ def test_partition_of_unity():
 
 
 def test_split_and_jet_weights_are_the_closed_form_bit_for_bit():
-    # Both tables gather powers of t and 1 - t from short vectors; every
+    # The tables gather powers of t and 1 - t from short vectors; every
     # entry must equal binom * t**j * (1 - t)**k evaluated elementwise over
     # arrays, as numpy's vector pow may round differently from scalar pow.
     comb = np.vectorize(math.comb, otypes=[float])
+    ts = np.array([0.0, 0.3, 0.5, 1.0, -0.25, 1.25])
     for m in range(21):
         k, j = np.indices((m + 1, m + 1))
         i = np.arange(m + 1)
-        for t in (0.0, 0.3, 0.5, 1.0, -0.25, 1.25):
+        basis = comb(m, i) * (1.0 - ts[:, None]) ** (m - i) * ts[:, None] ** i
+        assert np.array_equal(_basis_matrix(m, ts), basis), m
+        for t in ts.tolist():
             left = comb(k, j) * t**j * (1.0 - t) ** np.maximum(k - j, 0)
             binom = np.where(j >= k, comb(m - k, np.maximum(j - k, 0)), 0.0)
             right = binom * t ** np.maximum(j - k, 0) * (1.0 - t) ** (m - j)
@@ -83,6 +87,18 @@ def test_split_and_jet_weights_are_the_closed_form_bit_for_bit():
                 expected[1, 1:] += lower
                 expected[1, :-1] -= lower
             assert np.array_equal(_jet_weights(m, t), expected), (m, t)
+        # The second-derivative row at 1/2, in the weights every convergence
+        # test caches: m (m - 1) (B_{i-2} - 2 B_{i-1} + B_i) of degree m - 2.
+        expected = np.zeros((3, m + 1))
+        expected[:2] = _jet_weights(m, 0.5)
+        if m >= 2:
+            lower = m * (m - 1) * (comb(m - 2, i[: m - 1]) * 0.5 ** (m - 2))
+            expected[2, 2:] += lower
+            expected[2, 1:-1] -= 2.0 * lower
+            expected[2, :-2] += lower
+        assert np.array_equal(_jet_weights(m, 0.5, 2), expected), m
+        assert np.array_equal(_center_weights(m), expected), m
+        assert not _center_weights(m).flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from cci.kantorovich import (
 from cci.newton import newton_solve
 from conftest import (
     bernstein_to_monomial,
+    full_test_omega,
     horner,
     monomial_grid,
     newton_path,
@@ -204,7 +205,7 @@ def test_lipschitz_inequality_sampled():
         test = pair_test_at(net, x0, 0.6)
         if test.status is PairStatus.SINGULAR_JACOBIAN:
             continue
-        omega, domain = test.omega, test.test_domain
+        omega, domain = full_test_omega(net, jet(net, x0)[1], test), test.test_domain
         checked += 1
         mono = _mono2(net.coeffs)
         du, dv = _mono_du(mono), _mono_dv(mono)
@@ -230,7 +231,8 @@ def test_lipschitz_bound_monotone_in_domain():
         tests = [pair_test_at(net, x0, r) for r in (0.2, 0.4, 0.6, 0.9)]
         if any(t.status is PairStatus.SINGULAR_JACOBIAN for t in tests):
             continue
-        values = [t.omega for t in tests]
+        jac0 = jet(net, x0)[1]
+        values = [full_test_omega(net, jac0, t) for t in tests]
         for small, big in zip(values, values[1:]):
             assert small <= big * (1.0 + 1e-12)
 
@@ -375,30 +377,8 @@ def test_pairs_failed_by_omegas_lower_bound_restrict_nothing(monkeypatch):
     coeffs = random_net_coeffs(np.random.default_rng(49), 5, 4)
     outcome = _test_square(ControlNet(coeffs), (0.5, 0.5), 0.5, (1.5, 1.5, 1.45))
     assert [t.status for t in outcome.pairs] == [PairStatus.FAIL_CONVERGENCE] * 3
+    assert all(t.omega is None for t in outcome.pairs)
     assert calls == {"reparametrize": 0, "omega": 0}
-
-
-def test_deferred_omega_restricts_once_per_domain_and_equals_the_eager_one(monkeypatch):
-    net = ControlNet(random_net_coeffs(np.random.default_rng(49), 5, 4))
-    seconds = second_derivative_nets(net)
-    systems = [PairSystem(net, pair) for pair in COMPONENT_PAIRS]
-    jac = jet(net, (0.5, 0.5))[1]
-    eager = []
-    for system, scale in zip(systems, (1.5, 1.5, 1.45)):
-        domain = Rect.ball((0.5, 0.5), scale * 0.5)
-        block = np.concatenate([reparametrize(n, domain).coeffs.reshape(-1, 3) for n in seconds])
-        eager.append(system.omega(inverse_2x2(jac[list(system.pair)]), block))
-    calls = _count_restrictions_and_omegas(monkeypatch)
-    outcome = kantorovich.test_pairs(systems, seconds, net, (0.5, 0.5), 0.5, (1.5, 1.5, 1.45))
-    first, second, third = outcome.pairs
-    assert calls == {"reparametrize": 0, "omega": 0}
-    assert first.omega == eager[0] and first.omega == eager[0]
-    assert calls == {"reparametrize": 3, "omega": 1}
-    # The second pair shares the first one's test domain and its block.
-    assert second.omega == eager[1]
-    assert calls == {"reparametrize": 3, "omega": 2}
-    assert third.omega == eager[2]
-    assert calls == {"reparametrize": 6, "omega": 3}
 
 
 def test_classification_matches_monomial_reimplementation():
@@ -409,15 +389,19 @@ def test_classification_matches_monomial_reimplementation():
         x0 = tuple(rng.uniform(0.3, 0.7, 2))
         r = float(rng.uniform(0.05, 0.3))
         scale = float(rng.uniform(1.0, 2.5))
-        outcome = _test_square(ControlNet(coeffs), x0, r, (scale,) * 3)
+        net = ControlNet(coeffs)
+        outcome = _test_square(net, x0, r, (scale,) * 3)
+        jac = jet(reparametrize(net, Rect.ball(x0, r)), (0.5, 0.5))[1] / (2.0 * r)
         for t in outcome.pairs:
             if t.status is PairStatus.SINGULAR_JACOBIAN:
                 continue
             eta_o, omega_o = _oracle_pair_quantities(
                 coeffs[:, :, list(t.pair)], x0, t.test_domain
             )
+            omega = full_test_omega(net, jac, t)
+            assert t.omega in (None, omega)
             assert t.eta == pytest.approx(eta_o, rel=1e-9, abs=1e-12)
-            assert t.omega == pytest.approx(omega_o, rel=1e-7, abs=1e-9)
+            assert omega == pytest.approx(omega_o, rel=1e-7, abs=1e-9)
             h_o = eta_o * omega_o
             # skip instances within noise of a decision boundary
             if abs(h_o - 0.25) < 1e-6:
@@ -602,31 +586,36 @@ def _curvature(carried, half_width):
 
 
 def _always_restricting_test(systems, seconds, net, center, half_width, scales):
-    """(status, eta, omega, rho_minus) per tested pair, omega always restricted.
+    """(status, eta, omega, rho_minus, decided) per tested pair, omega always
+    restricted.
 
     The convergence test without omega's lower bound: every non-singular
     pair restricts the second-derivative nets over its test domain.
+    ``decided`` says whether the lower bound alone fails the pair.
     """
     value, jac = jet(net, (0.5, 0.5))
     value, jac = value.tolist(), jac / (2.0 * half_width)
+    curvature = _curvature(net, half_width)
     results = []
     for system, scale in zip(systems, scales):
         i, k = system.pair
         jac_inv = inverse_2x2(jac[[i, k]])
         if jac_inv is None:
-            results.append((PairStatus.SINGULAR_JACOBIAN, None, None, None))
+            results.append((PairStatus.SINGULAR_JACOBIAN, None, None, None, False))
             continue
         (a, b), (c, d) = jac_inv
         eta = max(abs(a * value[i] + b * value[k]), abs(c * value[i] + d * value[k]))
         domain = Rect.ball(center, scale * half_width)
+        slack = kantorovich._floor_slack(net, half_width, domain)
+        decided = eta * kantorovich._omega_floor(system, jac_inv, curvature, slack) > 0.25
         block = np.concatenate([reparametrize(n, domain).coeffs.reshape(-1, 3) for n in seconds])
         omega = system.omega(jac_inv, block)
         if eta * omega > 0.25:
-            results.append((PairStatus.FAIL_CONVERGENCE, eta, omega, None))
+            results.append((PairStatus.FAIL_CONVERGENCE, eta, omega, None, decided))
             continue
         rho_minus = rho_radii(eta, omega)[0]
         status = PairStatus.PASS if rho_minus <= scale * half_width else PairStatus.FAIL_CONTAINMENT
-        results.append((status, eta, omega, rho_minus))
+        results.append((status, eta, omega, rho_minus, decided))
         if status is PairStatus.PASS:
             break
     return results
@@ -637,7 +626,7 @@ def test_statuses_and_read_values_match_the_always_restricting_test():
     # down as the solver carries them, at depths 0-24 and random per-pair
     # scales: some planar (singular pairs), some passing, most failing.
     rng = np.random.default_rng(52)
-    seen = {"deferred": 0, "restricted failure": 0, "pass": 0, "singular": 0}
+    seen = {"decided": 0, "restricted failure": 0, "pass": 0, "singular": 0}
     for _ in range(300):
         m, n = (int(k) for k in rng.integers(2, 10, 2))
         coeffs = random_net_coeffs(rng, m, n)
@@ -661,15 +650,17 @@ def test_statuses_and_read_values_match_the_always_restricting_test():
         outcome = kantorovich.test_pairs(systems, seconds, carried, center, h, scales)
         expected = _always_restricting_test(systems, seconds, carried, center, h, scales)
         assert len(outcome.pairs) == len(expected)
-        for t, (status, eta, omega, rho_minus) in zip(outcome.pairs, expected):
-            if callable(t._omega):
-                seen["deferred"] += 1
+        for t, (status, eta, omega, rho_minus, decided) in zip(outcome.pairs, expected):
+            if t.omega is None and status is not PairStatus.SINGULAR_JACOBIAN:
+                seen["decided"] += 1
             elif status is PairStatus.FAIL_CONVERGENCE:
                 seen["restricted failure"] += 1
             elif status is not PairStatus.FAIL_CONTAINMENT:
                 seen[status.value.split("_")[0]] += 1
             assert t.status is status
-            assert t.eta == eta and t.omega == omega and t.rho_minus == rho_minus
+            assert t.eta == eta and t.rho_minus == rho_minus
+            # omega is None exactly where the lower bound decided the pair.
+            assert t.omega == (None if decided else omega)
     assert min(seen.values()) >= 5, seen
 
 
@@ -708,11 +699,13 @@ def test_omega_on_deep_squares_matches_exact_restriction():
                 jac_inv = inverse_2x2(jac[pair])
                 exact_inv = np.array([[Fraction(x) for x in row] for row in jac_inv], dtype=object)
                 exact = 4 * max(abs(x) for x in (restricted[:, pair] @ exact_inv.T).flat)
-                assert t.omega >= float(exact) * (1.0 - 1e-13)
-                assert t.omega <= float(exact) * (1.0 + 1e-13)
+                omega = full_test_omega(net, jac, t)
+                assert t.omega in (None, omega)
+                assert omega >= float(exact) * (1.0 - 1e-13)
+                assert omega <= float(exact) * (1.0 + 1e-13)
                 slack = kantorovich._floor_slack(carried, h, d)
                 floor = kantorovich._omega_floor(system, jac_inv, curvature, slack)
-                assert floor <= exact and floor <= t.omega
+                assert floor <= exact and floor <= omega
                 if t.eta * floor > 0.25:
                     assert t.status is PairStatus.FAIL_CONVERGENCE
                     decided += depth <= 6
