@@ -53,18 +53,18 @@ def main() -> None:
 
 def _solver_options(f):
     f = click.option("--mode", type=click.Choice(["adaptive", "fixed"]),
-                     default="adaptive", show_default=True,
+                     default=SolverConfig.mode, show_default=True,
                      help="Adapt test-domain sizes, or keep them fixed.")(f)
-    f = click.option("--epsilon", type=float, default=0.05, show_default=True,
+    f = click.option("--epsilon", type=float, default=SolverConfig.epsilon, show_default=True,
                      help="Adaptation step for the test-domain multipliers.")(f)
-    f = click.option("--newton-tol", type=float, default=1e-7, show_default=True,
+    f = click.option("--newton-tol", type=float, default=SolverConfig.newton_tol, show_default=True,
                      help="Step-size tolerance for Newton refinement.")(f)
     f = click.option("--zero-tol", type=float, default=None,
                      help="Residual below which a point counts as an "
                           "intersection [default: scale-aware].")(f)
-    f = click.option("--max-depth", type=int, default=40, show_default=True,
+    f = click.option("--max-depth", type=int, default=SolverConfig.max_depth, show_default=True,
                      help="Subdivision depth limit.")(f)
-    f = click.option("--max-squares", type=int, default=100_000, show_default=True,
+    f = click.option("--max-squares", type=int, default=SolverConfig.max_squares, show_default=True,
                      help="Stop, truncated, after this many squares "
                           "(safety valve for overlapping curves).")(f)
     return f
@@ -125,7 +125,7 @@ def cmd_solve(input_path, output, **options) -> None:
               help="Comma-separated adaptation steps, one result column each.")
 @click.option("--baseline/--no-baseline", default=True, show_default=True,
               help="Append a fixed-mode baseline column.")
-@click.option("--max-depth", type=int, default=40, show_default=True)
+@click.option("--max-depth", type=int, default=SolverConfig.max_depth, show_default=True)
 @click.option("-o", "--output", type=click.Path(path_type=Path), default=None,
               help="Write the CSV here instead of stdout.")
 def cmd_bench(input_dir, epsilons, baseline, max_depth, output) -> None:

@@ -10,10 +10,12 @@ multipliers are adapted from the parent's test outcome (grown after a
 containment failure, shrunk after a convergence failure). Fixed mode is the
 same rule with a step of 0.
 
-The queue runs breadth-first, so the squares next in line come in families
-of four siblings. The nets of the next families are restricted from their
-parents' nets, and put through the exclusion test's axis stage, in one
-batch; each square then meets its fate one at a time, in queue order.
+The queue runs breadth-first in batches. A batch is a list of squares and
+their nets, the first one the root with the unit net. The axis stage of the
+exclusion test runs on the whole batch at once; then each square meets its
+fate in queue order. Each subdivided square queues its four children with
+its net, and the next batch is the children of the next queued parents,
+their nets restricted from the parents' in one call.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .exclusion import (
     walk_test,
 )
 from .geometry import (
+    QUARTERS,
     BezierCurve,
     ControlNet,
     Rect,
@@ -223,25 +226,12 @@ def point_is_known(regions: list[Rect], x: tuple[float, float]) -> bool:
 
 def _children(square: Square, scales: tuple[float, float, float]) -> list[Square]:
     """The square's quarters, in the order of ``geometry.QUARTERS``."""
-    cu, cv = square.center
-    h = 0.5 * square.half_width
-    depth = square.depth + 1
+    (cu, cv), h = square.center, square.half_width
     return [
-        Square((cu - h, cv - h), h, scales, depth),
-        Square((cu + h, cv - h), h, scales, depth),
-        Square((cu - h, cv + h), h, scales, depth),
-        Square((cu + h, cv + h), h, scales, depth),
+        Square((cu + (q.lo_u + q.hi_u - 1.0) * h, cv + (q.lo_v + q.hi_v - 1.0) * h),
+               0.5 * h, scales, square.depth + 1)
+        for q in QUARTERS
     ]
-
-
-def _axis_tested(squares: list[Square], coeffs: np.ndarray) -> deque:
-    """(square, coefficients, margin) per square, its coefficients a row of
-    ``coeffs``, or None where the axis test excludes the square."""
-    passed, margins = axis_test(coeffs)
-    return deque(
-        (sq, None if excluded else c, margin)
-        for sq, c, excluded, margin in zip(squares, coeffs, passed.tolist(), margins.tolist())
-    )
 
 
 _TRACE_LINES = {
@@ -323,89 +313,86 @@ def solve(
 
     step = 0.0 if config.mode == "fixed" else config.epsilon
     root = Square((0.5, 0.5), 0.5, (INITIAL_SCALE,) * 3, 0)
-    # The queue is FIFO, in two parts. ``ready`` holds squares whose nets are
-    # restricted and axis-tested. ``families`` holds, per subdivided parent,
-    # its four children and its net's coefficients. When ``ready`` runs dry,
-    # the next ``_BATCH_PARENTS`` families are restricted and axis-tested in
-    # one batch, so the solver still runs breadth-first and the queue holds
-    # one net per subdivided parent plus one batch. Only a square that
-    # reaches the convergence test wraps its row in a ``ControlNet``.
-    ready = _axis_tested([root], unit_net.coeffs[None])
+    # The queue is FIFO: the current batch, then ``families``, which holds per
+    # subdivided parent its four children and its net's coefficients. The
+    # solver runs breadth-first and holds one net per queued parent plus one
+    # batch. Only a square that reaches the convergence test wraps its row in
+    # a ``ControlNet``.
+    squares, rows = [root], unit_net.coeffs[None]
     families: deque[tuple[list[Square], np.ndarray]] = deque()
     regions: list[Rect] = []
     report = SolveReport()
     emit = _with_trace_log(observer) if log.isEnabledFor(TRACE) else observer
 
-    while ready or families:
-        if report.squares_examined >= config.max_squares:
-            report.truncated = True
-            emit("truncated", {"reason": "max_squares"})
-            break
-        if not ready:
-            batch = [families.popleft() for _ in range(min(len(families), _BATCH_PARENTS))]
-            ready = _axis_tested(
-                [sq for children, _ in batch for sq in children],
-                restrict_quarters(np.stack([parent for _, parent in batch])),
+    while True:
+        axis_passed, margins = axis_test(rows)
+        for sq, row, excluded, margin in zip(squares, rows, axis_passed.tolist(), margins.tolist()):
+            if report.squares_examined >= config.max_squares:
+                report.truncated = True
+                emit("truncated", {"reason": "max_squares"})
+                return report
+            report.squares_examined += 1
+            report.max_depth_reached = max(report.max_depth_reached, sq.depth)
+            emit("square", {"square": sq})
+
+            if region_prunes_square(regions, sq):
+                emit("pruned", {"square": sq})
+                continue
+
+            if excluded or walk_test(row.reshape(-1, net.dim), margin):
+                report.exclusion_passes += 1
+                emit("excluded", {"square": sq})
+                continue
+
+            outcome = test_pairs(
+                systems, seconds, ControlNet(row), sq.center, sq.half_width, sq.scales
             )
-        sq, coeffs, margin = ready.popleft()
-        report.squares_examined += 1
-        report.max_depth_reached = max(report.max_depth_reached, sq.depth)
-        emit("square", {"square": sq})
+            emit("kantorovich", {"square": sq, "outcome": outcome})
 
-        if region_prunes_square(regions, sq):
-            emit("pruned", {"square": sq})
-            continue
+            passed = outcome.passed
+            if passed is not None:
+                report.kantorovich_passes += 1
+                system = systems[COMPONENT_PAIRS.index(passed.pair)]
+                result = newton_solve(system.net, sq.center, tol=config.newton_tol)
+                emit("newton", {"square": sq, "passed": passed, "result": result})
+                if result.converged:
+                    x = result.root
+                    residual = float(np.abs(eval_net(net, x[0], x[1])).max())
+                    if (
+                        residual <= zero_tol
+                        and -_DOMAIN_SLACK <= x[0] <= 1.0 + _DOMAIN_SLACK
+                        and -_DOMAIN_SLACK <= x[1] <= 1.0 + _DOMAIN_SLACK
+                        and not point_is_known(regions, x)
+                        and not any(
+                            max(abs(x[0] - r.u), abs(x[1] - r.v)) <= _DUPLICATE_TOL
+                            for r in report.intersections
+                        )
+                    ):
+                        record = IntersectionRecord(
+                            u=x[0],
+                            v=x[1],
+                            point=eval_curve(c1, x[0]),
+                            residual=residual,
+                            source_square=sq,
+                        )
+                        report.intersections.append(record)
+                        region = explored_region(passed, sq.center)
+                        if region is not None:
+                            regions.append(region)
+                        emit("intersection", {"record": record})
 
-        if coeffs is None or walk_test(coeffs.reshape(-1, net.dim), margin):
-            report.exclusion_passes += 1
-            emit("excluded", {"square": sq})
-            continue
+            if sq.depth >= config.max_depth:
+                report.truncated = True
+                emit("truncated", {"reason": "max_depth", "square": sq})
+                continue
 
-        outcome = test_pairs(
-            systems, seconds, ControlNet(coeffs), sq.center, sq.half_width, sq.scales
-        )
-        emit("kantorovich", {"square": sq, "outcome": outcome})
+            child_scales = update_scales(outcome, sq.scales, step)
+            # A copy, so a queued parent does not keep its batch alive.
+            families.append((_children(sq, child_scales), row.copy()))
+            report.subdivisions += 1
 
-        passed = outcome.passed
-        if passed is not None:
-            report.kantorovich_passes += 1
-            system = systems[COMPONENT_PAIRS.index(passed.pair)]
-            result = newton_solve(system.net, sq.center, tol=config.newton_tol)
-            emit("newton", {"square": sq, "passed": passed, "result": result})
-            if result.converged:
-                x = result.root
-                residual = float(np.abs(eval_net(net, x[0], x[1])).max())
-                if (
-                    residual <= zero_tol
-                    and -_DOMAIN_SLACK <= x[0] <= 1.0 + _DOMAIN_SLACK
-                    and -_DOMAIN_SLACK <= x[1] <= 1.0 + _DOMAIN_SLACK
-                    and not point_is_known(regions, x)
-                    and not any(
-                        max(abs(x[0] - r.u), abs(x[1] - r.v)) <= _DUPLICATE_TOL
-                        for r in report.intersections
-                    )
-                ):
-                    record = IntersectionRecord(
-                        u=x[0],
-                        v=x[1],
-                        point=eval_curve(c1, x[0]),
-                        residual=residual,
-                        source_square=sq,
-                    )
-                    report.intersections.append(record)
-                    region = explored_region(passed, sq.center)
-                    if region is not None:
-                        regions.append(region)
-                    emit("intersection", {"record": record})
-
-        if sq.depth >= config.max_depth:
-            report.truncated = True
-            emit("truncated", {"reason": "max_depth", "square": sq})
-            continue
-
-        child_scales = update_scales(outcome, sq.scales, step)
-        # A copy, so a queued parent does not keep its batch alive.
-        families.append((_children(sq, child_scales), coeffs.copy()))
-        report.subdivisions += 1
-
-    return report
+        if not families:
+            return report
+        batch = [families.popleft() for _ in range(min(len(families), _BATCH_PARENTS))]
+        squares = [sq for children, _ in batch for sq in children]
+        rows = restrict_quarters(np.stack([parent for _, parent in batch]))

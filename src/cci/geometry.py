@@ -231,9 +231,9 @@ def _jet_weights(m: int, t: float, order: int = 1) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _center_weights(m: int) -> np.ndarray:
-    """``_jet_weights(m, 1/2, 2)``, which every convergence test uses. Cached
-    and shared, hence read-only; weights at other points, such as Newton's
-    iterates, are built afresh so they cannot evict these."""
+    """``_jet_weights(m, 1/2, 2)`` for ``center_jet``, which every convergence
+    test calls. Cached and shared, hence read-only; ``jet`` builds its weights
+    afresh at every point, so Newton's iterates cannot evict these."""
     weights = _jet_weights(m, 0.5, 2)
     weights.flags.writeable = False
     return weights
@@ -248,9 +248,7 @@ def _derivatives(net: ControlNet, wu: np.ndarray, wv: np.ndarray) -> np.ndarray:
 def jet(net: ControlNet, x: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """Value (dim,) and Jacobian (dim, 2) of the net's map at x = (u, v)."""
     u, v = float(x[0]), float(x[1])
-    wu = _center_weights(net.degree_u) if u == 0.5 else _jet_weights(net.degree_u, u)
-    wv = _center_weights(net.degree_v) if v == 0.5 else _jet_weights(net.degree_v, v)
-    both = _derivatives(net, wu, wv)
+    both = _derivatives(net, _jet_weights(net.degree_u, u), _jet_weights(net.degree_v, v))
     return both[0, 0], both[(1, 0), (0, 1)].T
 
 

@@ -262,13 +262,13 @@ def test_pairs(
     curvature = [
         [x / (width * width) for x in f] for f in (grid[2][0], grid[1][1], grid[0][2])
     ]
-    domains = {}
-    for s in set(scales):
-        domain = Rect.ball(center, s * half_width)
-        domains[s] = domain, _floor_slack(net, half_width, domain)
+    domains: dict[float, tuple[Rect, float]] = {}
     blocks: dict[float, np.ndarray] = {}
     results: list[PairTest] = []
     for system, scale in zip(systems, scales):
+        if scale not in domains:
+            domain = Rect.ball(center, scale * half_width)
+            domains[scale] = domain, _floor_slack(net, half_width, domain)
         domain, slack = domains[scale]
         i, k = system.pair
         jac_inv = inverse_2x2((jac[i], jac[k]))

@@ -2,6 +2,7 @@
 plot exports."""
 
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from cci.cli import main
+from cci.engine import SolverConfig
 from cci.problems import load_problem
 from conftest import subprocess_env
 
@@ -44,6 +46,8 @@ def test_solve_writes_to_stdout_by_default(problems_dir):
     doc = json.loads(result.output)
     assert doc["intersections"] == []
     assert doc["counters"]["squares_examined"] == 1
+    # The CLI defaults are SolverConfig's; zero_tol is reported as resolved.
+    assert {**doc["config"], "zero_tol": None} == dataclasses.asdict(SolverConfig())
 
 
 def test_solve_malformed_file_exits_1(tmp_path):

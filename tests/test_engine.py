@@ -505,6 +505,24 @@ def test_overlapping_curves_hit_square_budget():
     assert truncations == ["max_squares"]
 
 
+@pytest.mark.parametrize("budget, truncated, squares", [(5, False, 5), (4, True, 4), (1, True, 1)])
+def test_square_budget_at_batch_boundaries(budget, truncated, squares):
+    # The crossing segments take the root, then one batch of its four
+    # children. The budget is checked before every square, so it can end the
+    # run inside a batch or between two, but not when the queue is empty.
+    events = []
+
+    def observer(event, payload):
+        events.append(payload.get("reason", event))
+
+    report = solve(*CROSSING, SolverConfig(max_squares=budget), observer=observer)
+    assert report.truncated is truncated
+    assert report.squares_examined == squares == events.count("square")
+    assert events.count("max_squares") == int(truncated)
+    # The root alone records the crossing.
+    assert [(r.u, r.v) for r in report.intersections] == [(0.5, 0.5)]
+
+
 def test_square_budget_not_hit_on_ordinary_problems():
     rng = np.random.default_rng(74)
     problem, _ = random_transversal_problem(rng, max_degree=5)

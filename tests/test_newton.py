@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cci.geometry import ControlNet, _center_weights, eval_net, jet
+from cci.geometry import ControlNet, _center_weights, center_jet, eval_net, jet
 from cci.newton import newton_solve
 from conftest import newton_path, random_net_coeffs
 
@@ -115,7 +115,7 @@ def test_newton_iterates_leave_the_center_weights_cached():
     # iterates build their weights afresh, so a long run cannot evict them.
     net = _parabola_line_net()
     _center_weights.cache_clear()
-    jet(net, (0.5, 0.5))
+    center_jet(net)
     before = _center_weights.cache_info()
     result = newton_solve(net, (0.9, 0.1))
     assert result.converged and result.iterations > 3
