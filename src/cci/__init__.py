@@ -13,7 +13,6 @@ from .geometry import (
     BezierCurve,
     ControlNet,
     Rect,
-    UNIT_SQUARE,
     derivative_curve,
     derivative_net,
     difference_net,
@@ -45,45 +44,6 @@ from .engine import (
     update_scales,
 )
 from .oracle import brute_force_intersections
-from .problems import Problem, ProblemFormatError, load_problem, parse_problem, problem_to_dict
-
-__all__ = [
-    "BezierCurve",
-    "ControlNet",
-    "Rect",
-    "UNIT_SQUARE",
-    "derivative_curve",
-    "derivative_net",
-    "difference_net",
-    "eval_curve",
-    "eval_net",
-    "extract_pair",
-    "reparametrize",
-    "sample_curve",
-    "exclusion_test",
-    "COMPONENT_PAIRS",
-    "KantorovichOutcome",
-    "PairStatus",
-    "PairTest",
-    "explored_region",
-    "inverse_2x2",
-    "rho_radii",
-    "NewtonResult",
-    "newton_solve",
-    "IntersectionRecord",
-    "SolveReport",
-    "SolverConfig",
-    "Square",
-    "point_is_known",
-    "region_prunes_square",
-    "solve",
-    "update_scales",
-    "brute_force_intersections",
-    "Problem",
-    "ProblemFormatError",
-    "load_problem",
-    "parse_problem",
-    "problem_to_dict",
-]
+from .problems import Problem, ProblemFormatError, load_problem, parse_problem
 
 __version__ = "0.1.0"

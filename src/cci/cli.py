@@ -1,10 +1,9 @@
-"""Command-line front end: solve single problems, benchmark a directory,
-and export plot-ready samples.
+"""Command-line front end: solve single problems and benchmark a directory.
 
 Exit codes for ``solve``: 0 on success, 1 on a parse or validation
-failure, 2 when the run was truncated (depth limit at a tangential or
-degenerate contact, or the square budget on overlapping curves) and the
-result is therefore possibly incomplete.
+failure or an unwritable output file, 2 when the run was truncated (depth
+limit at a tangential or degenerate contact, or the square budget on
+overlapping curves) and the result is therefore possibly incomplete.
 
 Set CCI_LOG_LEVEL to error, info, debug or trace to control logging;
 trace logs every queue pop with the square, test results and test-domain
@@ -15,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import logging
 import os
@@ -22,11 +22,9 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .engine import TRACE, SolveReport, SolverConfig, effective_zero_tol, solve
 from .problems import Problem, ProblemFormatError, load_problem
-from .geometry import sample_curve
 
 _LOG_LEVELS = {
     "error": logging.ERROR,
@@ -95,6 +93,18 @@ def _report_to_dict(problem: Problem, config: SolverConfig, report: SolveReport)
     }
 
 
+def _emit(text: str, output: Path | None) -> None:
+    """Write text to the output file, or to stdout when there is none."""
+    if output is None:
+        click.echo(text, nl=False)
+        return
+    try:
+        Path(output).write_text(text, newline="")
+    except OSError as e:
+        click.echo(f"error: {e}", err=True)
+        sys.exit(1)
+
+
 @main.command("solve")
 @click.argument("input_path", type=click.Path(path_type=Path))
 @_solver_options
@@ -110,11 +120,7 @@ def cmd_solve(input_path, output, **options) -> None:
         sys.exit(1)
     report = solve(problem.curve1, problem.curve2, config)
     doc = _report_to_dict(problem, config, report)
-    text = json.dumps(doc, indent=2)
-    if output is not None:
-        Path(output).write_text(text + "\n")
-    else:
-        click.echo(text)
+    _emit(json.dumps(doc, indent=2) + "\n", output)
     sys.exit(2 if report.truncated else 0)
 
 
@@ -174,56 +180,9 @@ def cmd_bench(input_dir, epsilons, baseline, max_depth, output) -> None:
             cells.append(str(report.squares_examined))
         rows.append(cells)
 
-    out = open(output, "w", newline="") if output is not None else sys.stdout
-    try:
-        csv.writer(out).writerows(rows)
-    finally:
-        if output is not None:
-            out.close()
-
-
-@main.command("plot-data")
-@click.argument("input_path", type=click.Path(path_type=Path))
-@click.option("--samples", type=int, default=200, show_default=True,
-              help="Points sampled per curve.")
-@click.option("-o", "--outdir", type=click.Path(path_type=Path), default=Path("."),
-              show_default=True, help="Directory for the emitted CSV files.")
-def cmd_plot_data(input_path, samples, outdir) -> None:
-    """Emit sampled curve polylines and solved intersections as CSV files.
-
-    Writes <name>_curves.csv with columns curve_id, t, x, y, z and
-    <name>_intersections.csv with columns u, v, x, y, z, ready for any
-    external plotting tool.
-    """
-    try:
-        problem = load_problem(input_path)
-    except ProblemFormatError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
-    if samples < 2:
-        click.echo("error: --samples must be at least 2", err=True)
-        sys.exit(1)
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    stem = Path(input_path).stem
-
-    ts = np.linspace(0.0, 1.0, samples)
-    curves_path = outdir / f"{stem}_curves.csv"
-    with open(curves_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["curve_id", "t", "x", "y", "z"])
-        for curve_id, curve in ((1, problem.curve1), (2, problem.curve2)):
-            for t, p in zip(ts, sample_curve(curve, ts)):
-                w.writerow([curve_id, repr(float(t))] + [repr(float(c)) for c in p])
-
-    report = solve(problem.curve1, problem.curve2, SolverConfig())
-    points_path = outdir / f"{stem}_intersections.csv"
-    with open(points_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["u", "v", "x", "y", "z"])
-        for r in report.intersections:
-            w.writerow([repr(r.u), repr(r.v)] + [repr(float(c)) for c in r.point])
-    click.echo(f"wrote {curves_path} and {points_path}")
+    table = io.StringIO()
+    csv.writer(table).writerows(rows)
+    _emit(table.getvalue(), output)
 
 
 if __name__ == "__main__":

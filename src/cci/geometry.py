@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "Rect",
-    "UNIT_SQUARE",
     "BezierCurve",
     "ControlNet",
     "eval_curve",
@@ -71,9 +70,6 @@ class Rect:
         return self.lo_u <= u <= self.hi_u and self.lo_v <= v <= self.hi_v
 
 
-UNIT_SQUARE = Rect(0.0, 1.0, 0.0, 1.0)
-
-
 @dataclass(frozen=True, eq=False)
 class BezierCurve:
     """Polynomial space curve in Bernstein form.
@@ -92,6 +88,9 @@ class BezierCurve:
             )
         if not np.isfinite(pts).all():
             raise ValueError("control points must be finite")
+        if pts.shape[0] - 1 > _MAX_DEGREE:
+            raise ValueError(f"degree {pts.shape[0] - 1} exceeds {_MAX_DEGREE}, "
+                             "past which the binomials overflow floats")
         object.__setattr__(self, "control_points", pts)
 
     @property
@@ -160,10 +159,13 @@ def difference_net(c1: BezierCurve, c2: BezierCurve) -> ControlNet:
     return ControlNet(a[:, None, :] - b[None, :, :])
 
 
+_MAX_DEGREE = 1029  # C(1030, 515) overflows a float
+
+
 @functools.lru_cache(maxsize=32)
 def _binomials(m: int) -> np.ndarray:
-    """C(m, i) for i = 0..m, exact as floats up to m = 1029. Cached and
-    shared, hence read-only."""
+    """C(m, i) for i = 0..m as floats, finite up to m = _MAX_DEGREE. Cached
+    and shared, hence read-only."""
     binomials = np.array([math.comb(m, i) for i in range(m + 1)], dtype=float)
     binomials.flags.writeable = False
     return binomials

@@ -1,4 +1,4 @@
-"""Reading and writing curve-pair problem files.
+"""Reading curve-pair problem files.
 
 A problem file is JSON shaped like::
 
@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .geometry import BezierCurve
 
-__all__ = ["Problem", "ProblemFormatError", "parse_problem", "load_problem", "problem_to_dict"]
+__all__ = ["Problem", "ProblemFormatError", "parse_problem", "load_problem"]
 
 
 class ProblemFormatError(ValueError):
@@ -43,7 +43,7 @@ def _parse_curve(data: object, label: str, source: str) -> BezierCurve:
             f"{source}: {label} needs 'degree' and 'control_points'"
         )
     degree = data["degree"]
-    if not isinstance(degree, int) or degree < 0:
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
         raise ProblemFormatError(
             f"{source}: {label}: degree must be a nonnegative integer, got {degree!r}"
         )
@@ -59,12 +59,16 @@ def _parse_curve(data: object, label: str, source: str) -> BezierCurve:
         if (
             not isinstance(p, list)
             or len(p) != 3
-            or not all(isinstance(c, (int, float)) and math.isfinite(c) for c in p)
+            or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                       and math.isfinite(c) for c in p)
         ):
             raise ProblemFormatError(
                 f"{source}: {label}: control point {k} must be a finite [x, y, z] triple"
             )
-    return BezierCurve(points)
+    try:
+        return BezierCurve(points)
+    except ValueError as e:
+        raise ProblemFormatError(f"{source}: {label}: {e}") from e
 
 
 def parse_problem(data: object, source: str = "<problem>") -> Problem:
@@ -97,17 +101,3 @@ def load_problem(path: str | Path) -> Problem:
     if not problem.name:
         problem = Problem(path.stem, problem.curve1, problem.curve2)
     return problem
-
-
-def problem_to_dict(problem: Problem) -> dict:
-    return {
-        "name": problem.name,
-        "curve1": {
-            "degree": problem.curve1.degree,
-            "control_points": problem.curve1.control_points.tolist(),
-        },
-        "curve2": {
-            "degree": problem.curve2.degree,
-            "control_points": problem.curve2.control_points.tolist(),
-        },
-    }

@@ -1,5 +1,4 @@
-"""Command-line interface: exit codes, result documents, bench CSV and
-plot exports."""
+"""Command-line interface: exit codes, result documents and bench CSV."""
 
 import csv
 import dataclasses
@@ -7,13 +6,11 @@ import json
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from cci.cli import main
 from cci.engine import SolverConfig
-from cci.problems import load_problem
 from conftest import subprocess_env
 
 runner = CliRunner()
@@ -166,48 +163,17 @@ def test_bench_missing_dir_exits_1(tmp_path):
     assert result.exit_code == 1
 
 
-# ---------------------------------------------------------------------------
-# plot-data
-
-def test_plot_data_two_samples_are_endpoints(problems_dir, tmp_path):
-    result = _run(["plot-data", str(problems_dir / "crossing_segments.json"),
-                   "--samples", "2", "-o", str(tmp_path)])
-    assert result.exit_code == 0
-    rows = list(csv.reader((tmp_path / "crossing_segments_curves.csv").read_text().splitlines()))
-    assert rows[0] == ["curve_id", "t", "x", "y", "z"]
-    data = [[float(x) for x in row[1:]] for row in rows[1:]]
-    assert data == [
-        [0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0],
-    ]
-
-
-def test_plot_data_samples_inside_control_bbox(problems_dir, tmp_path):
-    path = problems_dir / "suite" / "p05.json"
-    result = _run(["plot-data", str(path), "--samples", "64", "-o", str(tmp_path)])
-    assert result.exit_code == 0
-    problem = load_problem(path)
-    rows = list(csv.reader((tmp_path / "p05_curves.csv").read_text().splitlines()))[1:]
-    for curve_id, curve in ((1, problem.curve1), (2, problem.curve2)):
-        lo = curve.control_points.min(axis=0) - 1e-12
-        hi = curve.control_points.max(axis=0) + 1e-12
-        pts = np.array([[float(x) for x in r[2:]] for r in rows if r[0] == str(curve_id)])
-        assert pts.shape[0] == 64
-        assert (pts >= lo).all() and (pts <= hi).all()
-
-
-def test_plot_data_intersections_match_solve(problems_dir, tmp_path):
-    path = problems_dir / "suite" / "p02.json"
-    _run(["plot-data", str(path), "-o", str(tmp_path)])
-    rows = list(csv.reader((tmp_path / "p02_intersections.csv").read_text().splitlines()))
-    assert rows[0] == ["u", "v", "x", "y", "z"]
-    solved = _run(["solve", str(path)])
-    doc = json.loads(solved.output)
-    assert len(rows) - 1 == len(doc["intersections"])
-    for row, rec in zip(rows[1:], doc["intersections"]):
-        assert float(row[0]) == rec["u"]
-        assert float(row[1]) == rec["v"]
-        assert [float(c) for c in row[2:]] == rec["point"]
+@pytest.mark.parametrize("args", [
+    ["solve", "crossing_segments.json"],
+    ["bench", "suite", "--epsilons", "0.05"],
+])
+def test_output_into_missing_dir_exits_1(problems_dir, tmp_path, args):
+    command, path, *options = args
+    result = _run([command, str(problems_dir / path), *options,
+                   "-o", str(tmp_path / "missing" / "out")])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
 
 
 # ---------------------------------------------------------------------------

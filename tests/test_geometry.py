@@ -15,7 +15,6 @@ from cci.geometry import (
     ControlNet,
     QUARTERS,
     Rect,
-    UNIT_SQUARE,
     center_jet,
     derivative_curve,
     derivative_net,
@@ -147,6 +146,10 @@ def test_curve_validation():
         BezierCurve(np.zeros((3, 2)))
     with pytest.raises(ValueError):
         BezierCurve([[0.0, np.nan, 0.0]])
+    # Degree 1029 is the last whose binomials are finite floats.
+    assert BezierCurve(np.zeros((1030, 3))).degree == 1029
+    with pytest.raises(ValueError, match="degree 1030 exceeds 1029"):
+        BezierCurve(np.zeros((1031, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +361,7 @@ def _from_unit(target, s, t):
 def test_reparametrize_identity():
     rng = np.random.default_rng(14)
     net = ControlNet(random_net_coeffs(rng, 5, 5))
-    out = reparametrize(net, UNIT_SQUARE)
+    out = reparametrize(net, Rect(0.0, 1.0, 0.0, 1.0))
     assert np.array_equal(out.coeffs, net.coeffs)
 
 
