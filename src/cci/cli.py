@@ -20,10 +20,11 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
-from .engine import TRACE, SolveReport, SolverConfig, effective_zero_tol, solve
+from .engine import TRACE, SolveReport, SolverConfig, solve
 from .problems import Problem, ProblemFormatError, load_problem
 
 _LOG_LEVELS = {
@@ -69,10 +70,9 @@ def _solver_options(f):
 
 
 def _report_to_dict(problem: Problem, config: SolverConfig, report: SolveReport) -> dict:
-    zero_tol = effective_zero_tol(config, problem.curve1, problem.curve2)
     return {
         "name": problem.name,
-        "config": {**dataclasses.asdict(config), "zero_tol": zero_tol},
+        "config": {**dataclasses.asdict(config), "zero_tol": report.zero_tol},
         "intersections": [
             {
                 "u": r.u,
@@ -93,16 +93,20 @@ def _report_to_dict(problem: Problem, config: SolverConfig, report: SolveReport)
     }
 
 
+def _fail(message: object) -> NoReturn:
+    click.echo(f"error: {message}", err=True)
+    sys.exit(1)
+
+
 def _emit(text: str, output: Path | None) -> None:
     """Write text to the output file, or to stdout when there is none."""
     if output is None:
         click.echo(text, nl=False)
         return
     try:
-        Path(output).write_text(text, newline="")
+        output.write_text(text, newline="")
     except OSError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
+        _fail(e)
 
 
 @main.command("solve")
@@ -116,8 +120,9 @@ def cmd_solve(input_path, output, **options) -> None:
         config = SolverConfig(**options)
         problem = load_problem(input_path)
     except ValueError as e:  # a ProblemFormatError is a ValueError
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
+        _fail(e)
+    if output is not None and not output.parent.is_dir():
+        _fail(f"{output.parent} is not a directory")
     report = solve(problem.curve1, problem.curve2, config)
     doc = _report_to_dict(problem, config, report)
     _emit(json.dumps(doc, indent=2) + "\n", output)
@@ -141,27 +146,24 @@ def cmd_bench(input_dir, epsilons, baseline, max_depth, output) -> None:
     problems, columns are the adaptation steps and, last, the fixed-mode
     baseline.
     """
-    input_dir = Path(input_dir)
     if not input_dir.is_dir():
-        click.echo(f"error: {input_dir} is not a directory", err=True)
-        sys.exit(1)
+        _fail(f"{input_dir} is not a directory")
     try:
         eps_values = [float(tok) for tok in epsilons.split(",") if tok.strip() != ""]
     except ValueError:
-        click.echo(f"error: bad --epsilons list {epsilons!r}", err=True)
-        sys.exit(1)
+        _fail(f"bad --epsilons list {epsilons!r}")
     try:
         configs = [SolverConfig(mode="adaptive", epsilon=e, max_depth=max_depth)
                    for e in eps_values]
         if baseline:
             configs.append(SolverConfig(mode="fixed", max_depth=max_depth))
     except ValueError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
+        _fail(e)
     paths = sorted(input_dir.glob("*.json"))
     if not paths:
-        click.echo(f"error: no .json problem files in {input_dir}", err=True)
-        sys.exit(1)
+        _fail(f"no .json problem files in {input_dir}")
+    if output is not None and not output.parent.is_dir():
+        _fail(f"{output.parent} is not a directory")
 
     header = ["name", "degrees"] + [f"eps={e:g}" for e in eps_values]
     if baseline:

@@ -55,19 +55,6 @@ from .kantorovich import (
 )
 from .newton import newton_solve
 
-__all__ = [
-    "TRACE",
-    "Square",
-    "SolverConfig",
-    "IntersectionRecord",
-    "SolveReport",
-    "effective_zero_tol",
-    "update_scales",
-    "region_prunes_square",
-    "point_is_known",
-    "solve",
-]
-
 TRACE = 5
 logging.addLevelName(TRACE, "TRACE")
 log = logging.getLogger(__name__)
@@ -123,7 +110,7 @@ class SolverConfig:
     the same rule with a step of 0, so the multipliers stay at 1.5.
     ``zero_tol`` is the residual below which a refined point counts as an
     intersection; None picks 1e-6 * max coefficient magnitude at solve
-    time.
+    time, and the report carries the value used.
 
     ``max_squares`` is a safety valve for inputs with non-isolated
     intersections (overlapping curves), whose zero set makes the number of
@@ -165,6 +152,9 @@ class IntersectionRecord:
 
 @dataclass
 class SolveReport:
+    # The residual tolerance the run accepted zeros under: ``config.zero_tol``,
+    # or its unset default resolved as ``SolverConfig`` describes.
+    zero_tol: float
     intersections: list[IntersectionRecord] = field(default_factory=list)
     squares_examined: int = 0
     subdivisions: int = 0
@@ -172,17 +162,6 @@ class SolveReport:
     kantorovich_passes: int = 0
     max_depth_reached: int = 0
     truncated: bool = False
-
-
-def effective_zero_tol(config: SolverConfig, c1: BezierCurve, c2: BezierCurve) -> float:
-    """Residual acceptance tolerance of a run: ``config.zero_tol`` if set.
-
-    The unset default is relative, so it means the same in any units: 1e-6
-    times the largest difference-net coefficient magnitude.
-    """
-    if config.zero_tol is not None:
-        return config.zero_tol
-    return 1e-6 * float(np.abs(difference_net(c1, c2).coeffs).max())
 
 
 def update_scales(
@@ -305,11 +284,11 @@ def solve(
     # The solver runs on the net scaled exactly, by a power of two, to a
     # largest coefficient in [0.5, 1), so its absolute singularity floors
     # do not depend on the units of the input.
-    _, exponent = math.frexp(float(np.abs(net.coeffs).max()))
+    scale = float(np.abs(net.coeffs).max())
+    _, exponent = math.frexp(scale)
     unit_net = ControlNet(np.ldexp(net.coeffs, -exponent))
     systems = [PairSystem(unit_net, pair) for pair in COMPONENT_PAIRS]
     seconds = second_derivative_nets(unit_net)
-    zero_tol = effective_zero_tol(config, c1, c2)
 
     step = 0.0 if config.mode == "fixed" else config.epsilon
     root = Square((0.5, 0.5), 0.5, (INITIAL_SCALE,) * 3, 0)
@@ -321,7 +300,7 @@ def solve(
     squares, rows = [root], unit_net.coeffs[None]
     families: deque[tuple[list[Square], np.ndarray]] = deque()
     regions: list[Rect] = []
-    report = SolveReport()
+    report = SolveReport(1e-6 * scale if config.zero_tol is None else config.zero_tol)
     emit = _with_trace_log(observer) if log.isEnabledFor(TRACE) else observer
 
     while True:
@@ -359,7 +338,7 @@ def solve(
                     x = result.root
                     residual = float(np.abs(eval_net(net, x[0], x[1])).max())
                     if (
-                        residual <= zero_tol
+                        residual <= report.zero_tol
                         and -_DOMAIN_SLACK <= x[0] <= 1.0 + _DOMAIN_SLACK
                         and -_DOMAIN_SLACK <= x[1] <= 1.0 + _DOMAIN_SLACK
                         and not point_is_known(regions, x)

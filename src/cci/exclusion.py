@@ -43,8 +43,6 @@ import numpy as np
 
 from .geometry import ControlNet
 
-__all__ = ["exclusion_test", "axis_test", "walk_test"]
-
 # GJK ends finitely in exact arithmetic; in floating point each major step
 # must shorten x, and at most _MAX_MAJOR are taken.
 _MAX_MAJOR = 32

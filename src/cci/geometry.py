@@ -16,25 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "Rect",
-    "BezierCurve",
-    "ControlNet",
-    "eval_curve",
-    "sample_curve",
-    "derivative_curve",
-    "difference_net",
-    "eval_net",
-    "jet",
-    "center_jet",
-    "derivative_net",
-    "reparametrize",
-    "QUARTERS",
-    "restrict_quarters",
-    "restriction_growth",
-    "extract_pair",
-]
-
 
 @dataclass(frozen=True)
 class Rect:
@@ -59,8 +40,6 @@ class Rect:
     @classmethod
     def ball(cls, center: tuple[float, float], radius: float) -> "Rect":
         """Closed infinity-norm ball, i.e. the square of the given half-width."""
-        if radius <= 0.0:
-            raise ValueError(f"ball radius must be positive, got {radius}")
         cu, cv = center
         return cls(cu - radius, cu + radius, cv - radius, cv + radius)
 
@@ -196,15 +175,10 @@ def derivative_net(net: ControlNet, axis: str) -> ControlNet:
     if axis not in ("u", "v"):
         raise ValueError(f"axis must be 'u' or 'v', got {axis!r}")
     c = net.coeffs
-    if axis == "u":
-        m = net.degree_u
-        if m == 0:
-            return ControlNet(np.zeros_like(c))
-        return ControlNet(m * (c[1:] - c[:-1]))
-    n = net.degree_v
-    if n == 0:
+    k = "uv".index(axis)
+    if c.shape[k] == 1:
         return ControlNet(np.zeros_like(c))
-    return ControlNet(n * (c[:, 1:] - c[:, :-1]))
+    return ControlNet((c.shape[k] - 1) * np.diff(c, axis=k))
 
 
 def _jet_weights(m: int, t: float, order: int = 1) -> np.ndarray:

@@ -40,19 +40,6 @@ from .geometry import (
     restriction_growth,
 )
 
-__all__ = [
-    "COMPONENT_PAIRS",
-    "PairStatus",
-    "PairTest",
-    "KantorovichOutcome",
-    "PairSystem",
-    "second_derivative_nets",
-    "inverse_2x2",
-    "rho_radii",
-    "test_pairs",
-    "explored_region",
-]
-
 # The three 2x2 sub-systems of a 3-component map, in fixed test order.
 COMPONENT_PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (1, 2))
 

@@ -13,8 +13,6 @@ import numpy as np
 from .geometry import ControlNet, eval_net, jet
 from .kantorovich import inverse_2x2
 
-__all__ = ["NewtonResult", "newton_solve"]
-
 
 @dataclass(frozen=True)
 class NewtonResult:

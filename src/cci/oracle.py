@@ -13,8 +13,6 @@ import numpy as np
 
 from .geometry import BezierCurve, derivative_curve, eval_curve, sample_curve
 
-__all__ = ["brute_force_intersections"]
-
 
 def _local_minima(values: np.ndarray, threshold: float) -> list[tuple[int, int]]:
     padded = np.pad(values, 1, mode="constant", constant_values=np.inf)

@@ -21,8 +21,6 @@ from pathlib import Path
 
 from .geometry import BezierCurve
 
-__all__ = ["Problem", "ProblemFormatError", "parse_problem", "load_problem"]
-
 
 class ProblemFormatError(ValueError):
     """A problem file failed to parse or validate."""

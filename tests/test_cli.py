@@ -6,11 +6,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from cci.cli import main
 from cci.engine import SolverConfig
+from cci.problems import load_problem
 from conftest import subprocess_env
 
 runner = CliRunner()
@@ -38,13 +40,18 @@ def test_solve_crossing_segments(problems_dir, tmp_path):
 
 
 def test_solve_writes_to_stdout_by_default(problems_dir):
-    result = _run(["solve", str(problems_dir / "disjoint_segments.json")])
+    path = problems_dir / "disjoint_segments.json"
+    result = _run(["solve", str(path)])
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["intersections"] == []
     assert doc["counters"]["squares_examined"] == 1
-    # The CLI defaults are SolverConfig's; zero_tol is reported as resolved.
+    # The CLI defaults are SolverConfig's; zero_tol is reported as resolved,
+    # 1e-6 times the largest |c1_i - c2_j|.
     assert {**doc["config"], "zero_tol": None} == dataclasses.asdict(SolverConfig())
+    problem = load_problem(path)
+    a, b = problem.curve1.control_points, problem.curve2.control_points
+    assert doc["config"]["zero_tol"] == 1e-6 * np.abs(a[:, None] - b[None, :]).max()
 
 
 def test_solve_malformed_file_exits_1(tmp_path):
@@ -167,13 +174,17 @@ def test_bench_missing_dir_exits_1(tmp_path):
     ["solve", "crossing_segments.json"],
     ["bench", "suite", "--epsilons", "0.05"],
 ])
-def test_output_into_missing_dir_exits_1(problems_dir, tmp_path, args):
+def test_output_into_missing_dir_exits_1(problems_dir, tmp_path, monkeypatch, args):
+    # The output path is checked before any solve.
+    calls = []
+    monkeypatch.setattr("cci.cli.solve", lambda *a, **kw: calls.append(a))
     command, path, *options = args
     result = _run([command, str(problems_dir / path), *options,
                    "-o", str(tmp_path / "missing" / "out")])
     assert result.exit_code == 1
     assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.stderr
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 whole-solver properties on generated transversal problems."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -279,6 +280,8 @@ def test_units_do_not_change_the_run(problems_dir):
         )
         assert report.squares_examined == base.squares_examined, s
         assert len(report.intersections) == len(base.intersections), s
+        # The default residual tolerance is relative: it scales with the input.
+        assert abs(report.zero_tol - s * base.zero_tol) <= math.ulp(s * base.zero_tol), s
         for a, b in zip(report.intersections, base.intersections):
             assert max(abs(a.u - b.u), abs(a.v - b.v)) <= 1e-12, s
 

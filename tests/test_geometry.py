@@ -237,6 +237,13 @@ def test_derivative_net_degree_zero_axis():
     assert np.abs(d.coeffs).max() == 0.0
 
 
+def test_derivative_net_rejects_other_axes():
+    net = ControlNet(np.ones((2, 3, 3)))
+    for axis in ("w", "", "uv"):
+        with pytest.raises(ValueError):
+            derivative_net(net, axis)
+
+
 def test_derivative_net_finite_difference():
     rng = np.random.default_rng(11)
     net = ControlNet(random_net_coeffs(rng, 4, 5))
