@@ -98,6 +98,16 @@ def _fail(message: object) -> NoReturn:
     sys.exit(1)
 
 
+def _check_output(output: Path | None) -> None:
+    """Fail before any solve when the output file could not be written."""
+    if output is None:
+        return
+    if output.is_dir():
+        _fail(f"{output} is a directory")
+    if not output.parent.is_dir():
+        _fail(f"{output.parent} is not a directory")
+
+
 def _emit(text: str, output: Path | None) -> None:
     """Write text to the output file, or to stdout when there is none."""
     if output is None:
@@ -121,8 +131,7 @@ def cmd_solve(input_path, output, **options) -> None:
         problem = load_problem(input_path)
     except ValueError as e:  # a ProblemFormatError is a ValueError
         _fail(e)
-    if output is not None and not output.parent.is_dir():
-        _fail(f"{output.parent} is not a directory")
+    _check_output(output)
     report = solve(problem.curve1, problem.curve2, config)
     doc = _report_to_dict(problem, config, report)
     _emit(json.dumps(doc, indent=2) + "\n", output)
@@ -162,8 +171,7 @@ def cmd_bench(input_dir, epsilons, baseline, max_depth, output) -> None:
     paths = sorted(input_dir.glob("*.json"))
     if not paths:
         _fail(f"no .json problem files in {input_dir}")
-    if output is not None and not output.parent.is_dir():
-        _fail(f"{output.parent} is not a directory")
+    _check_output(output)
 
     header = ["name", "degrees"] + [f"eps={e:g}" for e in eps_values]
     if baseline:

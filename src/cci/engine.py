@@ -34,7 +34,6 @@ from .exclusion import (
     walk_test,
 )
 from .geometry import (
-    QUARTERS,
     BezierCurve,
     ControlNet,
     Rect,
@@ -90,14 +89,16 @@ class Square:
     depth: int = 0
 
     def __post_init__(self) -> None:
-        if self.half_width <= 0.0:
-            raise ValueError("half_width must be positive")
-        cu, cv = self.center
-        r = self.half_width
-        if min(cu - r, cv - r) < -1e-12 or max(cu + r, cv + r) > 1.0 + 1e-12:
+        # Every check is a comparison that NaN fails, so NaN raises too.
+        (cu, cv), r = self.center, self.half_width
+        if not 0.0 < r < math.inf:
+            raise ValueError(f"half_width must be positive and finite, got {r}")
+        if not (-1e-12 <= cu - r and cu + r <= 1.0 + 1e-12
+                and -1e-12 <= cv - r and cv + r <= 1.0 + 1e-12):
             raise ValueError("square must lie inside the unit parameter square")
-        if any(s < 1.0 for s in self.scales):
-            raise ValueError(f"test-domain scales must be >= 1, got {self.scales}")
+        s0, s1, s2 = self.scales
+        if not (1.0 <= s0 < math.inf and 1.0 <= s1 < math.inf and 1.0 <= s2 < math.inf):
+            raise ValueError(f"test-domain scales must be finite and >= 1, got {self.scales}")
 
 
 @dataclass(frozen=True)
@@ -205,11 +206,14 @@ def point_is_known(regions: list[Rect], x: tuple[float, float]) -> bool:
 
 def _children(square: Square, scales: tuple[float, float, float]) -> list[Square]:
     """The square's quarters, in the order of ``geometry.QUARTERS``."""
-    (cu, cv), h = square.center, square.half_width
+    (cu, cv), h = square.center, 0.5 * square.half_width
+    lo_u, hi_u, lo_v, hi_v = cu - h, cu + h, cv - h, cv + h
+    depth = square.depth + 1
     return [
-        Square((cu + (q.lo_u + q.hi_u - 1.0) * h, cv + (q.lo_v + q.hi_v - 1.0) * h),
-               0.5 * h, scales, square.depth + 1)
-        for q in QUARTERS
+        Square((lo_u, lo_v), h, scales, depth),
+        Square((hi_u, lo_v), h, scales, depth),
+        Square((lo_u, hi_v), h, scales, depth),
+        Square((hi_u, hi_v), h, scales, depth),
     ]
 
 

@@ -1,7 +1,7 @@
 """Bernstein-basis arithmetic for Bezier curves and tensor-product control nets.
 
 Everything here is exact polynomial algebra up to floating-point rounding.
-Evaluation applies Bernstein weights (``_jet_weights``, ``_basis_matrix``);
+Evaluation applies Bernstein weights (``_weights``, ``_basis_matrix``);
 restriction applies per-axis restriction matrices whose entries are
 de Casteljau's closed-form weights, so both stay stable on [0, 1] and
 remain exact (as polynomial identities) for parameters outside it, and nets
@@ -31,10 +31,11 @@ class Rect:
     hi_v: float
 
     def __post_init__(self) -> None:
-        vals = (self.lo_u, self.hi_u, self.lo_v, self.hi_v)
-        if not all(math.isfinite(x) for x in vals):
-            raise ValueError(f"rectangle bounds must be finite, got {vals}")
-        if not (self.lo_u < self.hi_u and self.lo_v < self.hi_v):
+        # Finite and ordered in one chain, which NaN fails; then say which.
+        lo_u, hi_u, lo_v, hi_v = vals = (self.lo_u, self.hi_u, self.lo_v, self.hi_v)
+        if not (-math.inf < lo_u < hi_u < math.inf and -math.inf < lo_v < hi_v < math.inf):
+            if not all(math.isfinite(x) for x in vals):
+                raise ValueError(f"rectangle bounds must be finite, got {vals}")
             raise ValueError(f"degenerate rectangle {vals}")
 
     @classmethod
@@ -181,6 +182,66 @@ def derivative_net(net: ControlNet, axis: str) -> ControlNet:
     return ControlNet((c.shape[k] - 1) * np.diff(c, axis=k))
 
 
+@functools.lru_cache(maxsize=256)
+def _weight_tables(axes: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, ...]:
+    """Gather tables for ``_weights`` over ``axes``, pairs (degree m, order).
+
+    Row k of an axis starts as the products m!/(m-k)! ((C(m-k, i)
+    (1-t)^(m-k-i)) t^i), i = 0..m-k, and takes k zero-padded backward
+    differences, each entry (0 + B_{i-1}) - B_i. That order of operations,
+    and the 0 + turning -0 into +0, fix every bit. Returns the exponents;
+    per product the indices of its powers of 1 - t and of t, its binomial
+    and its falling factorial; per difference level the indices of each
+    result's two operands; and the index of each weight in output order.
+    Indices run over the products, then each level's results in turn.
+    Product 0 is 0: the padding, and every weight of a row past degree m.
+    Cached and shared, hence read-only.
+    """
+    width = max(m for m, _ in axes) + 1
+    pick, binoms, perms = [(0, 0)], [0.0], [1.0]
+    rows: list[tuple[list[int], int]] = []  # per output row: entries, differences left
+    for a, (m, order) in enumerate(axes):
+        for k in range(order + 1):
+            if k > m:
+                rows.append(([0] * (m + 1), 0))
+                continue
+            j = m - k
+            rows.append((list(range(len(binoms), len(binoms) + j + 1)), k))
+            pick += [((2 * a + 1) * width + j - i, 2 * a * width + i) for i in range(j + 1)]
+            binoms += [float(math.comb(j, i)) for i in range(j + 1)]
+            perms += [float(math.perm(m, k))] * (j + 1)
+    size, levels = len(binoms), []
+    for level in range(1, max(order for _, order in axes) + 1):
+        operands: list[tuple[int, int]] = []
+        for r, (entries, k) in enumerate(rows):
+            if k >= level:
+                padded = [0, *entries, 0]
+                operands += zip(padded[:-1], padded[1:])
+                rows[r] = (list(range(size, size + len(padded) - 1)), k)
+                size += len(padded) - 1
+        levels.append(np.array(operands, dtype=np.intp).reshape(-1, 2).T)
+    out = np.array([i for entries, _ in rows for i in entries], dtype=np.intp)
+    tables = (_exponents(width - 1), np.array(pick, dtype=np.intp).T, np.array(binoms),
+              np.array(perms), *levels, out)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _weights(axes: tuple[tuple[int, int], ...], points: tuple[float, ...]) -> np.ndarray:
+    """``_jet_weights`` of every axis at its point, its rows flattened in turn:
+    one ``np.power`` call and one gather-and-multiply serve all axes."""
+    exponents, pick, binoms, perms, *levels, out = _weight_tables(axes)
+    bases = np.array([x for t in points for x in (t, 1.0 - t)])
+    # numpy's power, not Python's: the two round some powers apart.
+    powers = np.power(bases[:, None], exponents).ravel()[pick]
+    entries = perms * ((binoms * powers[0]) * powers[1])
+    for operands in levels:
+        pair = entries[operands]
+        entries = np.concatenate((entries, (0.0 + pair[0]) - pair[1]))
+    return entries[out]
+
+
 def _jet_weights(m: int, t: float, order: int = 1) -> np.ndarray:
     """Rows 0..order: the degree-m Bernstein basis at t and its derivatives there.
 
@@ -190,26 +251,14 @@ def _jet_weights(m: int, t: float, order: int = 1) -> np.ndarray:
     entry for entry, ``_basis_matrix``'s. At t = 1/2 every weight is a
     dyadic rational, exact in floating point.
     """
-    exponents = _exponents(m)
-    t_powers, s_powers = t**exponents, (1.0 - t) ** exponents
-    weights = np.zeros((order + 1, m + 1))
-    for k in range(min(order, m) + 1):
-        j = m - k
-        row = math.perm(m, k) * (_binomials(j) * s_powers[j::-1] * t_powers[: j + 1])
-        for size in range(j + 2, m + 2):
-            step = np.zeros(size)
-            step[1:] += row
-            step[:-1] -= row
-            row = step
-        weights[k] = row
-    return weights
+    return _weights(((m, order),), (t,)).reshape(order + 1, m + 1)
 
 
 @functools.lru_cache(maxsize=32)
 def _center_weights(m: int) -> np.ndarray:
     """``_jet_weights(m, 1/2, 2)`` for ``center_jet``, which every convergence
-    test calls. Cached and shared, hence read-only; ``jet`` builds its weights
-    afresh at every point, so Newton's iterates cannot evict these."""
+    test calls. Cached and shared, hence read-only; ``jet`` caches only its
+    gather tables, so Newton's iterates cannot evict these."""
     weights = _jet_weights(m, 0.5, 2)
     weights.flags.writeable = False
     return weights
@@ -223,8 +272,10 @@ def _derivatives(net: ControlNet, wu: np.ndarray, wv: np.ndarray) -> np.ndarray:
 
 def jet(net: ControlNet, x: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """Value (dim,) and Jacobian (dim, 2) of the net's map at x = (u, v)."""
-    u, v = float(x[0]), float(x[1])
-    both = _derivatives(net, _jet_weights(net.degree_u, u), _jet_weights(net.degree_v, v))
+    m, n = net.degree_u, net.degree_v
+    weights = _weights(((m, 1), (n, 1)), (float(x[0]), float(x[1])))
+    wu, wv = weights[: 2 * m + 2].reshape(2, m + 1), weights[2 * m + 2 :].reshape(2, n + 1)
+    both = _derivatives(net, wu, wv)
     return both[0, 0], both[(1, 0), (0, 1)].T
 
 

@@ -249,14 +249,14 @@ def test_pairs(
     curvature = [
         [x / (width * width) for x in f] for f in (grid[2][0], grid[1][1], grid[0][2])
     ]
-    domains: dict[float, tuple[Rect, float]] = {}
+    domains: dict[float, Rect] = {}
+    slacks: dict[float, float] = {}
     blocks: dict[float, np.ndarray] = {}
     results: list[PairTest] = []
     for system, scale in zip(systems, scales):
         if scale not in domains:
-            domain = Rect.ball(center, scale * half_width)
-            domains[scale] = domain, _floor_slack(net, half_width, domain)
-        domain, slack = domains[scale]
+            domains[scale] = Rect.ball(center, scale * half_width)
+        domain = domains[scale]
         i, k = system.pair
         jac_inv = inverse_2x2((jac[i], jac[k]))
         if jac_inv is None:
@@ -264,7 +264,9 @@ def test_pairs(
             continue
         (a, b), (c, d) = jac_inv
         eta = max(abs(a * value[i] + b * value[k]), abs(c * value[i] + d * value[k]))
-        if eta * _omega_floor(system, jac_inv, curvature, slack) > 0.25:
+        if scale not in slacks:
+            slacks[scale] = _floor_slack(net, half_width, domain)
+        if eta * _omega_floor(system, jac_inv, curvature, slacks[scale]) > 0.25:
             results.append(PairTest(system.pair, PairStatus.FAIL_CONVERGENCE, domain, eta))
             continue
         if scale not in blocks:

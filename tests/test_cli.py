@@ -171,16 +171,18 @@ def test_bench_missing_dir_exits_1(tmp_path):
 
 
 @pytest.mark.parametrize("args", [
-    ["solve", "crossing_segments.json"],
-    ["bench", "suite", "--epsilons", "0.05"],
+    ["solve", "crossing_segments.json", "-o", "missing/out"],
+    ["bench", "suite", "--epsilons", "0.05", "-o", "missing/out"],
+    # An existing directory is no file to write to either.
+    ["solve", "crossing_segments.json", "-o", "."],
+    ["bench", "suite", "--epsilons", "0.05", "-o", "."],
 ])
 def test_output_into_missing_dir_exits_1(problems_dir, tmp_path, monkeypatch, args):
     # The output path is checked before any solve.
     calls = []
     monkeypatch.setattr("cci.cli.solve", lambda *a, **kw: calls.append(a))
-    command, path, *options = args
-    result = _run([command, str(problems_dir / path), *options,
-                   "-o", str(tmp_path / "missing" / "out")])
+    command, path, *options, output = args
+    result = _run([command, str(problems_dir / path), *options, str(tmp_path / output)])
     assert result.exit_code == 1
     assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.stderr

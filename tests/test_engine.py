@@ -200,6 +200,18 @@ def test_square_validation():
         Square((0.9, 0.9), 0.5, (1.5, 1.5, 1.5))
     with pytest.raises(ValueError):
         Square((0.5, 0.5), 0.0, (1.5, 1.5, 1.5))
+    # NaN fails every comparison; it and infinities must still be refused.
+    nan, inf = float("nan"), float("inf")
+    for center, half_width, scales in (
+        ((0.5, 0.5), nan, (1.5, 1.5, 1.5)),
+        ((0.5, 0.5), inf, (1.5, 1.5, 1.5)),
+        ((nan, 0.5), 0.25, (1.5, 1.5, 1.5)),
+        ((0.5, nan), 0.25, (1.5, 1.5, 1.5)),
+        ((0.5, 0.5), 0.25, (1.5, nan, 1.5)),
+        ((0.5, 0.5), 0.25, (1.5, 1.5, inf)),
+    ):
+        with pytest.raises(ValueError):
+            Square(center, half_width, scales)
 
 
 def test_config_validation():

@@ -9,6 +9,7 @@ import pytest
 from cci.geometry import (
     _basis_matrix,
     _center_weights,
+    _derivatives,
     _jet_weights,
     _split_matrix,
     BezierCurve,
@@ -62,6 +63,20 @@ def test_partition_of_unity():
             assert abs(total - 1.0) <= 1e-12
 
 
+def _closed_form_jet_weights(m, t):
+    """The degree-m basis at t and its derivative, each entry evaluated
+    elementwise in closed form, as ``_jet_weights(m, t)`` must give them."""
+    comb = np.vectorize(math.comb, otypes=[float])
+    i = np.arange(m + 1)
+    expected = np.zeros((2, m + 1))
+    expected[0] = comb(m, i) * (1.0 - t) ** (m - i) * t**i
+    if m:
+        lower = m * (comb(m - 1, i[:m]) * (1.0 - t) ** (m - 1 - i[:m]) * t ** i[:m])
+        expected[1, 1:] += lower
+        expected[1, :-1] -= lower
+    return expected
+
+
 def test_split_and_jet_weights_are_the_closed_form_bit_for_bit():
     # The tables gather powers of t and 1 - t from short vectors; every
     # entry must equal binom * t**j * (1 - t)**k evaluated elementwise over
@@ -79,13 +94,7 @@ def test_split_and_jet_weights_are_the_closed_form_bit_for_bit():
             right = binom * t ** np.maximum(j - k, 0) * (1.0 - t) ** (m - j)
             assert np.array_equal(_split_matrix(m, t, 0), left), (m, t)
             assert np.array_equal(_split_matrix(m, t, 1), right), (m, t)
-            expected = np.zeros((2, m + 1))
-            expected[0] = comb(m, i) * (1.0 - t) ** (m - i) * t**i
-            if m:
-                lower = m * (comb(m - 1, i[:m]) * (1.0 - t) ** (m - 1 - i[:m]) * t ** i[:m])
-                expected[1, 1:] += lower
-                expected[1, :-1] -= lower
-            assert np.array_equal(_jet_weights(m, t), expected), (m, t)
+            assert np.array_equal(_jet_weights(m, t), _closed_form_jet_weights(m, t)), (m, t)
         # The second-derivative row at 1/2, in the weights every convergence
         # test caches: m (m - 1) (B_{i-2} - 2 B_{i-1} + B_i) of degree m - 2.
         expected = np.zeros((3, m + 1))
@@ -98,6 +107,30 @@ def test_split_and_jet_weights_are_the_closed_form_bit_for_bit():
         assert np.array_equal(_jet_weights(m, 0.5, 2), expected), m
         assert np.array_equal(_center_weights(m), expected), m
         assert not _center_weights(m).flags.writeable
+
+
+def test_jet_is_the_closed_form_contraction_bit_for_bit():
+    # ``jet`` gathers both axes' weights in one pass. Its value and Jacobian
+    # must be the net contracted with each axis's closed-form weights, bit
+    # for bit (signed zeros included), inside [0, 1] and outside it.
+    rng = np.random.default_rng(23)
+    points = [0.0, 0.5, 1.0, -0.0, 0.3, -0.25, 1.25, *rng.uniform(-0.3, 1.3, 3).tolist()]
+    # Keyed by position: 0.0 and -0.0 are one dictionary key.
+    weights = [[_closed_form_jet_weights(m, t) for t in points] for m in range(21)]
+    for m in range(21):
+        for t, expected in zip(points, weights[m]):
+            assert _jet_weights(m, t).tobytes() == expected.tobytes(), (m, t)
+    pairs = [(k, (k + 4) % len(points)) for k in range(len(points))]
+    for m in range(21):
+        for n in range(21):
+            for dim in (1, 2, 3):
+                net = ControlNet(rng.normal(size=(m + 1, n + 1, dim)))
+                for i, j in pairs:
+                    u, v = points[i], points[j]
+                    both = _derivatives(net, weights[m][i], weights[n][j])
+                    value, jac = jet(net, (u, v))
+                    assert value.tobytes() == both[0, 0].tobytes(), (m, n, dim, u, v)
+                    assert jac.tobytes() == both[(1, 0), (0, 1)].T.tobytes(), (m, n, dim, u, v)
 
 
 # ---------------------------------------------------------------------------
