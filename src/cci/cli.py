@@ -1,13 +1,13 @@
 """Command-line front end: solve single problems and benchmark a directory.
 
-Exit codes for ``solve``: 0 on success, 1 on a parse or validation
-failure or an unwritable output file, 2 when the run was truncated (depth
-limit at a tangential or degenerate contact, or the square budget on
-overlapping curves) and the result is therefore possibly incomplete.
+Exit codes for ``solve``: 0 on success, 1 on a usage error, a parse or
+validation failure or an unwritable output file, 2 when the run was
+truncated (depth limit at a tangential or degenerate contact, or the square
+budget on overlapping curves) and the result is therefore possibly
+incomplete. ``bench`` exits 0 or 1.
 
-Set CCI_LOG_LEVEL to error, info, debug or trace to control logging;
-trace logs every queue pop with the square, test results and test-domain
-multipliers.
+Set CCI_LOG_LEVEL=trace to log every queue pop with the square, test
+results and test-domain multipliers; cci logs nothing else.
 """
 
 from __future__ import annotations
@@ -27,27 +27,26 @@ import click
 from .engine import TRACE, SolveReport, SolverConfig, solve
 from .problems import Problem, ProblemFormatError, load_problem
 
-_LOG_LEVELS = {
-    "error": logging.ERROR,
-    "info": logging.INFO,
-    "debug": logging.DEBUG,
-    "trace": TRACE,
-}
-
 DEFAULT_EPSILONS = (0.01, 0.05, 0.1, 0.15, 0.2)
 
 
-def _configure_logging() -> None:
-    level_name = os.environ.get("CCI_LOG_LEVEL", "error").lower()
-    level = _LOG_LEVELS.get(level_name, logging.ERROR)
-    logging.basicConfig(level=level, stream=sys.stderr,
-                        format="%(levelname)s %(name)s: %(message)s")
+class _Command(click.Command):
+    """A command whose usage errors exit 1, as bad settings do: 2 means truncated."""
+
+    def make_context(self, *args, **kwargs) -> click.Context:
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as e:
+            e.exit_code = 1
+            raise
 
 
 @click.group()
 def main() -> None:
     """Find all intersections of two 3D Bezier curves."""
-    _configure_logging()
+    if os.environ.get("CCI_LOG_LEVEL", "").lower() == "trace":
+        logging.basicConfig(level=TRACE, stream=sys.stderr,
+                            format="%(levelname)s %(name)s: %(message)s")
 
 
 def _solver_options(f):
@@ -56,13 +55,9 @@ def _solver_options(f):
                      help="Adapt test-domain sizes, or keep them fixed.")(f)
     f = click.option("--epsilon", type=float, default=SolverConfig.epsilon, show_default=True,
                      help="Adaptation step for the test-domain multipliers.")(f)
-    f = click.option("--newton-tol", type=float, default=SolverConfig.newton_tol, show_default=True,
-                     help="Step-size tolerance for Newton refinement.")(f)
     f = click.option("--zero-tol", type=float, default=None,
                      help="Residual below which a point counts as an "
                           "intersection [default: scale-aware].")(f)
-    f = click.option("--max-depth", type=int, default=SolverConfig.max_depth, show_default=True,
-                     help="Subdivision depth limit.")(f)
     f = click.option("--max-squares", type=int, default=SolverConfig.max_squares, show_default=True,
                      help="Stop, truncated, after this many squares "
                           "(safety valve for overlapping curves).")(f)
@@ -119,7 +114,7 @@ def _emit(text: str, output: Path | None) -> None:
         _fail(e)
 
 
-@main.command("solve")
+@main.command("solve", cls=_Command)
 @click.argument("input_path", type=click.Path(path_type=Path))
 @_solver_options
 @click.option("-o", "--output", type=click.Path(path_type=Path), default=None,
@@ -138,17 +133,14 @@ def cmd_solve(input_path, output, **options) -> None:
     sys.exit(2 if report.truncated else 0)
 
 
-@main.command("bench")
+@main.command("bench", cls=_Command)
 @click.argument("input_dir", type=click.Path(path_type=Path))
 @click.option("--epsilons", default=",".join(str(e) for e in DEFAULT_EPSILONS),
               show_default=True,
               help="Comma-separated adaptation steps, one result column each.")
-@click.option("--baseline/--no-baseline", default=True, show_default=True,
-              help="Append a fixed-mode baseline column.")
-@click.option("--max-depth", type=int, default=SolverConfig.max_depth, show_default=True)
 @click.option("-o", "--output", type=click.Path(path_type=Path), default=None,
               help="Write the CSV here instead of stdout.")
-def cmd_bench(input_dir, epsilons, baseline, max_depth, output) -> None:
+def cmd_bench(input_dir, epsilons, output) -> None:
     """Count squares examined per problem, per adaptation step, plus baseline.
 
     Reads every .json problem file in INPUT_DIR (sorted by name); rows are
@@ -162,10 +154,8 @@ def cmd_bench(input_dir, epsilons, baseline, max_depth, output) -> None:
     except ValueError:
         _fail(f"bad --epsilons list {epsilons!r}")
     try:
-        configs = [SolverConfig(mode="adaptive", epsilon=e, max_depth=max_depth)
-                   for e in eps_values]
-        if baseline:
-            configs.append(SolverConfig(mode="fixed", max_depth=max_depth))
+        configs = [SolverConfig(mode="adaptive", epsilon=e) for e in eps_values]
+        configs.append(SolverConfig(mode="fixed"))
     except ValueError as e:
         _fail(e)
     paths = sorted(input_dir.glob("*.json"))
@@ -173,10 +163,7 @@ def cmd_bench(input_dir, epsilons, baseline, max_depth, output) -> None:
         _fail(f"no .json problem files in {input_dir}")
     _check_output(output)
 
-    header = ["name", "degrees"] + [f"eps={e:g}" for e in eps_values]
-    if baseline:
-        header.append("fixed")
-    rows = [header]
+    rows = [["name", "degrees"] + [f"eps={e:g}" for e in eps_values] + ["fixed"]]
     for path in paths:
         try:
             problem = load_problem(path)

@@ -72,6 +72,10 @@ _DUPLICATE_TOL = 1e-9
 # in one batch.
 _BATCH_PARENTS = 64
 
+# Squares this deep are not split; the run is truncated instead. Not much
+# deeper, a test domain's width rounds to zero (at depth 54).
+MAX_DEPTH = 40
+
 Observer = Callable[[str, dict], None]
 
 
@@ -122,9 +126,7 @@ class SolverConfig:
 
     mode: str = "adaptive"
     epsilon: float = 0.05
-    newton_tol: float = 1e-7
     zero_tol: float | None = None
-    max_depth: int = 40
     max_squares: int = 100_000
 
     def __post_init__(self) -> None:
@@ -132,12 +134,8 @@ class SolverConfig:
             raise ValueError(f"mode must be 'adaptive' or 'fixed', got {self.mode!r}")
         if not 0.0 <= self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
-        if not self.newton_tol > 0.0:
-            raise ValueError(f"newton_tol must be positive, got {self.newton_tol}")
         if self.zero_tol is not None and not self.zero_tol >= 0.0:
             raise ValueError(f"zero_tol must be nonnegative, got {self.zero_tol}")
-        if self.max_depth < 0:
-            raise ValueError("max_depth must be nonnegative")
         if self.max_squares < 1:
             raise ValueError("max_squares must be positive")
 
@@ -336,11 +334,12 @@ def solve(
             if passed is not None:
                 report.kantorovich_passes += 1
                 system = systems[COMPONENT_PAIRS.index(passed.pair)]
-                result = newton_solve(system.net, sq.center, tol=config.newton_tol)
+                result = newton_solve(system.net, sq.center)
                 emit("newton", {"square": sq, "passed": passed, "result": result})
                 if result.converged:
                     x = result.root
-                    residual = float(np.abs(eval_net(net, x[0], x[1])).max())
+                    # The unit net's jet cannot overflow, and scaling back is exact.
+                    residual = math.ldexp(float(np.abs(eval_net(unit_net, *x)).max()), exponent)
                     if (
                         residual <= report.zero_tol
                         and -_DOMAIN_SLACK <= x[0] <= 1.0 + _DOMAIN_SLACK
@@ -364,7 +363,7 @@ def solve(
                             regions.append(region)
                         emit("intersection", {"record": record})
 
-            if sq.depth >= config.max_depth:
+            if sq.depth >= MAX_DEPTH:
                 report.truncated = True
                 emit("truncated", {"reason": "max_depth", "square": sq})
                 continue

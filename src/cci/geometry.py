@@ -132,11 +132,16 @@ def difference_net(c1: BezierCurve, c2: BezierCurve) -> ControlNet:
     """Control net of f(u, v) = c1(u) - c2(v), whose zeros are the intersections.
 
     The coefficient at (i, j) is the i-th control point of ``c1`` minus the
-    j-th control point of ``c2``.
+    j-th control point of ``c2``. Raises ValueError when a difference
+    overflows a float.
     """
     a = c1.control_points
     b = c2.control_points
-    return ControlNet(a[:, None, :] - b[None, :, :])
+    with np.errstate(over="ignore"):
+        coeffs = a[:, None, :] - b[None, :, :]
+    if not np.isfinite(coeffs).all():
+        raise ValueError("the curves' difference overflows a float")
+    return ControlNet(coeffs)
 
 
 _MAX_DEGREE = 1029  # C(1030, 515) overflows a float

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .geometry import BezierCurve
+from .geometry import BezierCurve, difference_net
 
 
 class ProblemFormatError(ValueError):
@@ -78,19 +78,23 @@ def parse_problem(data: object, source: str = "<problem>") -> Problem:
     name = data.get("name", "")
     if not isinstance(name, str):
         raise ProblemFormatError(f"{source}: name must be a string")
-    return Problem(
-        name=name,
-        curve1=_parse_curve(data["curve1"], "curve1", source),
-        curve2=_parse_curve(data["curve2"], "curve2", source),
-    )
+    curve1 = _parse_curve(data["curve1"], "curve1", source)
+    curve2 = _parse_curve(data["curve2"], "curve2", source)
+    try:
+        difference_net(curve1, curve2)
+    except ValueError as e:
+        raise ProblemFormatError(f"{source}: {e}") from e
+    return Problem(name, curve1, curve2)
 
 
 def load_problem(path: str | Path) -> Problem:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as e:
         raise ProblemFormatError(f"{path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise ProblemFormatError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from e
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:

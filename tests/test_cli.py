@@ -17,6 +17,12 @@ from conftest import subprocess_env
 
 runner = CliRunner()
 
+# Finite coordinates whose differences pass the largest float.
+HUGE_PAIR = {
+    "curve1": {"degree": 1, "control_points": [[1.7e308, 0, 0], [1.7e308, 1, 0]]},
+    "curve2": {"degree": 1, "control_points": [[-1.7e308, 0, 0], [-1.7e308, 1, 0]]},
+}
+
 
 def _run(args, **kw):
     return runner.invoke(main, args, catch_exceptions=False, **kw)
@@ -65,21 +71,27 @@ def test_solve_malformed_file_exits_1(tmp_path):
     assert "curve1" in result.output and "expected 2" in result.output
 
 
+def test_solve_overflowing_difference_exits_1(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_PAIR))
+    result = _run(["solve", str(path)])
+    assert result.exit_code == 1
+    assert result.stderr.startswith(f"error: {path}: ")
+    assert "difference overflows" in result.stderr and result.stdout == ""
+
+
 def test_solve_missing_file_exits_1(tmp_path):
     result = _run(["solve", str(tmp_path / "nope.json")])
     assert result.exit_code == 1
 
 
 @pytest.mark.parametrize("args", [
-    ["solve", "p06.json", "--max-depth=-1"],
     ["solve", "p06.json", "--max-squares=0"],
     ["solve", "p06.json", "--epsilon=-0.1"],
     ["solve", "p06.json", "--epsilon=nan"],
-    ["solve", "p06.json", "--newton-tol=-1"],
     ["solve", "p06.json", "--zero-tol=nan"],
     ["bench", ".", "--epsilons=-0.1"],
     ["bench", ".", "--epsilons=0.05,inf"],
-    ["bench", ".", "--max-depth=-1"],
 ])
 def test_bad_settings_exit_1_before_solving(problems_dir, args):
     command, path, option = args
@@ -88,8 +100,29 @@ def test_bad_settings_exit_1_before_solving(problems_dir, args):
     assert result.stderr.startswith("error: ") and result.stdout == ""
 
 
+@pytest.mark.parametrize("args, message", [
+    # Settings that are constants now: the depth cap, Newton's step
+    # tolerance and the fixed column of bench.
+    (["solve", "p06.json", "--max-depth=-1"], "No such option"),
+    (["solve", "p06.json", "--newton-tol=1e-7"], "No such option"),
+    (["bench", ".", "--max-depth=-1"], "No such option"),
+    (["bench", ".", "--no-baseline"], "No such option"),
+    (["solve", "p06.json", "--no-such-flag"], "No such option"),
+    (["solve", "p06.json", "--max-squares=abc"], "not a valid integer"),
+])
+def test_usage_errors_exit_1_before_solving(problems_dir, monkeypatch, args, message):
+    # Exit code 2 means a truncated run, so a usage error must not use it.
+    calls = []
+    monkeypatch.setattr("cci.cli.solve", lambda *a, **kw: calls.append(a))
+    command, path, option = args
+    result = _run([command, str(problems_dir / "suite" / path), option])
+    assert result.exit_code == 1
+    assert message in result.stderr and result.stdout == ""
+    assert calls == []
+
+
 def test_bad_settings_print_no_traceback(problems_dir):
-    for args in (["solve", str(problems_dir / "suite" / "p06.json"), "--max-depth", "-1"],
+    for args in (["solve", str(problems_dir / "suite" / "p06.json"), "--max-squares", "0"],
                  ["bench", str(problems_dir / "suite"), "--epsilons=-0.1"]):
         proc = subprocess.run([sys.executable, "-m", "cci.cli", *args],
                               capture_output=True, text=True, env=subprocess_env())
@@ -115,8 +148,8 @@ def test_solve_result_round_trips_exactly(problems_dir, tmp_path):
     assert again == doc
     for key, value in doc["counters"].items():
         assert isinstance(value, int), key
+    assert list(doc["config"]) == ["mode", "epsilon", "zero_tol", "max_squares"]
     assert doc["config"]["epsilon"] == 0.1
-    assert doc["config"]["newton_tol"] == 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +192,12 @@ def test_bench_skips_bad_files_and_continues(problems_dir, tmp_path):
     d.mkdir()
     (d / "good.json").write_text((problems_dir / "crossing_segments.json").read_text())
     (d / "bad.json").write_text("{ not json")
+    (d / "huge.json").write_text(json.dumps(HUGE_PAIR))
+    (d / "not_utf8.json").write_bytes(b"\xff\xfe\x00bad")
     result = _run(["bench", str(d), "--epsilons", "0.05"])
-    assert "skipping bad.json" in result.output
+    assert result.exit_code == 0
+    for name in ("bad.json", "huge.json", "not_utf8.json"):
+        assert f"skipping {name}" in result.stderr
     rows = [r for r in csv.reader(result.output.splitlines()) if r and r[0][0] != "w"]
     assert len(rows) == 2
 

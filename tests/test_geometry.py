@@ -205,6 +205,14 @@ def test_difference_net_segments():
     assert np.array_equal(net.coeffs, expected)
 
 
+def test_difference_net_overflow_rejected():
+    # Finite control points whose differences pass the largest float.
+    c1 = BezierCurve([[1.7e308, 0, 0], [1.7e308, 1, 0]])
+    c2 = BezierCurve([[-1.7e308, 0, 0], [-1.7e308, 1, 0]])
+    with pytest.raises(ValueError, match="difference overflows"):
+        difference_net(c1, c2)
+
+
 def test_difference_net_eval_consistency():
     rng = np.random.default_rng(6)
     c1 = BezierCurve(rng.uniform(-1, 1, (5, 3)))

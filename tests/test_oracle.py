@@ -55,7 +55,7 @@ def test_agreement_with_solver_on_random_quintics():
         a = rng.uniform(0, 1, (6, 3)); a[:, 2] = 0
         b = rng.uniform(0, 1, (6, 3)); b[:, 2] = 0
         c1, c2 = BezierCurve(a), BezierCurve(b)
-        report = solve(c1, c2, SolverConfig(max_depth=40))
+        report = solve(c1, c2)
         if report.truncated:
             continue  # near-tangential draw; outside the oracle's contract
         got = [(r.u, r.v) for r in report.intersections]

@@ -96,6 +96,25 @@ def test_degree_past_float_binomials_rejected():
     assert str(err.value).startswith("big.json: curve2: degree 1030 exceeds 1029")
 
 
+def test_overflowing_difference_rejected():
+    data = {
+        "curve1": {"degree": 1, "control_points": [[1.7e308, 0, 0], [1.7e308, 1, 0]]},
+        "curve2": {"degree": 1, "control_points": [[-1.7e308, 0, 0], [-1.7e308, 1, 0]]},
+    }
+    with pytest.raises(ProblemFormatError) as err:
+        parse_problem(data, source="huge.json")
+    assert str(err.value).startswith("huge.json: ")
+    assert "difference overflows" in str(err.value)
+
+
+def test_non_utf8_file_names_path(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    with pytest.raises(ProblemFormatError) as err:
+        load_problem(path)
+    assert str(err.value).startswith(f"{path}: not UTF-8")
+
+
 def test_missing_file_reported():
     with pytest.raises(ProblemFormatError):
         load_problem("/nonexistent/path/problem.json")
