@@ -86,9 +86,11 @@ def test_solve_missing_file_exits_1(tmp_path):
 
 
 @pytest.mark.parametrize("args", [
+    ["solve", "p06.json", "--zero-tol=-1"],
     ["solve", "p06.json", "--max-squares=0"],
     ["solve", "p06.json", "--epsilon=-0.1"],
     ["solve", "p06.json", "--epsilon=nan"],
+    ["solve", "p06.json", "--epsilon=inf"],
     ["solve", "p06.json", "--zero-tol=nan"],
     ["bench", ".", "--epsilons=-0.1"],
     ["bench", ".", "--epsilons=0.05,inf"],
