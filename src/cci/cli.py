@@ -4,7 +4,7 @@ Exit codes for ``solve``: 0 on success, 1 on a usage error, a parse or
 validation failure or an unwritable output file, 2 when the run was
 truncated (depth limit at a tangential or degenerate contact, or the square
 budget on overlapping curves) and the result is therefore possibly
-incomplete. ``bench`` exits 0 or 1.
+incomplete. ``bench``, and ``cci`` on a usage error of its own, exit 0 or 1.
 
 Set CCI_LOG_LEVEL=trace to log every queue pop with the square, test
 results and test-domain multipliers; cci logs nothing else.
@@ -30,18 +30,25 @@ from .problems import Problem, ProblemFormatError, load_problem
 DEFAULT_EPSILONS = (0.01, 0.05, 0.1, 0.15, 0.2)
 
 
-class _Command(click.Command):
-    """A command whose usage errors exit 1, as bad settings do: 2 means truncated."""
-
-    def make_context(self, *args, **kwargs) -> click.Context:
+def _usage_errors_exit_1(method):
+    def wrapped(*args, **kwargs):
         try:
-            return super().make_context(*args, **kwargs)
+            return method(*args, **kwargs)
         except click.UsageError as e:
             e.exit_code = 1
             raise
 
+    return wrapped
 
-@click.group()
+
+class _Group(click.Group):
+    """A group whose usage errors, and its commands', exit 1: 2 means truncated."""
+
+    make_context = _usage_errors_exit_1(click.Group.make_context)
+    invoke = _usage_errors_exit_1(click.Group.invoke)
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Find all intersections of two 3D Bezier curves."""
     if os.environ.get("CCI_LOG_LEVEL", "").lower() == "trace":
@@ -114,7 +121,7 @@ def _emit(text: str, output: Path | None) -> None:
         _fail(e)
 
 
-@main.command("solve", cls=_Command)
+@main.command("solve")
 @click.argument("input_path", type=click.Path(path_type=Path))
 @_solver_options
 @click.option("-o", "--output", type=click.Path(path_type=Path), default=None,
@@ -133,7 +140,7 @@ def cmd_solve(input_path, output, **options) -> None:
     sys.exit(2 if report.truncated else 0)
 
 
-@main.command("bench", cls=_Command)
+@main.command("bench")
 @click.argument("input_dir", type=click.Path(path_type=Path))
 @click.option("--epsilons", default=",".join(str(e) for e in DEFAULT_EPSILONS),
               show_default=True,

@@ -31,6 +31,7 @@ import numpy as np
 from .exclusion import (
     axis_test,
     exclusion_test,  # noqa: F401 -- unused here; bench/tracing.py patches this binding
+    least_norm_rows,
     walk_test,
 )
 from .geometry import (
@@ -190,6 +191,8 @@ def update_scales(
 
 def region_prunes_square(regions: list[Rect], square: Square) -> bool:
     """True iff some single explored region fully contains the closed square."""
+    if not regions:
+        return False
     (cu, cv), h = square.center, square.half_width
     return any(
         r.lo_u <= cu - h and cu + h <= r.hi_u and r.lo_v <= cv - h and cv + h <= r.hi_v
@@ -202,16 +205,21 @@ def point_is_known(regions: list[Rect], x: tuple[float, float]) -> bool:
     return any(r.contains_point(x) for r in regions)
 
 
+def _unchecked(cls, **fields):
+    """``cls(**fields)`` for a frozen dataclass, skipping its checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _children(square: Square, scales: tuple[float, float, float]) -> list[Square]:
     """The square's quarters, in the order of ``geometry.QUARTERS``."""
     (cu, cv), h = square.center, 0.5 * square.half_width
     lo_u, hi_u, lo_v, hi_v = cu - h, cu + h, cv - h, cv + h
     depth = square.depth + 1
     return [
-        Square((lo_u, lo_v), h, scales, depth),
-        Square((hi_u, lo_v), h, scales, depth),
-        Square((lo_u, hi_v), h, scales, depth),
-        Square((hi_u, hi_v), h, scales, depth),
+        _unchecked(Square, center=center, half_width=h, scales=scales, depth=depth)
+        for center in ((lo_u, lo_v), (hi_u, lo_v), (lo_u, hi_v), (hi_u, hi_v))
     ]
 
 
@@ -298,44 +306,52 @@ def solve(
     # subdivided parent its four children and its net's coefficients. The
     # solver runs breadth-first and holds one net per queued parent plus one
     # batch. Only a square that reaches the convergence test wraps its row in
-    # a ``ControlNet``.
+    # a ``ControlNet``, unchecked: restriction keeps a finite net finite.
     squares, rows = [root], unit_net.coeffs[None]
     families: deque[tuple[list[Square], np.ndarray]] = deque()
     regions: list[Rect] = []
     report = SolveReport(1e-6 * scale if config.zero_tol is None else config.zero_tol)
     emit = _with_trace_log(observer) if log.isEnabledFor(TRACE) else observer
+    observing = emit is not _ignore_events  # else build no event payloads
 
     while True:
         axis_passed, margins = axis_test(rows)
-        for sq, row, excluded, margin in zip(squares, rows, axis_passed.tolist(), margins.tolist()):
+        starts = least_norm_rows(rows.reshape(len(rows), -1, net.dim))
+        decided = zip(axis_passed.tolist(), margins.tolist(), starts.tolist())
+        for sq, row, (excluded, margin, start) in zip(squares, rows, decided):
             if report.squares_examined >= config.max_squares:
                 report.truncated = True
-                emit("truncated", {"reason": "max_squares"})
+                if observing:
+                    emit("truncated", {"reason": "max_squares"})
                 return report
             report.squares_examined += 1
             report.max_depth_reached = max(report.max_depth_reached, sq.depth)
-            emit("square", {"square": sq})
+            if observing:
+                emit("square", {"square": sq})
 
             if region_prunes_square(regions, sq):
-                emit("pruned", {"square": sq})
+                if observing:
+                    emit("pruned", {"square": sq})
                 continue
 
-            if excluded or walk_test(row.reshape(-1, net.dim), margin):
+            if excluded or walk_test(row.reshape(-1, net.dim), margin, start):
                 report.exclusion_passes += 1
-                emit("excluded", {"square": sq})
+                if observing:
+                    emit("excluded", {"square": sq})
                 continue
 
-            outcome = test_pairs(
-                systems, seconds, ControlNet(row), sq.center, sq.half_width, sq.scales
-            )
-            emit("kantorovich", {"square": sq, "outcome": outcome})
+            carried = _unchecked(ControlNet, coeffs=row)
+            outcome = test_pairs(systems, seconds, carried, sq.center, sq.half_width, sq.scales)
+            if observing:
+                emit("kantorovich", {"square": sq, "outcome": outcome})
 
             passed = outcome.passed
             if passed is not None:
                 report.kantorovich_passes += 1
                 system = systems[COMPONENT_PAIRS.index(passed.pair)]
                 result = newton_solve(system.net, sq.center)
-                emit("newton", {"square": sq, "passed": passed, "result": result})
+                if observing:
+                    emit("newton", {"square": sq, "passed": passed, "result": result})
                 if result.converged:
                     x = result.root
                     # The unit net's jet cannot overflow, and scaling back is exact.
@@ -361,14 +377,17 @@ def solve(
                         region = explored_region(passed, sq.center)
                         if region is not None:
                             regions.append(region)
-                        emit("intersection", {"record": record})
+                        if observing:
+                            emit("intersection", {"record": record})
 
             if sq.depth >= MAX_DEPTH:
                 report.truncated = True
-                emit("truncated", {"reason": "max_depth", "square": sq})
+                if observing:
+                    emit("truncated", {"reason": "max_depth", "square": sq})
                 continue
 
-            child_scales = update_scales(outcome, sq.scales, step)
+            adapt = passed is None and step  # else ``update_scales`` keeps the scales
+            child_scales = update_scales(outcome, sq.scales, step) if adapt else sq.scales
             # A copy, so a queued parent does not keep its batch alive.
             families.append((_children(sq, child_scales), row.copy()))
             report.subdivisions += 1
@@ -377,4 +396,4 @@ def solve(
             return report
         batch = [families.popleft() for _ in range(min(len(families), _BATCH_PARENTS))]
         squares = [sq for children, _ in batch for sq in children]
-        rows = restrict_quarters(np.stack([parent for _, parent in batch]))
+        rows = restrict_quarters(np.array([parent for _, parent in batch]))

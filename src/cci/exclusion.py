@@ -84,18 +84,23 @@ def axis_test(clouds: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.nd
     return passed, margin
 
 
-def walk_test(pts: np.ndarray, margin: float) -> bool:
-    """The second stage on one cloud's rows, with its margin from ``axis_test``.
+def least_norm_rows(clouds: np.ndarray) -> np.ndarray:
+    """Per cloud of a stack (N, K, dim), the walk's start: its first row of least norm."""
+    return np.einsum("nij,nij->ni", clouds, clouds).argmin(axis=1)
+
+
+def walk_test(pts: np.ndarray, margin: float, start: int | None = None) -> bool:
+    """The second stage on one cloud's rows, with ``axis_test``'s margin and optional start row.
 
     True iff the GJK walk finds a separating direction. A cloud of more than
     three columns, or an all-zero one (margin 0), fails.
     """
-    return pts.shape[1] <= 3 and _separating_direction(pts, margin) is not None
+    return pts.shape[1] <= 3 and _separating_direction(pts, margin, start) is not None
 
 
-def _separating_direction(pts: np.ndarray, margin: float) -> np.ndarray | None:
+def _separating_direction(pts: np.ndarray, margin: float, start=None) -> np.ndarray | None:
     """A direction x with min(pts @ x) > margin |x|, found by a GJK walk from
-    the row of least norm, or None.
+    the row of least norm (index ``start`` when given), or None.
 
     Rows of 1 to 3 columns are padded to three for the simplex step, and x
     is cut back to the rows' width. At most ``_MAX_MAJOR`` major steps run,
@@ -103,7 +108,7 @@ def _separating_direction(pts: np.ndarray, margin: float) -> np.ndarray | None:
     """
     dim = pts.shape[1]
     pad = (0.0,) * (3 - dim)
-    x = pts[np.einsum("ij,ij->i", pts, pts).argmin()]
+    x = pts[int(least_norm_rows(pts[None])[0]) if start is None else start]
     simplex = [(*x.tolist(), *pad)]
     nx = math.hypot(*simplex[0])
     dots = pts @ x

@@ -312,11 +312,22 @@ def _split_tables(m: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ..
     return left, right
 
 
+@functools.lru_cache(maxsize=64)
+def _split_powers(t: float, count: int) -> np.ndarray:
+    """Rows t^e and (1 - t)^e, e < count. numpy raises each entry alone, so all
+    splits at t of degree below count (at least 32) share them; powers past a
+    split's degree may overflow, unread. Cached and shared, hence read-only."""
+    with np.errstate(over="ignore"):
+        powers = np.power([[t], [1.0 - t]], _exponents(count - 1))
+    powers.flags.writeable = False
+    return powers
+
+
 def _split_matrix(m: int, t: float, side: int) -> np.ndarray:
     """Matrix restricting degree-m coefficients to [0, t] (side 0) or [t, 1] (side 1)."""
     binom, t_power, s_power = _split_tables(m)[side]
-    exponents = _exponents(m)
-    return binom * (t**exponents)[t_power] * ((1.0 - t) ** exponents)[s_power]
+    t_powers, s_powers = _split_powers(t, max(m + 1, 32))
+    return binom * t_powers[t_power] * s_powers[s_power]
 
 
 @functools.lru_cache(maxsize=256)
@@ -394,11 +405,14 @@ def restriction_growth(net: ControlNet, target: Rect) -> float:
     The product over both axes of the absolute row sums of the two splits
     behind each restriction matrix. A split at t has row sums at most
     (|t| + |1 - t|)^m; in either split order this is at most (1 + 2e)^m for
-    a target reaching a distance e past 0 or past 1, and 1 inside [0, 1].
+    a target reaching a distance e past 0 or past 1, 1 inside [0, 1], inf on overflow.
     """
     u = (1.0 + 2.0 * max(0.0, -target.lo_u)) * (1.0 + 2.0 * max(0.0, target.hi_u - 1.0))
     v = (1.0 + 2.0 * max(0.0, -target.lo_v)) * (1.0 + 2.0 * max(0.0, target.hi_v - 1.0))
-    return u**net.degree_u * v**net.degree_v
+    try:
+        return u**net.degree_u * v**net.degree_v
+    except OverflowError:
+        return math.inf
 
 
 def extract_pair(net: ControlNet, pair: tuple[int, int]) -> ControlNet:

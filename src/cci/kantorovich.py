@@ -12,7 +12,9 @@ explored region around the zero in which no other zero can hide.
 Most tested squares fail, and a failure needs only a lower bound on omega:
 4 |J^-1 f''| at the square's center, less a proven rounding allowance.
 Pairs it fails restrict nothing and report no omega; the others take the
-full test, so every status is the one the full test alone would give.
+full test, so every status is the one the full test alone would give. The
+allowance is cached but for the test domain's ``restriction_growth``, and a
+domain so far out that it reaches ``_MAX_SLACK`` fails its pairs outright.
 
 ``test_pairs`` is the only producer of eta, omega, rho_minus and rho_plus;
 a numerically singular Jacobian is a pair status, not an exception. All
@@ -23,6 +25,7 @@ axis-aligned ``Rect``s.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -60,9 +63,9 @@ class PairTest:
     """Result of the convergence test for one component pair.
 
     ``eta`` and ``omega`` are None for a singular Jacobian, and ``omega``
-    also for a convergence failure that omega's lower bound decided: the
-    test never computes that omega. The radii are set only when
-    eta * omega <= 1/4.
+    also for a convergence failure that omega's lower bound or its rounding
+    allowance decided: the test never computes that omega. The radii are
+    set only when eta * omega <= 1/4.
     """
 
     pair: tuple[int, int]
@@ -165,16 +168,23 @@ _UNIT_ROUNDOFF = 2.0**-53
 # Relative margin of omega's lower bound: it absorbs the rounding of the
 # bound's own arithmetic and of comparing eta * omega with 1/4.
 _FLOOR_GUARD = 1e-9
+# A slack this large fails the pair's convergence test, the conservative
+# answer, before its omega block (at most 4 M^2 G <= 2^46 slack) can overflow.
+_MAX_SLACK = 2.0**960
+
+
+@functools.lru_cache(maxsize=256)
+def _slack_terms(m: int, n: int, half_width: float) -> tuple[float, float]:
+    """``_floor_slack``'s factors 32 (m + n + 2) M^2 u and (d + 2) / (2h)^2."""
+    width = 2.0 * half_width
+    depth = max(0, 1 - math.frexp(width)[1])  # log2(1 / width), rounded up
+    return 32 * (m + n + 2) * max(m, n) ** 2 * _UNIT_ROUNDOFF, (depth + 2) / (width * width)
 
 
 def _floor_slack(net: ControlNet, half_width: float, domain: Rect) -> float:
     """The rounding allowance of ``_omega_floor`` over ``domain``, per unit of S |J^-1|."""
-    m, n = net.degree_u, net.degree_v
-    width = 2.0 * half_width
-    depth = max(0, 1 - math.frexp(width)[1])  # log2(1 / width), rounded up
-    levels = (depth + 2) / (width * width)
-    growth = restriction_growth(net, domain)
-    return 32 * (m + n + 2) * max(m, n) ** 2 * _UNIT_ROUNDOFF * (levels + 8.0 * growth)
+    factor, levels = _slack_terms(net.degree_u, net.degree_v, half_width)
+    return factor * (levels + 8.0 * restriction_growth(net, domain))
 
 
 def _omega_floor(
@@ -209,8 +219,10 @@ def _omega_floor(
     """
     (a, b), (c, d) = jac_inv
     i, k = system.pair
+    fu, fm, fv = curvature
     lower = 4.0 * max(
-        max(abs(a * f[i] + b * f[k]), abs(c * f[i] + d * f[k])) for f in curvature
+        abs(a * fu[i] + b * fu[k]), abs(c * fu[i] + d * fu[k]), abs(a * fm[i] + b * fm[k]),
+        abs(c * fm[i] + d * fm[k]), abs(a * fv[i] + b * fv[k]), abs(c * fv[i] + d * fv[k]),
     )
     norm = max(abs(a) + abs(b), abs(c) + abs(d))
     return lower * (1.0 - _FLOOR_GUARD) - slack * system.max_coeff * norm
@@ -242,13 +254,9 @@ def test_pairs(
     ``seconds`` over each distinct test domain once, with one
     ``reparametrize`` call per net, stacked into one block that they share.
     """
-    grid = center_jet(net).tolist()
+    (value, f_v, f_vv), (f_u, f_uv, _), (f_uu, _, _) = center_jet(net).tolist()
     width = 2.0 * half_width
-    value = grid[0][0]
-    jac = [[du / width, dv / width] for du, dv in zip(grid[1][0], grid[0][1])]
-    curvature = [
-        [x / (width * width) for x in f] for f in (grid[2][0], grid[1][1], grid[0][2])
-    ]
+    curvature = [[x / (width * width) for x in f] for f in (f_uu, f_uv, f_vv)]
     domains: dict[float, Rect] = {}
     slacks: dict[float, float] = {}
     blocks: dict[float, np.ndarray] = {}
@@ -258,7 +266,7 @@ def test_pairs(
             domains[scale] = Rect.ball(center, scale * half_width)
         domain = domains[scale]
         i, k = system.pair
-        jac_inv = inverse_2x2((jac[i], jac[k]))
+        jac_inv = inverse_2x2(((f_u[i] / width, f_v[i] / width), (f_u[k] / width, f_v[k] / width)))
         if jac_inv is None:
             results.append(PairTest(system.pair, PairStatus.SINGULAR_JACOBIAN, domain))
             continue
@@ -266,7 +274,8 @@ def test_pairs(
         eta = max(abs(a * value[i] + b * value[k]), abs(c * value[i] + d * value[k]))
         if scale not in slacks:
             slacks[scale] = _floor_slack(net, half_width, domain)
-        if eta * _omega_floor(system, jac_inv, curvature, slacks[scale]) > 0.25:
+        slack = slacks[scale]
+        if not slack < _MAX_SLACK or eta * _omega_floor(system, jac_inv, curvature, slack) > 0.25:
             results.append(PairTest(system.pair, PairStatus.FAIL_CONVERGENCE, domain, eta))
             continue
         if scale not in blocks:

@@ -123,6 +123,22 @@ def test_usage_errors_exit_1_before_solving(problems_dir, monkeypatch, args, mes
     assert calls == []
 
 
+@pytest.mark.parametrize("args, message", [
+    (["solv", "x"], "No such command"),
+    (["--bad", "solve", "x"], "No such option"),
+    ([], "Usage:"),
+])
+def test_group_usage_errors_exit_1(monkeypatch, args, message):
+    # The group's own usage errors: a mistyped command, a bad option before
+    # the command, and no command at all.
+    calls = []
+    monkeypatch.setattr("cci.cli.solve", lambda *a, **kw: calls.append(a))
+    result = _run(args)
+    assert result.exit_code == 1
+    assert message in result.stderr and result.stdout == ""
+    assert calls == []
+
+
 def test_bad_settings_print_no_traceback(problems_dir):
     for args in (["solve", str(problems_dir / "suite" / "p06.json"), "--max-squares", "0"],
                  ["bench", str(problems_dir / "suite"), "--epsilons=-0.1"]):

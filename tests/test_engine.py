@@ -2,7 +2,11 @@
 whole-solver properties on generated transversal problems."""
 
 import hashlib
+import importlib.util
 import math
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -554,3 +558,34 @@ def test_square_budget_not_hit_on_ordinary_problems():
     report = solve(problem.curve1, problem.curve2, SolverConfig())
     assert not report.truncated
     assert report.squares_examined < 1000
+
+
+def _bench_workloads(monkeypatch):
+    """bench/workloads.py as a module; its dataclasses need it in sys.modules."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_huge_epsilon_fails_far_test_domains_instead_of_overflowing(monkeypatch):
+    # SolverConfig takes any finite epsilon. From about 1e14 a containment
+    # failure grows a child's test domain so far past the unit square that
+    # the restriction growth overflows a float, and from about 1e200 so does
+    # omega's block. Such domains fail their pairs' convergence test, the
+    # conservative answer, with no exception or warning, and every crossing
+    # of these benchmark pairs is still found.
+    workloads = _bench_workloads(monkeypatch)
+    names = {f"spatial{k}" for k in (33, 35, 42, 43, 47, 58, 65, 79)}
+    cases = [case for case in workloads.spatial_crossings(1) if case.name in names]
+    assert len(cases) == len(names)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for epsilon in (1e14, 1e17, 1e200):
+            for case in cases:
+                c1, c2 = BezierCurve(case.curve1), BezierCurve(case.curve2)
+                report = solve(c1, c2, SolverConfig(epsilon=epsilon))
+                roots = [(r.u, r.v) for r in report.intersections]
+                assert workloads.check(case, roots, report.truncated) is None, (case.name, epsilon)

@@ -12,6 +12,7 @@ from cci.geometry import (
     _derivatives,
     _jet_weights,
     _split_matrix,
+    _split_powers,
     BezierCurve,
     ControlNet,
     QUARTERS,
@@ -77,6 +78,42 @@ def _closed_form_jet_weights(m, t):
     return expected
 
 
+def _check_split_matrices(m, t):
+    """Both degree-m split matrices at t equal the closed form, evaluated
+    elementwise over arrays, as numpy's vector pow may round differently
+    from scalar pow."""
+    comb = np.vectorize(math.comb, otypes=[float])
+    k, j = np.indices((m + 1, m + 1))
+    left = comb(k, j) * t**j * (1.0 - t) ** np.maximum(k - j, 0)
+    binom = np.where(j >= k, comb(m - k, np.maximum(j - k, 0)), 0.0)
+    right = binom * t ** np.maximum(j - k, 0) * (1.0 - t) ** (m - j)
+    assert np.array_equal(_split_matrix(m, t, 0), left), (m, t)
+    assert np.array_equal(_split_matrix(m, t, 1), right), (m, t)
+
+
+def test_split_matrices_share_powers_across_degrees_bit_for_bit():
+    # Every degree split at one t reads one cached vector of powers, however
+    # long the degree that built it: a prefix of a longer vector must be the
+    # shorter one bit for bit, in any order of degrees. Domains reach past
+    # [0, 1].
+    rng = np.random.default_rng(19)
+    ts = [0.3, 1.0 / 3.0, -0.25, 1.25, 0.1 + 2.0**-40, *rng.uniform(-2.0, 3.0, 10).tolist()]
+    for t in ts:
+        _split_powers.cache_clear()
+        for m in (40, *range(20, -1, -1), 33, 7):
+            _check_split_matrices(m, t)
+        _split_powers.cache_clear()
+        for m in range(21):
+            _check_split_matrices(m, t)
+    # Far enough out that powers past degree 20 overflow, unread and unseen.
+    for t in (1e13, -1e13):
+        _split_powers.cache_clear()
+        for m in range(20, -1, -1):
+            _check_split_matrices(m, t)
+        assert np.isinf(_split_powers(t, 32)[0][-1])
+    assert not _split_powers(0.3, 32)[0].flags.writeable
+
+
 def test_split_and_jet_weights_are_the_closed_form_bit_for_bit():
     # The tables gather powers of t and 1 - t from short vectors; every
     # entry must equal binom * t**j * (1 - t)**k evaluated elementwise over
@@ -84,16 +121,11 @@ def test_split_and_jet_weights_are_the_closed_form_bit_for_bit():
     comb = np.vectorize(math.comb, otypes=[float])
     ts = np.array([0.0, 0.3, 0.5, 1.0, -0.25, 1.25])
     for m in range(21):
-        k, j = np.indices((m + 1, m + 1))
         i = np.arange(m + 1)
         basis = comb(m, i) * (1.0 - ts[:, None]) ** (m - i) * ts[:, None] ** i
         assert np.array_equal(_basis_matrix(m, ts), basis), m
         for t in ts.tolist():
-            left = comb(k, j) * t**j * (1.0 - t) ** np.maximum(k - j, 0)
-            binom = np.where(j >= k, comb(m - k, np.maximum(j - k, 0)), 0.0)
-            right = binom * t ** np.maximum(j - k, 0) * (1.0 - t) ** (m - j)
-            assert np.array_equal(_split_matrix(m, t, 0), left), (m, t)
-            assert np.array_equal(_split_matrix(m, t, 1), right), (m, t)
+            _check_split_matrices(m, t)
             assert np.array_equal(_jet_weights(m, t), _closed_form_jet_weights(m, t)), (m, t)
         # The second-derivative row at 1/2, in the weights every convergence
         # test caches: m (m - 1) (B_{i-2} - 2 B_{i-1} + B_i) of degree m - 2.

@@ -22,6 +22,7 @@ from cci.geometry import (
     extract_pair,
     jet,
     reparametrize,
+    restriction_growth,
 )
 from cci.kantorovich import (
     COMPONENT_PAIRS,
@@ -711,3 +712,46 @@ def test_omega_on_deep_squares_matches_exact_restriction():
                     decided += depth <= 6
                 checked += 1
     assert checked >= 40 and decided >= 20
+
+
+def test_cached_floor_slack_is_its_formula_bit_for_bit():
+    # ``_floor_slack`` caches the factors that depend only on the degrees and
+    # the half-width; the slack must stay the formula written out, on a first
+    # call and on a cached one, for domains inside and past the unit square.
+    rng = np.random.default_rng(20)
+    for m, n in ((0, 0), (1, 3), (3, 1), (9, 9), (13, 12), (16, 10)):
+        net = ControlNet(rng.normal(size=(m + 1, n + 1, 3)))
+        for depth in (0, 1, 5, 17, 40):
+            h = 2.0 ** -(depth + 1)
+            width = 2.0 * h
+            levels = (max(0, 1 - math.frexp(width)[1]) + 2) / (width * width)
+            for center in ((0.5, 0.5), (h, 1.0 - h), (0.375, 0.625)):
+                for scale in (1.0, 1.45, 1.5, 3.0, 1e3):
+                    domain = Rect.ball(center, scale * h)
+                    growth = restriction_growth(net, domain)
+                    expected = (32 * (m + n + 2) * max(m, n) ** 2 * 2.0**-53
+                                * (levels + 8.0 * growth))
+                    for _ in range(2):
+                        assert kantorovich._floor_slack(net, h, domain) == expected
+    # A domain so far out that the growth overflows gives an infinite slack.
+    net = ControlNet(rng.normal(size=(17, 11, 3)))
+    domain = Rect.ball((0.5, 0.5), 1e15)
+    assert restriction_growth(net, domain) == math.inf
+    assert kantorovich._floor_slack(net, 0.5, domain) == math.inf
+
+
+def test_a_slack_too_large_fails_the_pair_without_omega(monkeypatch):
+    # A test domain whose floor slack reaches _MAX_SLACK fails every
+    # non-singular pair as a convergence failure and restricts nothing.
+    net = ControlNet(np.random.default_rng(21).normal(size=(17, 11, 3)))
+    systems = [PairSystem(net, pair) for pair in COMPONENT_PAIRS]
+    seconds = second_derivative_nets(net)
+    monkeypatch.setattr(kantorovich, "reparametrize", _unreachable)
+    for scale in (1e15, 1e300):
+        outcome = kantorovich.test_pairs(systems, seconds, net, (0.5, 0.5), 0.5, (scale,) * 3)
+        assert [t.status for t in outcome.pairs] == [PairStatus.FAIL_CONVERGENCE] * 3
+        assert all(t.eta is not None and t.omega is None for t in outcome.pairs)
+
+
+def _unreachable(*args):
+    raise AssertionError("restricted a domain whose slack fails its pairs")
