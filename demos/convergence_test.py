@@ -13,6 +13,7 @@ from cci import (
     BezierCurve,
     Rect,
     difference_net,
+    eval_net,
     exclusion_test,
     newton_solve,
     reparametrize,
@@ -64,7 +65,8 @@ result = newton_solve(pair_net, center)
 for k in range(result.iterations + 1):
     p = newton_solve(pair_net, center, max_iter=k).root
     print(f"  x{k} = ({p[0]:.12f}, {p[1]:.12f})")
-print("converged:", result.converged, " residual:", result.final_residual_norm)
+residual = float(np.abs(eval_net(pair_net, *result.root)).max())
+print("converged:", result.converged, " residual:", residual)
 dist = max(abs(result.root[0] - center[0]), abs(result.root[1] - center[1]))
 print(f"|root - center| = {dist:.3g} <= rho- = {passed.rho_minus:.3g}")
 

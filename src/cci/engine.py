@@ -4,16 +4,16 @@ A FIFO queue of candidate squares covers the unit parameter square. Each
 square is skipped if it lies inside a known explored region, discarded if
 the exclusion test proves it empty, and otherwise run through the
 convergence test; a pass triggers Newton refinement and, for a confirmed
-new zero, an explored region that prunes descendants. Squares failing
-exclusion are always quartered, and the children's per-pair test-domain
-multipliers are adapted from the parent's test outcome (grown after a
-containment failure, shrunk after a convergence failure). Fixed mode is the
-same rule with a step of 0.
+new zero, an explored region that prunes later squares. A square that
+region contains is finished; every other square failing exclusion is
+quartered, and the children's per-pair test-domain multipliers are adapted
+from the parent's test outcome (grown after a containment failure, shrunk
+after a convergence failure). Fixed mode is the same rule with a step of 0.
 
 The queue runs breadth-first in batches. A batch is a list of squares and
 their nets, the first one the root with the unit net. The axis stage of the
 exclusion test runs on the whole batch at once; then each square meets its
-fate in queue order. Each subdivided square queues its four children with
+fate in queue order. Each quartered square queues its four children with
 its net, and the next batch is the children of the next queued parents,
 their nets restricted from the parents' in one call.
 """
@@ -279,16 +279,21 @@ def solve(
     contract. Inputs are immutable, so distinct runs may execute
     concurrently.
 
+    A square that records a new intersection whose explored region
+    contains it is finished: it queues no children and counts no
+    subdivision, since the region holds the full map's only zero in it.
+
     ``observer`` receives (event, payload) for each queue pop ("square"),
     the popped square's fate ("pruned" by an explored region, "excluded" by
     the hull test, or convergence-tested: "kantorovich"), each Newton
     refinement ("newton"), each accepted intersection ("intersection") and
     each truncation ("truncated": reason "max_squares" once when the budget
-    runs out, reason "max_depth" with the square for each square left
-    unsplit). It exists for instrumentation and does not affect the run.
-    The TRACE log is one more observer on the same events. Batching the
-    restriction and the axis test moves no event: a square's net and its
-    axis decision depend on nothing but its parent's net.
+    runs out, reason "max_depth" with the square for each square at
+    ``MAX_DEPTH`` that would otherwise be quartered). It exists for
+    instrumentation and does not affect the run. The TRACE log is one more
+    observer on the same events. Batching the restriction and the axis test
+    moves no event: a square's net and its axis decision depend on nothing
+    but its parent's net.
     """
     net = difference_net(c1, c2)
     # The solver runs on the net scaled exactly, by a power of two, to a
@@ -379,6 +384,10 @@ def solve(
                             regions.append(region)
                         if observing:
                             emit("intersection", {"record": record})
+                        # The region holds the full map's only zero in it, just
+                        # recorded, so a square it covers is finished.
+                        if region is not None and region_prunes_square([region], sq):
+                            continue
 
             if sq.depth >= MAX_DEPTH:
                 report.truncated = True

@@ -10,7 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ControlNet, eval_net, jet
+from .geometry import (
+    ControlNet,
+    eval_net,  # noqa: F401 -- unused here; bench/tracing.py patches this binding
+    jet,
+)
 from .kantorovich import inverse_2x2
 
 
@@ -19,7 +23,6 @@ class NewtonResult:
     converged: bool
     root: tuple[float, float]
     iterations: int
-    final_residual_norm: float
     failure_reason: str | None = None
 
 
@@ -52,11 +55,9 @@ def newton_solve(
             converged = True
             failure = None
             break
-    residual = float(np.abs(eval_net(pair_net, x[0], x[1])).max())
     return NewtonResult(
         converged=converged,
         root=(float(x[0]), float(x[1])),
         iterations=iterations,
-        final_residual_norm=residual,
         failure_reason=failure,
     )

