@@ -43,6 +43,7 @@ from .geometry import (
     eval_net,
     reparametrize,  # noqa: F401 -- unused here; bench/tracing.py patches this binding
     restrict_quarters,
+    unchecked,
 )
 from .kantorovich import (
     COMPONENT_PAIRS,
@@ -205,20 +206,13 @@ def point_is_known(regions: list[Rect], x: tuple[float, float]) -> bool:
     return any(r.contains_point(x) for r in regions)
 
 
-def _unchecked(cls, **fields):
-    """``cls(**fields)`` for a frozen dataclass, skipping its checks."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 def _children(square: Square, scales: tuple[float, float, float]) -> list[Square]:
     """The square's quarters, in the order of ``geometry.QUARTERS``."""
     (cu, cv), h = square.center, 0.5 * square.half_width
     lo_u, hi_u, lo_v, hi_v = cu - h, cu + h, cv - h, cv + h
     depth = square.depth + 1
     return [
-        _unchecked(Square, center=center, half_width=h, scales=scales, depth=depth)
+        unchecked(Square, center=center, half_width=h, scales=scales, depth=depth)
         for center in ((lo_u, lo_v), (hi_u, lo_v), (lo_u, hi_v), (hi_u, hi_v))
     ]
 
@@ -345,7 +339,7 @@ def solve(
                     emit("excluded", {"square": sq})
                 continue
 
-            carried = _unchecked(ControlNet, coeffs=row)
+            carried = unchecked(ControlNet, coeffs=row)
             outcome = test_pairs(systems, seconds, carried, sq.center, sq.half_width, sq.scales)
             if observing:
                 emit("kantorovich", {"square": sq, "outcome": outcome})

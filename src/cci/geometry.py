@@ -180,11 +180,19 @@ def derivative_net(net: ControlNet, axis: str) -> ControlNet:
     """
     if axis not in ("u", "v"):
         raise ValueError(f"axis must be 'u' or 'v', got {axis!r}")
-    c = net.coeffs
-    k = "uv".index(axis)
-    if c.shape[k] == 1:
-        return ControlNet(np.zeros_like(c))
-    return ControlNet((c.shape[k] - 1) * np.diff(c, axis=k))
+    return ControlNet(derivative_coeffs(net.coeffs, "uv".index(axis)))
+
+
+def derivative_coeffs(c: np.ndarray, k: int) -> np.ndarray:
+    """``derivative_net``'s coefficients along array axis k (0 for u, 1 for v), unchecked."""
+    return np.zeros_like(c) if c.shape[k] == 1 else (c.shape[k] - 1) * np.diff(c, axis=k)
+
+
+def unchecked(cls, **fields):
+    """``cls(**fields)`` for a frozen dataclass, skipping its checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @functools.lru_cache(maxsize=256)
@@ -297,37 +305,45 @@ def eval_net(net: ControlNet, u: float, v: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _split_tables(m: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """(binomials, powers of t, powers of 1 - t) of the two degree-m split matrices.
+def _split_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Binomials and power indices of the two degree-m split matrices, stacked.
 
     Restricting to [0, t] maps coefficient k to sum_j C(k, j) t^j (1-t)^(k-j) c_j;
     restricting to [t, 1] maps it to sum_{j>=k} C(m-k, j-k) t^(j-k) (1-t)^(m-j) c_j.
     These are the points de Casteljau's recurrence produces, in closed form.
+    Indices run over the powers of the first split's t and 1 - t, then the second's.
     """
     k, j = np.indices((m + 1, m + 1))
     comb = np.vectorize(math.comb, otypes=[float])
-    left = (comb(k, j), j, np.maximum(k - j, 0))
     right_binom = np.where(j >= k, comb(m - k, np.maximum(j - k, 0)), 0.0)
-    right = (right_binom, np.maximum(j - k, 0), m - j)
-    return left, right
+    t_power = np.stack((j, 2 * (m + 1) + np.maximum(j - k, 0)))
+    s_power = np.stack(((m + 1) + np.maximum(k - j, 0), 3 * (m + 1) + m - j))
+    return np.stack((comb(k, j), right_binom)), t_power, s_power
 
 
-@functools.lru_cache(maxsize=64)
-def _split_powers(t: float, count: int) -> np.ndarray:
-    """Rows t^e and (1 - t)^e, e < count. numpy raises each entry alone, so all
-    splits at t of degree below count (at least 32) share them; powers past a
-    split's degree may overflow, unread. Cached and shared, hence read-only."""
-    with np.errstate(over="ignore"):
-        powers = np.power([[t], [1.0 - t]], _exponents(count - 1))
-    powers.flags.writeable = False
-    return powers
+@functools.lru_cache(maxsize=32)
+def _wide_splits(size: int, t_left: float, t_right: float) -> np.ndarray:
+    """The degree-``size`` splits to [0, t_left] and to [t_right, 1], stacked.
+    numpy raises each power alone, so entries do not depend on ``size``;
+    those past the corners ``_split_pair`` reads may overflow, unread.
+    Cached and shared, hence read-only."""
+    binoms, t_power, s_power = _split_tables(size)
+    bases = [[t_left], [1.0 - t_left], [t_right], [1.0 - t_right]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.power(bases, _exponents(size)).ravel()
+        splits = binoms * powers[t_power] * powers[s_power]
+    splits.flags.writeable = False
+    return splits
 
 
-def _split_matrix(m: int, t: float, side: int) -> np.ndarray:
-    """Matrix restricting degree-m coefficients to [0, t] (side 0) or [t, 1] (side 1)."""
-    binom, t_power, s_power = _split_tables(m)[side]
-    t_powers, s_powers = _split_powers(t, max(m + 1, 32))
-    return binom * t_powers[t_power] * s_powers[s_power]
+def _split_pair(m: int, t_left: float, t_right: float) -> tuple[np.ndarray, np.ndarray]:
+    """The degree-m matrices restricting to [0, t_left] and to [t_right, 1]:
+    corners (top-left, bottom-right) of the same splits of any higher degree,
+    entry for entry, so the nets of a test domain, of degrees up to 16, share
+    ``_wide_splits`` of degree 16. Read-only views."""
+    size = max(m, 16)
+    left, right = _wide_splits(size, t_left, t_right)
+    return left[: m + 1, : m + 1], right[size - m :, size - m :]
 
 
 @functools.lru_cache(maxsize=256)
@@ -343,9 +359,9 @@ def _restriction_matrix(m: int, a: float, b: float) -> np.ndarray:
     if a == 0.0 and b == 1.0:
         matrix = np.eye(m + 1)
     elif abs(1.0 - a) >= abs(b):
-        matrix = _split_matrix(m, (b - a) / (1.0 - a), 0) @ _split_matrix(m, a, 1)
+        matrix = np.matmul(*_split_pair(m, (b - a) / (1.0 - a), a))
     else:
-        matrix = _split_matrix(m, a / b, 1) @ _split_matrix(m, b, 0)
+        matrix = np.matmul(*_split_pair(m, b, a / b)[::-1])
     matrix.flags.writeable = False
     return matrix
 
@@ -421,4 +437,4 @@ def extract_pair(net: ControlNet, pair: tuple[int, int]) -> ControlNet:
     d = net.dim
     if not (0 <= i < d and 0 <= j < d) or i == j:
         raise ValueError(f"invalid component pair {pair} for dimension {d}")
-    return ControlNet(net.coeffs[:, :, [i, j]])
+    return unchecked(ControlNet, coeffs=net.coeffs[:, :, [i, j]])  # columns of a checked net

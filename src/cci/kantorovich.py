@@ -36,11 +36,12 @@ from .geometry import (
     ControlNet,
     Rect,
     center_jet,
-    derivative_net,
+    derivative_coeffs,
     eval_net,  # noqa: F401 -- unused here; bench/tracing.py patches this binding
     extract_pair,
     reparametrize,
     restriction_growth,
+    unchecked,
 )
 
 # The three 2x2 sub-systems of a 3-component map, in fixed test order.
@@ -116,10 +117,12 @@ def inverse_2x2(jac: np.ndarray | Sequence[Sequence[float]]) -> list[list[float]
 
 
 def second_derivative_nets(net: ControlNet) -> tuple[ControlNet, ControlNet, ControlNet]:
-    """The f_uu, f_uv and f_vv nets of the net's map, over the same domain."""
-    du = derivative_net(net, "u")
-    dv = derivative_net(net, "v")
-    return derivative_net(du, "u"), derivative_net(du, "v"), derivative_net(dv, "v")
+    """The f_uu, f_uv and f_vv nets of the net's map, over the same domain:
+    ``derivative_net`` twice, unchecked, so the net's second differences must
+    be finite, as the unit net's are (its coefficients lie below 1)."""
+    du, dv = derivative_coeffs(net.coeffs, 0), derivative_coeffs(net.coeffs, 1)
+    seconds = derivative_coeffs(du, 0), derivative_coeffs(du, 1), derivative_coeffs(dv, 1)
+    return tuple(unchecked(ControlNet, coeffs=s) for s in seconds)
 
 
 class PairSystem:

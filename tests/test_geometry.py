@@ -11,8 +11,9 @@ from cci.geometry import (
     _center_weights,
     _derivatives,
     _jet_weights,
-    _split_matrix,
-    _split_powers,
+    _restriction_matrix,
+    _split_pair,
+    _wide_splits,
     BezierCurve,
     ControlNet,
     QUARTERS,
@@ -78,40 +79,65 @@ def _closed_form_jet_weights(m, t):
     return expected
 
 
-def _check_split_matrices(m, t):
-    """Both degree-m split matrices at t equal the closed form, evaluated
-    elementwise over arrays, as numpy's vector pow may round differently
-    from scalar pow."""
+def _fresh_split(m, t, side):
+    """The degree-m split at t in closed form, evaluated elementwise over
+    arrays, as numpy's vector pow may round differently from scalar pow."""
     comb = np.vectorize(math.comb, otypes=[float])
     k, j = np.indices((m + 1, m + 1))
-    left = comb(k, j) * t**j * (1.0 - t) ** np.maximum(k - j, 0)
+    if side == 0:
+        return comb(k, j) * t**j * (1.0 - t) ** np.maximum(k - j, 0)
     binom = np.where(j >= k, comb(m - k, np.maximum(j - k, 0)), 0.0)
-    right = binom * t ** np.maximum(j - k, 0) * (1.0 - t) ** (m - j)
-    assert np.array_equal(_split_matrix(m, t, 0), left), (m, t)
-    assert np.array_equal(_split_matrix(m, t, 1), right), (m, t)
+    return binom * t ** np.maximum(j - k, 0) * (1.0 - t) ** (m - j)
+
+
+def _check_split_matrices(m, t, t_right=None):
+    """Both degree-m split matrices, to [0, t] and to [t_right, 1] (t_right
+    defaults to t), equal the closed form."""
+    t_right = t if t_right is None else t_right
+    left, right = _split_pair(m, t, t_right)
+    assert np.array_equal(left, _fresh_split(m, t, 0)), (m, t)
+    assert np.array_equal(right, _fresh_split(m, t_right, 1)), (m, t_right)
 
 
 def test_split_matrices_share_powers_across_degrees_bit_for_bit():
-    # Every degree split at one t reads one cached vector of powers, however
-    # long the degree that built it: a prefix of a longer vector must be the
-    # shorter one bit for bit, in any order of degrees. Domains reach past
-    # [0, 1].
+    # Every degree up to 16 cuts its splits at a pair of parameters from one
+    # cached pair of degree-16 splits, and higher degrees from their own:
+    # a corner of a larger split must be the smaller one bit for bit, in any
+    # order of degrees. Domains reach past [0, 1].
     rng = np.random.default_rng(19)
     ts = [0.3, 1.0 / 3.0, -0.25, 1.25, 0.1 + 2.0**-40, *rng.uniform(-2.0, 3.0, 10).tolist()]
-    for t in ts:
-        _split_powers.cache_clear()
+    for t, t_right in zip(ts, reversed(ts)):
+        _wide_splits.cache_clear()
         for m in (40, *range(20, -1, -1), 33, 7):
-            _check_split_matrices(m, t)
-        _split_powers.cache_clear()
+            _check_split_matrices(m, t, t_right)
+        _wide_splits.cache_clear()
         for m in range(21):
             _check_split_matrices(m, t)
-    # Far enough out that powers past degree 20 overflow, unread and unseen.
-    for t in (1e13, -1e13):
-        _split_powers.cache_clear()
-        for m in range(20, -1, -1):
+    # Far enough out that powers past degree 15 overflow, unread and unseen.
+    for t in (1e20, -1e20):
+        _wide_splits.cache_clear()
+        for m in range(15, -1, -1):
             _check_split_matrices(m, t)
-        assert np.isinf(_split_powers(t, 32)[0][-1])
-    assert not _split_powers(0.3, 32)[0].flags.writeable
+        assert np.isinf(_wide_splits(16, t, t)[0, -1, -1])
+    assert not _wide_splits(16, 0.3, 0.3).flags.writeable
+
+
+def test_restriction_matrices_are_products_of_their_own_degree_splits_bit_for_bit():
+    # Every degree cuts its splits from shared splits of degree max(m, 16);
+    # each restriction matrix must still be the product of two fresh
+    # degree-m splits, in the order the range picks, bit for bit.
+    rng = np.random.default_rng(21)
+    ranges = [(0.0, 0.5), (0.5, 1.0), (0.3, 0.7), (-0.25, 1.25), (1.0, 1.5), (-0.5, 0.0),
+              (0.1 + 2.0**-40, 0.2), *np.sort(rng.uniform(-1.0, 2.0, (8, 2))).tolist()]
+    for a, b in ranges:
+        _wide_splits.cache_clear()
+        _restriction_matrix.cache_clear()
+        for m in (*range(21), 16, 31, 40, 7):
+            if abs(1.0 - a) >= abs(b):
+                expected = _fresh_split(m, (b - a) / (1.0 - a), 0) @ _fresh_split(m, a, 1)
+            else:
+                expected = _fresh_split(m, a / b, 1) @ _fresh_split(m, b, 0)
+            assert np.array_equal(_restriction_matrix(m, a, b), expected), (a, b, m)
 
 
 def test_split_and_jet_weights_are_the_closed_form_bit_for_bit():
