@@ -20,7 +20,7 @@ from cci import (
     rho_radii,
 )
 from cci.geometry import extract_pair
-from cci.kantorovich import PairSystem, second_derivative_nets, test_pairs
+from cci.kantorovich import PASS_BOUND, PairSystem, second_derivative_nets, test_pairs
 
 c1 = BezierCurve([[0.0, 0.0, 0.0], [0.5, 1.5, 0.0], [1.0, 0.0, 0.0]])
 c2 = BezierCurve([[0.0, 0.8, 0.0], [0.5, -0.7, 0.0], [1.0, 0.8, 0.0]])
@@ -50,7 +50,7 @@ for t in outcome.pairs:
         print(f"  eta   = {t.eta:.6g}   (first Newton step bound)")
     if t.omega is not None:
         print(f"  omega = {t.omega:.6g}   (certified Lipschitz constant)")
-        print(f"  h     = {t.eta * t.omega:.6g}   (eta * omega; pass needs h <= 1/4)")
+        print(f"  h     = {t.eta * t.omega:.6g}   (eta * omega; pass needs h <= {PASS_BOUND})")
     elif t.eta is not None:
         print("  failed by omega's lower bound at the center; omega not computed")
     if t.rho_minus is not None:
@@ -73,6 +73,6 @@ print(f"|root - center| = {dist:.3g} <= rho- = {passed.rho_minus:.3g}")
 # The radii respond to the test quantities: the smaller h, the tighter the
 # existence ball and the wider the uniqueness ball.
 print("\nradii as h varies (eta fixed at 0.05):")
-for omega in (0.0, 1.0, 2.5, 5.0):
+for omega in (0.0, 1.0, 2.5, 5.0, 9.0):
     rm, rp = rho_radii(0.05, omega)
     print(f"  omega={omega:3.1f}  h={0.05 * omega:.3f}  rho-={rm:.4f}  rho+={rp:.4f}")

@@ -2,12 +2,20 @@
 
 For a candidate square centered at x0, each of the three 2-of-3-coordinate
 sub-systems of the intersection map is tested in its own square test domain.
-A sub-system passes when the product of the first Newton step bound eta and
-a certified Lipschitz constant omega for the preconditioned Jacobian stays
-at or below 1/4 and the existence ball of radius rho_minus fits inside the
-test domain. A pass guarantees Newton's method from x0 converges
-quadratically to the unique zero of that sub-system nearby, and yields an
-explored region around the zero in which no other zero can hide.
+A sub-system passes when h = eta * omega, its first Newton step bound eta
+times a certified Lipschitz constant omega for the preconditioned Jacobian,
+stays at or below ``PASS_BOUND`` (0.45, where the base algorithm of
+Srijuntongsiri and Vavasis uses 1/4) and the existence ball of radius
+rho_minus fits inside the test domain. For any h < 1/2 the affine-covariant
+Kantorovich theorem (Deuflhard 2004, ch. 2) gives a zero in that ball, no
+other in the rho_plus ball within the domain, and Newton's convergence from
+x0 to it, so a pass also yields an explored region in which no other zero
+can hide. 0.45 keeps clear of 1/2: a computed h <= 0.45 leaves 1 - 2h >= 0.1
+in ``rho_radii`` (2h is exact, and 1 - 2h rounds by at most u = 2^-53
+relative, not at all for 2h >= 1/2 by Sterbenz's lemma), far from 0, and
+rho_minus < 1.52 eta; the few u of rounding in eta, omega and h cannot carry
+a true h past 1/2. The proof that omega's lower bound fails only pairs the
+full test fails holds for any positive bound (``_omega_floor``).
 
 Most tested squares fail, and a failure needs only a lower bound on omega:
 4 |J^-1 f''| at the square's center, less a proven rounding allowance.
@@ -50,10 +58,10 @@ COMPONENT_PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (1, 2))
 
 class PairStatus(enum.Enum):
     PASS = "pass"
-    # eta * omega exceeded 1/4: Newton convergence not certified. The test
-    # domain may be too large (a smaller one can have a smaller omega).
+    # eta * omega exceeded PASS_BOUND: Newton convergence not certified. The
+    # test domain may be too large (a smaller one can have a smaller omega).
     FAIL_CONVERGENCE = "fail_convergence"
-    # eta * omega <= 1/4 but the existence ball leaks out of the test
+    # eta * omega <= PASS_BOUND but the existence ball leaks out of the test
     # domain; a larger domain might contain it.
     FAIL_CONTAINMENT = "fail_containment"
     SINGULAR_JACOBIAN = "singular_jacobian"
@@ -66,7 +74,7 @@ class PairTest:
     ``eta`` and ``omega`` are None for a singular Jacobian, and ``omega``
     also for a convergence failure that omega's lower bound or its rounding
     allowance decided: the test never computes that omega. The radii are
-    set only when eta * omega <= 1/4.
+    set only when eta * omega <= ``PASS_BOUND``.
     """
 
     pair: tuple[int, int]
@@ -167,9 +175,12 @@ def rho_radii(eta_value: float, omega_value: float) -> tuple[float, float]:
     return 2.0 * eta_value / (1.0 + s), (1.0 + s) / omega_value
 
 
+# A pair passes at eta * omega <= PASS_BOUND < 1/2 (see the module docstring).
+PASS_BOUND = 0.45
+
 _UNIT_ROUNDOFF = 2.0**-53
 # Relative margin of omega's lower bound: it absorbs the rounding of the
-# bound's own arithmetic and of comparing eta * omega with 1/4.
+# bound's own arithmetic and of comparing eta * omega with any PASS_BOUND.
 _FLOOR_GUARD = 1e-9
 # A slack this large fails the pair's convergence test, the conservative
 # answer, before its omega block (at most 4 M^2 G <= 2^46 slack) can overflow.
@@ -217,8 +228,12 @@ def _omega_floor(
       most (4 (m + n) + 22) u G 4 M^2 S, with G the domain's
       ``restriction_growth``. 8 G covers both.
 
-    ``_FLOOR_GUARD`` covers the rest, so eta * floor > 1/4 implies that the
-    full test's eta * omega exceeds 1/4 as well.
+    ``_FLOOR_GUARD`` covers the rest, for any positive bound B. The allowance
+    covers its own rounding, so lower (1 - c u) <= omega + A for the computed
+    allowance A, and the floor's two rounded steps leave it <= 0, which exceeds
+    no B, or <= omega (1 - g + k u), for small integers c and k and
+    g = ``_FLOOR_GUARD`` = 1e-9 >> k u. Then the computed eta * floor is below
+    eta omega (1 - u) <= the computed eta * omega: past B only if that is too.
     """
     (a, b), (c, d) = jac_inv
     i, k = system.pair
@@ -278,7 +293,9 @@ def test_pairs(
         if scale not in slacks:
             slacks[scale] = _floor_slack(net, half_width, domain)
         slack = slacks[scale]
-        if not slack < _MAX_SLACK or eta * _omega_floor(system, jac_inv, curvature, slack) > 0.25:
+        if not slack < _MAX_SLACK or (
+            eta * _omega_floor(system, jac_inv, curvature, slack) > PASS_BOUND
+        ):
             results.append(PairTest(system.pair, PairStatus.FAIL_CONVERGENCE, domain, eta))
             continue
         if scale not in blocks:
@@ -286,7 +303,7 @@ def test_pairs(
                 [reparametrize(n, domain).coeffs.reshape(-1, net.dim) for n in seconds]
             )
         omega = system.omega(jac_inv, blocks[scale])
-        if eta * omega > 0.25:
+        if eta * omega > PASS_BOUND:
             status, radii = PairStatus.FAIL_CONVERGENCE, (None, None)
         else:
             radii = rho_radii(eta, omega)

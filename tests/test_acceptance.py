@@ -44,12 +44,12 @@ EPSILONS = ("0.01", "0.05", "0.1", "0.15", "0.2")
 # above, then the fixed baseline.
 SUITE_SQUARES = [
     [17] * 6,
+    [33, 29, 33, 33, 33, 33],
+    [25] * 6,
     [33] * 6,
-    [29, 29, 29, 29, 29, 33],
-    [37, 33, 33, 33, 33, 37],
-    [41, 37, 37, 37, 37, 41],
-    [101] * 6,
-    [141] * 6,
+    [37] * 6,
+    [93, 97, 97, 97, 97, 93],
+    [133] * 6,
     [13] * 6,
 ]
 runner = CliRunner()

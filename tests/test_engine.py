@@ -368,7 +368,7 @@ SPATIAL_SUITE_FINGERPRINT = {
     ("p01", "fixed"): (21, [
         ("0x1.7659a27611738p-2", "0x1.7ba331ffb07e9p-1"),
     ]),
-    ("p02", 0.05): (33, [
+    ("p02", 0.05): (29, [
         ("0x1.909fcadb8354ap-1", "0x1.a16eb77bded36p-2"),
         ("0x1.227626ee3023dp-1", "0x1.ace122dccd70fp-1"),
     ]),
@@ -376,49 +376,49 @@ SPATIAL_SUITE_FINGERPRINT = {
         ("0x1.909fcadb8354ap-1", "0x1.a16eb77bded36p-2"),
         ("0x1.227626ee3023dp-1", "0x1.ace122dccd70fp-1"),
     ]),
-    ("p03", 0.05): (29, [
-        ("0x1.94872a4ff5accp-2", "0x1.e62b754753fd4p-1"),
+    ("p03", 0.05): (25, [
+        ("0x1.94872a4ff5af7p-2", "0x1.e62b754753fc5p-1"),
     ]),
-    ("p03", "fixed"): (33, [
-        ("0x1.94872a4ff5b01p-2", "0x1.e62b754753fbfp-1"),
+    ("p03", "fixed"): (25, [
+        ("0x1.94872a4ff5af7p-2", "0x1.e62b754753fc5p-1"),
     ]),
     ("p04", 0.05): (33, [
         ("0x1.6dd7a90b6ab3cp-2", "0x1.0c2e116fc59b2p-1"),
     ]),
-    ("p04", "fixed"): (37, [
-        ("0x1.6dd7a90b6ab44p-2", "0x1.0c2e116fc59b1p-1"),
+    ("p04", "fixed"): (33, [
+        ("0x1.6dd7a90b6ab3cp-2", "0x1.0c2e116fc59b2p-1"),
     ]),
-    ("p05", 0.05): (41, [
-        ("0x1.4f3ada6661ba9p-1", "0x1.18e6901be989bp-1"),
+    ("p05", 0.05): (37, [
+        ("0x1.4f3ada6661babp-1", "0x1.18e6901be989cp-1"),
     ]),
-    ("p05", "fixed"): (41, [
-        ("0x1.4f3ada6661ba9p-1", "0x1.18e6901be989bp-1"),
+    ("p05", "fixed"): (37, [
+        ("0x1.4f3ada6661babp-1", "0x1.18e6901be989cp-1"),
     ]),
-    ("p06", 0.05): (101, [
+    ("p06", 0.05): (97, [
+        ("0x1.ddb3f9bee6b25p-2", "0x1.b2050da65f22cp-1"),
         ("0x1.da54ee369e22ep-3", "0x1.b7ee8dfe078bap-1"),
         ("0x1.fefaf8b5515c2p-2", "0x1.0cd23bb0099c6p-2"),
-        ("0x1.ddb3f9bee6b7fp-2", "0x1.b2050da65f1f8p-1"),
         ("0x1.a677d7ff65b68p-2", "0x1.213b723a13839p-3"),
     ]),
-    ("p06", "fixed"): (101, [
+    ("p06", "fixed"): (93, [
+        ("0x1.ddb3f9bee6b25p-2", "0x1.b2050da65f22cp-1"),
         ("0x1.da54ee369e22ep-3", "0x1.b7ee8dfe078bap-1"),
-        ("0x1.fefaf8b5515c2p-2", "0x1.0cd23bb0099c6p-2"),
-        ("0x1.ddb3f9bee6b7fp-2", "0x1.b2050da65f1f8p-1"),
+        ("0x1.fefaf8b5515b8p-2", "0x1.0cd23bb0099bcp-2"),
         ("0x1.a677d7ff65b68p-2", "0x1.213b723a13839p-3"),
     ]),
-    ("p07", 0.05): (141, [
-        ("0x1.6e68dac6534b8p-1", "0x1.9c0a5b724c7d1p-1"),
-        ("0x1.624c0aba5a529p-1", "0x1.2efa9c2ce1344p-5"),
+    ("p07", 0.05): (133, [
         ("0x1.c5991b9f3e6f8p-1", "0x1.b8e561badd100p-1"),
+        ("0x1.624c0aba5a529p-1", "0x1.2efa9c2ce1344p-5"),
+        ("0x1.6e68dac6534b8p-1", "0x1.9c0a5b724c7d1p-1"),
+        ("0x1.26853e952eee5p-2", "0x1.c8ec43c01084ep-1"),
         ("0x1.bfca333927c92p-1", "0x1.3df082bdfd6dbp-8"),
-        ("0x1.26853e952ef35p-2", "0x1.c8ec43c010845p-1"),
     ]),
-    ("p07", "fixed"): (141, [
+    ("p07", "fixed"): (133, [
         ("0x1.6e68dac6534b8p-1", "0x1.9c0a5b724c7d1p-1"),
         ("0x1.624c0aba5a529p-1", "0x1.2efa9c2ce1344p-5"),
-        ("0x1.c5991b9f3e6f8p-1", "0x1.b8e561badd100p-1"),
         ("0x1.bfca333927c92p-1", "0x1.3df082bdfd6dbp-8"),
-        ("0x1.26853e952ef35p-2", "0x1.c8ec43c010845p-1"),
+        ("0x1.26853e952eee5p-2", "0x1.c8ec43c01084ep-1"),
+        ("0x1.c5991b9f3e6f8p-1", "0x1.b8e561badd100p-1"),
     ]),
     ("p08", 0.05): (13, [
     ]),
@@ -459,18 +459,18 @@ def test_spatial_suite_fingerprint(problems_dir, name, config):
 EVENT_STREAMS = {
     ("p01", 0.05): (36, "5f810287004f42a3"),
     ("p01", "fixed"): (36, "5f810287004f42a3"),
-    ("p02", 0.05): (70, "64149d5634675e53"),
+    ("p02", 0.05): (62, "207cb0ae025d5ed1"),
     ("p02", "fixed"): (70, "64149d5634675e53"),
-    ("p03", 0.05): (60, "bc5e9e4bdffd7bca"),
-    ("p03", "fixed"): (68, "30c0b722c832a6cf"),
+    ("p03", 0.05): (52, "58807f8788949f82"),
+    ("p03", "fixed"): (52, "58807f8788949f82"),
     ("p04", 0.05): (68, "4e7192c0c64a3901"),
-    ("p04", "fixed"): (76, "ab3f4c2d9f7c3581"),
+    ("p04", "fixed"): (68, "4e7192c0c64a3901"),
     ("p05", 0.05): (76, "a57270939ac13b66"),
-    ("p05", "fixed"): (84, "35df52e34b70579c"),
-    ("p06", 0.05): (210, "c15aee62d9573a1b"),
-    ("p06", "fixed"): (210, "c15aee62d9573a1b"),
-    ("p07", 0.05): (292, "5967b5713a90cac9"),
-    ("p07", "fixed"): (292, "5967b5713a90cac9"),
+    ("p05", "fixed"): (76, "a57270939ac13b66"),
+    ("p06", 0.05): (202, "4bd565e5cf217e64"),
+    ("p06", "fixed"): (194, "7ace164211250a80"),
+    ("p07", 0.05): (276, "264afe5893531307"),
+    ("p07", "fixed"): (276, "3ff4c456f7f1d474"),
     ("p08", 0.05): (26, "a6f5f967e5fac52d"),
     ("p08", "fixed"): (26, "a6f5f967e5fac52d"),
 }

@@ -26,6 +26,7 @@ from cci.geometry import (
 )
 from cci.kantorovich import (
     COMPONENT_PAIRS,
+    PASS_BOUND,
     PairStatus,
     PairSystem,
     PairTest,
@@ -405,9 +406,9 @@ def test_classification_matches_monomial_reimplementation():
             assert omega == pytest.approx(omega_o, rel=1e-7, abs=1e-9)
             h_o = eta_o * omega_o
             # skip instances within noise of a decision boundary
-            if abs(h_o - 0.25) < 1e-6:
+            if abs(h_o - PASS_BOUND) < 1e-6:
                 continue
-            if h_o > 0.25:
+            if h_o > PASS_BOUND:
                 expected = PairStatus.FAIL_CONVERGENCE
             else:
                 rho_o = (1.0 - math.sqrt(1.0 - 2.0 * h_o)) / omega_o if omega_o else eta_o
@@ -481,6 +482,38 @@ def test_convergence_speed_bound_along_iterates():
             bound = (passed.eta / h) * (base ** (2.0**k)) / (2.0**k)
             dist = np.abs(np.array(p) - root).max()
             assert dist <= bound + 1e-9
+
+
+def _parabola_net(q):
+    """(u^2 - q, v - 1/2) over the unit square. At the center, J = diag(1, 1)
+    and f_uu = (2, 0), so eta = |1/4 - q|, omega = 8 and h = 8 |1/4 - q|."""
+    coeffs = np.empty((3, 2, 2))
+    coeffs[:, :, 0] = (np.array([0.0, 0.0, 1.0]) - q)[:, None]
+    coeffs[:, :, 1] = [-0.5, 0.5]
+    return ControlNet(coeffs)
+
+
+def test_pass_between_a_quarter_and_the_bound_lands_newton_in_the_existence_ball():
+    # h = 0.4: the base algorithm's h <= 1/4 fails it, Kantorovich's h < 1/2
+    # certifies it, and Newton from the center converges into rho_minus.
+    net, x0 = _parabola_net(0.2), (0.5, 0.5)
+    t = pair_test_at(net, x0, 0.1)
+    assert t.status is PairStatus.PASS
+    assert 0.25 < t.eta * t.omega <= PASS_BOUND
+    assert t.eta * t.omega == pytest.approx(0.4, rel=1e-12)
+    result = newton_solve(net, x0, tol=1e-12, max_iter=30)
+    assert result.converged and result.root[0] == pytest.approx(0.2**0.5, abs=1e-12)
+    for p in [result.root, *newton_path(net, x0, tol=1e-12, max_iter=30)]:
+        assert max(abs(p[0] - x0[0]), abs(p[1] - x0[1])) <= t.rho_minus
+
+
+def test_just_above_the_bound_fails_convergence():
+    # h = PASS_BOUND + 0.005 < 1/2: the test keeps to its bound, and omega's
+    # lower bound alone decides the pair.
+    q = 0.25 - (PASS_BOUND + 0.005) / 8.0
+    t = pair_test_at(_parabola_net(q), (0.5, 0.5), 0.1)
+    assert t.status is PairStatus.FAIL_CONVERGENCE and t.omega is None
+    assert t.eta * 8.0 == pytest.approx(PASS_BOUND + 0.005, rel=1e-12)
 
 
 def test_uniqueness_inside_explored_region():
@@ -608,10 +641,10 @@ def _always_restricting_test(systems, seconds, net, center, half_width, scales):
         eta = max(abs(a * value[i] + b * value[k]), abs(c * value[i] + d * value[k]))
         domain = Rect.ball(center, scale * half_width)
         slack = kantorovich._floor_slack(net, half_width, domain)
-        decided = eta * kantorovich._omega_floor(system, jac_inv, curvature, slack) > 0.25
+        decided = eta * kantorovich._omega_floor(system, jac_inv, curvature, slack) > PASS_BOUND
         block = np.concatenate([reparametrize(n, domain).coeffs.reshape(-1, 3) for n in seconds])
         omega = system.omega(jac_inv, block)
-        if eta * omega > 0.25:
+        if eta * omega > PASS_BOUND:
             results.append((PairStatus.FAIL_CONVERGENCE, eta, omega, None, decided))
             continue
         rho_minus = rho_radii(eta, omega)[0]
@@ -707,7 +740,7 @@ def test_omega_on_deep_squares_matches_exact_restriction():
                 slack = kantorovich._floor_slack(carried, h, d)
                 floor = kantorovich._omega_floor(system, jac_inv, curvature, slack)
                 assert floor <= exact and floor <= omega
-                if t.eta * floor > 0.25:
+                if t.eta * floor > PASS_BOUND:
                     assert t.status is PairStatus.FAIL_CONVERGENCE
                     decided += depth <= 6
                 checked += 1
