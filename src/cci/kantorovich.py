@@ -175,9 +175,7 @@ def rho_radii(eta_value: float, omega_value: float) -> tuple[float, float]:
     return 2.0 * eta_value / (1.0 + s), (1.0 + s) / omega_value
 
 
-# A pair passes at eta * omega <= PASS_BOUND < 1/2 (see the module docstring).
-PASS_BOUND = 0.45
-
+PASS_BOUND = 0.45  # a pair passes at eta * omega <= PASS_BOUND < 1/2
 _UNIT_ROUNDOFF = 2.0**-53
 # Relative margin of omega's lower bound: it absorbs the rounding of the
 # bound's own arithmetic and of comparing eta * omega with any PASS_BOUND.
@@ -228,12 +226,14 @@ def _omega_floor(
       most (4 (m + n) + 22) u G 4 M^2 S, with G the domain's
       ``restriction_growth``. 8 G covers both.
 
-    ``_FLOOR_GUARD`` covers the rest, for any positive bound B. The allowance
-    covers its own rounding, so lower (1 - c u) <= omega + A for the computed
-    allowance A, and the floor's two rounded steps leave it <= 0, which exceeds
-    no B, or <= omega (1 - g + k u), for small integers c and k and
-    g = ``_FLOOR_GUARD`` = 1e-9 >> k u. Then the computed eta * floor is below
-    eta omega (1 - u) <= the computed eta * omega: past B only if that is too.
+    ``_FLOOR_GUARD`` covers the rest, for any positive bound B. With A the
+    allowance in exact arithmetic, lower (1 - c u) <= omega + A, c u being
+    the relative rounding of ``lower``'s few operations, and the computed
+    allowance is within a few u of A. As g = ``_FLOOR_GUARD`` = 1e-9 dwarfs
+    those u, the computed floor is <= 0, which exceeds no B, or
+    <= omega (1 - g + k u) for a small integer k. So the computed
+    eta * floor is below eta omega (1 - u) <= the computed eta * omega: it
+    passes B only if that does too.
     """
     (a, b), (c, d) = jac_inv
     i, k = system.pair
