@@ -38,6 +38,8 @@ for rect in (Rect(0.0, 0.25, 0.6, 0.85), Rect(0.05, 0.35, 0.05, 0.35)):
 # curves are coplanar, so the two pairs involving the z coordinate are
 # singular and skipped.) The solver builds the pair systems and the
 # second-derivative nets once per run and passes each square's own net.
+# omega is the largest row sum M_uu,i + 2 M_uv,i + M_vv,i, each M the
+# largest |coefficient| of row i of J^-1 f_uu, f_uv or f_vv over the domain.
 center, half_width = (0.1875, 0.1875), 0.0625
 systems = [PairSystem(net, pair) for pair in COMPONENT_PAIRS]
 square = reparametrize(net, Rect.ball(center, half_width))

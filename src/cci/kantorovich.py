@@ -18,7 +18,7 @@ a true h past 1/2. The proof that omega's lower bound fails only pairs the
 full test fails holds for any positive bound (``_omega_floor``).
 
 Most tested squares fail, and a failure needs only a lower bound on omega:
-4 |J^-1 f''| at the square's center, less a proven rounding allowance.
+omega's row sums at the square's center, less a proven rounding allowance.
 Pairs it fails restrict nothing and report no omega; the others take the
 full test, so every status is the one the full test alone would give. The
 allowance is cached but for the test domain's ``restriction_growth``, and a
@@ -145,18 +145,24 @@ class PairSystem:
         self.net = extract_pair(net, pair)
         # The scale of every rounding error in the nets derived from ``net``.
         self.max_coeff = float(np.abs(self.net.coeffs).max())
+        m, n = self.net.degree_u, self.net.degree_v
+        uu = max(m - 1, 1) * (n + 1)  # f_uu's rows in omega's block, then f_uv's
+        self.offsets = np.array([0, uu, uu + max(m, 1) * max(n, 1)])
 
     def omega(self, jac_inv: Sequence[Sequence[float]], block: np.ndarray) -> float:
         """Certified Lipschitz constant for the preconditioned Jacobian on a test domain.
 
         ``block`` stacks the coefficients of f_uu, f_uv and f_vv of the full
-        map over the domain, one row per coefficient, shape (K, dim). Bounds
-        the operator norm of the second derivative of J^-1 f by four times
-        the largest absolute Bernstein coefficient over the domain (each
-        matrix row sums at most four second-derivative entries);
-        preconditioning by J^-1 is linear, so it applies to coefficients.
+        map over the domain, one row per coefficient, shape (K, dim), from
+        ``offsets`` on. With g = J^-1 f and M_xx,i the largest |coefficient|
+        of g_xx,i, returns max_i (M_uu,i + 2 M_uv,i + M_vv,i) <= 4 max |J^-1 c|:
+        row i of J^-1 (J(x) - J(y)) has entries at most (M_uu,i + M_uv,i) and
+        (M_uv,i + M_vv,i) times |x - y|, as a Bernstein net bounds its
+        polynomial; J^-1 is linear, so it applies to coefficients.
         """
-        return 4.0 * float(np.abs(block[:, self.pair] @ np.array(jac_inv).T).max())
+        g = np.abs(block[:, self.pair] @ np.array(jac_inv).T)
+        (uu0, uu1), (uv0, uv1), (vv0, vv1) = np.maximum.reduceat(g, self.offsets).tolist()
+        return max(uu0 + 2.0 * uv0 + vv0, uu1 + 2.0 * uv1 + vv1)
 
 
 def rho_radii(eta_value: float, omega_value: float) -> tuple[float, float]:
@@ -210,10 +216,13 @@ def _omega_floor(
     ``curvature`` holds f_uu, f_uv and f_vv at the square's center, from the
     square's net with exact weights, divided by (2h)^2. In exact arithmetic
     each is a convex combination of its second-derivative net's Bernstein
-    coefficients over any domain that holds the center, so
-    4 max |J^-1 f''(center)| <= omega. The allowance ``slack`` S |J^-1|, with
-    S = ``system.max_coeff``, is 4 |J^-1| 4 M^2 2 (m + n + 2) u S
-    ((d + 2) / (2h)^2 + 8 G) (``_floor_slack``), M = max(m, n), u the unit
+    coefficients over any domain that holds the center, so with g = J^-1 f,
+    |g_xx,i(center)| <= M_xx,i (``PairSystem.omega``) and
+    max_i (|g_uu,i| + 2 |g_uv,i| + |g_vv,i|)(center) <= omega. Each of its
+    four terms (g_uv,i counts twice) errs, at the center and in the full
+    test's M_xx,i, by at most |J^-1| 4 M^2 2 (m + n + 2) u S ((d + 2) / (2h)^2
+    + 8 G), so the allowance ``slack`` S |J^-1| (``_floor_slack``) is four
+    times that, with S = ``system.max_coeff``, M = max(m, n), u the unit
     roundoff, d the depth:
 
     - The net went down d quarter restrictions with exact, convex weights,
@@ -227,20 +236,21 @@ def _omega_floor(
       ``restriction_growth``. 8 G covers both.
 
     ``_FLOOR_GUARD`` covers the rest, for any positive bound B. With A the
-    allowance in exact arithmetic, lower (1 - c u) <= omega + A, c u being
-    the relative rounding of ``lower``'s few operations, and the computed
-    allowance is within a few u of A. As g = ``_FLOOR_GUARD`` = 1e-9 dwarfs
-    those u, the computed floor is <= 0, which exceeds no B, or
-    <= omega (1 - g + k u) for a small integer k. So the computed
-    eta * floor is below eta omega (1 - u) <= the computed eta * omega: it
-    passes B only if that does too.
+    allowance in exact arithmetic and W the full test's row sum of its
+    computed M_xx,i, taken exactly, lower (1 - c u) <= W + A, c u being the
+    relative rounding of ``lower``'s few operations; the computed omega is at
+    least W (1 - 2u), and the computed allowance is within a few u of A. As
+    g = ``_FLOOR_GUARD`` = 1e-9 dwarfs those u, the computed floor is <= 0,
+    which exceeds no B, or <= omega (1 - g + k u) for a small integer k. So
+    the computed eta * floor is below eta omega (1 - u) <= the computed
+    eta * omega: it passes B only if that does too.
     """
     (a, b), (c, d) = jac_inv
     i, k = system.pair
     fu, fm, fv = curvature
-    lower = 4.0 * max(
-        abs(a * fu[i] + b * fu[k]), abs(c * fu[i] + d * fu[k]), abs(a * fm[i] + b * fm[k]),
-        abs(c * fm[i] + d * fm[k]), abs(a * fv[i] + b * fv[k]), abs(c * fv[i] + d * fv[k]),
+    lower = max(
+        abs(a * fu[i] + b * fu[k]) + 2.0 * abs(a * fm[i] + b * fm[k]) + abs(a * fv[i] + b * fv[k]),
+        abs(c * fu[i] + d * fu[k]) + 2.0 * abs(c * fm[i] + d * fm[k]) + abs(c * fv[i] + d * fv[k]),
     )
     norm = max(abs(a) + abs(b), abs(c) + abs(d))
     return lower * (1.0 - _FLOOR_GUARD) - slack * system.max_coeff * norm

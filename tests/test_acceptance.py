@@ -43,13 +43,13 @@ EPSILONS = ("0.01", "0.05", "0.1", "0.15", "0.2")
 # The paper's table: squares examined for p01..p08, one column per epsilon
 # above, then the fixed baseline.
 SUITE_SQUARES = [
-    [17] * 6,
-    [33, 29, 33, 33, 33, 33],
-    [25] * 6,
-    [33] * 6,
-    [37] * 6,
-    [93, 97, 97, 97, 97, 93],
-    [133] * 6,
+    [5] * 6,
+    [21] * 6,
+    [25, 25, 25, 21, 21, 25],
+    [29] * 6,
+    [29] * 6,
+    [73, 77, 73, 69, 69, 73],
+    [117, 113, 109, 109, 109, 109],
     [13] * 6,
 ]
 runner = CliRunner()

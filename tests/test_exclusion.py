@@ -417,11 +417,13 @@ def _walk_decisions(clouds, tol=1e-12):
 
 
 def _suite_batches(problems_dir, monkeypatch):
-    """Every batch of nets the 8 suite problems hull-test at epsilon 0.05."""
+    """Every batch of nets the 8 suite problems hull-test at epsilon 0.05 and
+    in fixed mode."""
     batches = _record_hull_tested_batches(monkeypatch)
     for path in sorted((problems_dir / "suite").glob("*.json")):
         problem = load_problem(path)
-        cci.solve(problem.curve1, problem.curve2, cci.SolverConfig(epsilon=0.05))
+        for config in (cci.SolverConfig(epsilon=0.05), cci.SolverConfig(mode="fixed")):
+            cci.solve(problem.curve1, problem.curve2, config)
     monkeypatch.undo()
     return batches
 

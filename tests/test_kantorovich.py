@@ -70,8 +70,9 @@ def _mono_dv(mono):
     return np.swapaxes(_mono_du(np.swapaxes(mono, 0, 1)), 0, 1)
 
 
-def _fit_bernstein_max_abs(fn, degrees, domain: Rect) -> float:
-    """Max |Bernstein coefficient| of fn restricted to domain, by lstsq fit."""
+def _fit_bernstein_max_abs(fn, degrees, domain: Rect) -> np.ndarray:
+    """Max |Bernstein coefficient| of each component of fn restricted to
+    domain, by lstsq fit."""
     m, n = degrees
     su = np.linspace(0.0, 1.0, max(2 * (m + 1), 4))
     sv = np.linspace(0.0, 1.0, max(2 * (n + 1), 4))
@@ -83,11 +84,13 @@ def _fit_bernstein_max_abs(fn, degrees, domain: Rect) -> float:
         [fn(domain.lo_u + s * du, domain.lo_v + t * dv) for s in su for t in sv]
     )
     coeffs, *_ = np.linalg.lstsq(basis, values, rcond=None)
-    return float(np.abs(coeffs).max())
+    return np.abs(coeffs).max(axis=0)
 
 
 def _oracle_pair_quantities(pair_coeffs, x0, domain: Rect):
-    """(eta, omega) for a 2-component net via the monomial route."""
+    """(eta, omega) for a 2-component net via the monomial route: omega is
+    max_i (M_uu,i + 2 M_uv,i + M_vv,i), M_xx,i the largest |Bernstein
+    coefficient| of component i of J^-1 f_xx over the domain."""
     mono = _mono2(pair_coeffs)
     du, dv = _mono_du(mono), _mono_dv(mono)
     jac = np.stack([_mono_eval(du, *x0), _mono_eval(dv, *x0)], axis=1)
@@ -101,12 +104,13 @@ def _oracle_pair_quantities(pair_coeffs, x0, domain: Rect):
         (_mono_dv(du), (max(m - 1, 0), max(n - 1, 0))),
         (_mono_dv(dv), (m, max(n - 2, 0))),
     ]
-    worst = 0.0
+    maxima = []
     for mono_second, degrees in seconds:
         def entry(u, v, ms=mono_second):
             return jac_inv @ _mono_eval(ms, u, v)
-        worst = max(worst, _fit_bernstein_max_abs(entry, degrees, domain))
-    return eta_value, 4.0 * worst
+        maxima.append(_fit_bernstein_max_abs(entry, degrees, domain))
+    m_uu, m_uv, m_vv = maxima
+    return eta_value, float((m_uu + 2.0 * m_uv + m_vv).max())
 
 
 def _affine_net_2(b, gu, gv, m=2, n=2):
@@ -485,10 +489,11 @@ def test_convergence_speed_bound_along_iterates():
 
 
 def _parabola_net(q):
-    """(u^2 - q, v - 1/2) over the unit square. At the center, J = diag(1, 1)
-    and f_uu = (2, 0), so eta = |1/4 - q|, omega = 8 and h = 8 |1/4 - q|."""
+    """((u - 3/8)^2 - q, v - 1/2) over the unit square. At the center,
+    J = diag(1/4, 1) and f_uu = (2, 0) everywhere, so J^-1 f_uu = (8, 0),
+    eta = 4 |1/64 - q|, omega = 8 and h = 32 |1/64 - q|."""
     coeffs = np.empty((3, 2, 2))
-    coeffs[:, :, 0] = (np.array([0.0, 0.0, 1.0]) - q)[:, None]
+    coeffs[:, :, 0] = (np.array([9.0, -15.0, 25.0]) / 64.0 - q)[:, None]
     coeffs[:, :, 1] = [-0.5, 0.5]
     return ControlNet(coeffs)
 
@@ -496,13 +501,14 @@ def _parabola_net(q):
 def test_pass_between_a_quarter_and_the_bound_lands_newton_in_the_existence_ball():
     # h = 0.4: the base algorithm's h <= 1/4 fails it, Kantorovich's h < 1/2
     # certifies it, and Newton from the center converges into rho_minus.
-    net, x0 = _parabola_net(0.2), (0.5, 0.5)
+    q = 1.0 / 64.0 - 0.4 / 32.0
+    net, x0 = _parabola_net(q), (0.5, 0.5)
     t = pair_test_at(net, x0, 0.1)
     assert t.status is PairStatus.PASS
     assert 0.25 < t.eta * t.omega <= PASS_BOUND
     assert t.eta * t.omega == pytest.approx(0.4, rel=1e-12)
     result = newton_solve(net, x0, tol=1e-12, max_iter=30)
-    assert result.converged and result.root[0] == pytest.approx(0.2**0.5, abs=1e-12)
+    assert result.converged and result.root[0] == pytest.approx(0.375 + q**0.5, abs=1e-12)
     for p in [result.root, *newton_path(net, x0, tol=1e-12, max_iter=30)]:
         assert max(abs(p[0] - x0[0]), abs(p[1] - x0[1])) <= t.rho_minus
 
@@ -510,10 +516,58 @@ def test_pass_between_a_quarter_and_the_bound_lands_newton_in_the_existence_ball
 def test_just_above_the_bound_fails_convergence():
     # h = PASS_BOUND + 0.005 < 1/2: the test keeps to its bound, and omega's
     # lower bound alone decides the pair.
-    q = 0.25 - (PASS_BOUND + 0.005) / 8.0
+    q = 1.0 / 64.0 - (PASS_BOUND + 0.005) / 32.0
     t = pair_test_at(_parabola_net(q), (0.5, 0.5), 0.1)
     assert t.status is PairStatus.FAIL_CONVERGENCE and t.omega is None
     assert t.eta * 8.0 == pytest.approx(PASS_BOUND + 0.005, rel=1e-12)
+
+
+def _mixed_net():
+    """(s + s^2 + st/2 - 1/16, t + t^2), s = u - 1/2 and t = v - 1/2, over the
+    unit square with dyadic coefficients. At the center J = I and
+    f = (-1/16, 0), so eta = 1/16; f_uu = (2, 0), f_uv = (1/2, 0) and
+    f_vv = (0, 2) everywhere, so omega = max(2 + 2/2 + 0, 0 + 0 + 2) = 3,
+    where four times the largest |J^-1 f''| is 8."""
+    s, s2, one = np.array([-0.5, 0.0, 0.5]), np.array([0.25, -0.25, 0.25]), np.ones(3)
+    coeffs = np.empty((3, 3, 2))
+    coeffs[:, :, 0] = np.outer(s + s2, one) + 0.5 * np.outer(s, s) - 1.0 / 16.0
+    coeffs[:, :, 1] = np.outer(one, s + s2)
+    return ControlNet(coeffs)
+
+
+def test_row_sums_pass_a_pair_four_times_the_largest_coefficient_fails():
+    # omega weighs each net by its own row maxima: 3 here, so h = 3/16. The
+    # single-maximum bound 4 max |J^-1 c| = 8 would give h = 1/2 > PASS_BOUND.
+    net = _mixed_net()
+    t = pair_test_at(net, (0.5, 0.5), 0.125)
+    assert t.status is PairStatus.PASS and t.eta == 1.0 / 16.0
+    assert t.omega == pytest.approx(3.0, rel=1e-12)
+    seconds = second_derivative_nets(net)
+    block = np.concatenate([reparametrize(n, t.test_domain).coeffs.reshape(-1, 2) for n in seconds])
+    assert 4.0 * np.abs(block).max() == pytest.approx(8.0, rel=1e-12)
+    assert t.eta * 8.0 > PASS_BOUND
+
+
+def test_row_sums_bound_the_jacobians_change_on_passing_test_domains():
+    # |J0^-1 (J(x) - J(y))| <= omega |x - y| over each passing pair's test
+    # domain, with J from ``jet`` and J0 at the center. The mixed net attains
+    # the bound along (1, 1), so the weight 2 on M_uv cannot be dropped.
+    rng = np.random.default_rng(53)
+    instances = [(extract_pair(n, p.pair), x0, p) for n, x0, p in _passing_instances(53, 12)]
+    instances.append((_mixed_net(), (0.5, 0.5), pair_test_at(_mixed_net(), (0.5, 0.5), 0.125)))
+    for pair_net, x0, passed in instances:
+        d = passed.test_domain
+        jac0_inv = np.linalg.inv(jet(pair_net, x0)[1])
+        corners = [(d.lo_u, d.lo_v), (d.hi_u, d.lo_v), (d.lo_u, d.hi_v), (d.hi_u, d.hi_v)]
+        pairs = [(x, y) for k, x in enumerate(corners) for y in corners[k + 1:]]
+        pairs += [tuple(p) for p in rng.uniform((d.lo_u, d.lo_v), (d.hi_u, d.hi_v), (200, 2, 2))]
+        worst = 0.0
+        for x, y in pairs:
+            change = jac0_inv @ (jet(pair_net, x)[1] - jet(pair_net, y)[1])
+            ratio = np.abs(change).sum(axis=1).max() / np.abs(np.subtract(x, y)).max()
+            assert ratio <= passed.omega * (1.0 + 1e-12)
+            worst = max(worst, ratio)
+    assert worst == pytest.approx(passed.omega, rel=1e-12)
 
 
 def test_uniqueness_inside_explored_region():
@@ -725,14 +779,18 @@ def test_omega_on_deep_squares_matches_exact_restriction():
                 rows = _exact_restriction(c.shape[0] - 1, d.lo_u, d.hi_u)
                 cols = _exact_restriction(c.shape[1] - 1, d.lo_v, d.hi_v)
                 restricted.append(np.einsum("ik,kld,jl->ijd", rows, c, cols).reshape(-1, 3))
-            restricted = np.concatenate(restricted)
             for system, t in zip(systems, outcome.pairs):
                 if t.status is PairStatus.SINGULAR_JACOBIAN:
                     continue
                 pair = list(t.pair)
                 jac_inv = inverse_2x2(jac[pair])
                 exact_inv = np.array([[Fraction(x) for x in row] for row in jac_inv], dtype=object)
-                exact = 4 * max(abs(x) for x in (restricted[:, pair] @ exact_inv.T).flat)
+                # Per net and row of J^-1 f'', the largest |coefficient|; each
+                # row weighs f_uu, f_uv and f_vv as 1, 2 and 1.
+                m_uu, m_uv, m_vv = (
+                    np.abs(r[:, pair] @ exact_inv.T).max(axis=0) for r in restricted
+                )
+                exact = max(m_uu + 2 * m_uv + m_vv)
                 omega = full_test_omega(net, jac, t)
                 assert t.omega in (None, omega)
                 assert omega >= float(exact) * (1.0 - 1e-13)
