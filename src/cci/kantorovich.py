@@ -240,8 +240,8 @@ def _omega_floor(
     computed M_xx,i, taken exactly, lower (1 - c u) <= W + A, c u being the
     relative rounding of ``lower``'s few operations; the computed omega is at
     least W (1 - 2u), and the computed allowance is within a few u of A. As
-    g = ``_FLOOR_GUARD`` = 1e-9 dwarfs those u, the computed floor is <= 0,
-    which exceeds no B, or <= omega (1 - g + k u) for a small integer k. So
+    e = ``_FLOOR_GUARD`` = 1e-9 dwarfs those u, the computed floor is <= 0,
+    which exceeds no B, or <= omega (1 - e + k u) for a small integer k. So
     the computed eta * floor is below eta omega (1 - u) <= the computed
     eta * omega: it passes B only if that does too.
     """
