@@ -6,6 +6,10 @@ truncated (depth limit at a tangential or degenerate contact, or the square
 budget on overlapping curves) and the result is therefore possibly
 incomplete. ``bench``, and ``cci`` on a usage error of its own, exit 0 or 1.
 
+``solve`` takes the method's two settings, ``--mode`` and ``--epsilon``.
+The residual tolerance (relative to the input's scale) and the square
+budget are fixed; the result's ``config.zero_tol`` reports the tolerance.
+
 Set CCI_LOG_LEVEL=trace to log every queue pop with the square, test
 results and test-domain multipliers; cci logs nothing else.
 """
@@ -54,21 +58,6 @@ def main() -> None:
     if os.environ.get("CCI_LOG_LEVEL", "").lower() == "trace":
         logging.basicConfig(level=TRACE, stream=sys.stderr,
                             format="%(levelname)s %(name)s: %(message)s")
-
-
-def _solver_options(f):
-    f = click.option("--mode", type=click.Choice(["adaptive", "fixed"]),
-                     default=SolverConfig.mode, show_default=True,
-                     help="Adapt test-domain sizes, or keep them fixed.")(f)
-    f = click.option("--epsilon", type=float, default=SolverConfig.epsilon, show_default=True,
-                     help="Adaptation step for the test-domain multipliers.")(f)
-    f = click.option("--zero-tol", type=float, default=None,
-                     help="Residual below which a point counts as an "
-                          "intersection [default: scale-aware].")(f)
-    f = click.option("--max-squares", type=int, default=SolverConfig.max_squares, show_default=True,
-                     help="Stop, truncated, after this many squares "
-                          "(safety valve for overlapping curves).")(f)
-    return f
 
 
 def _report_to_dict(problem: Problem, config: SolverConfig, report: SolveReport) -> dict:
@@ -123,7 +112,10 @@ def _emit(text: str, output: Path | None) -> None:
 
 @main.command("solve")
 @click.argument("input_path", type=click.Path(path_type=Path))
-@_solver_options
+@click.option("--mode", type=click.Choice(["adaptive", "fixed"]), default=SolverConfig.mode,
+              show_default=True, help="Adapt test-domain sizes, or keep them fixed.")
+@click.option("--epsilon", type=float, default=SolverConfig.epsilon, show_default=True,
+              help="Adaptation step for the test-domain multipliers.")
 @click.option("-o", "--output", type=click.Path(path_type=Path), default=None,
               help="Write the result JSON here instead of stdout.")
 def cmd_solve(input_path, output, **options) -> None:

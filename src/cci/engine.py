@@ -31,7 +31,6 @@ import numpy as np
 from .exclusion import (
     axis_test,
     exclusion_test,  # noqa: F401 -- unused here; bench/tracing.py patches this binding
-    least_norm_rows,
     walk_test,
 )
 from .geometry import (
@@ -78,6 +77,12 @@ _BATCH_PARENTS = 64
 # deeper, a test domain's width rounds to zero (at depth 54).
 MAX_DEPTH = 40
 
+# A run stops, truncated, once this many squares have been examined. Only
+# non-isolated intersections (overlapping curves) need it: their zero set
+# makes the number of non-excludable squares grow exponentially with depth,
+# where legitimate problems use a few hundred squares.
+MAX_SQUARES = 100_000
+
 Observer = Callable[[str, dict], None]
 
 
@@ -109,37 +114,22 @@ class Square:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for a solve run.
+    """The method's two settings: the test-domain rule and its step.
 
     Both modes start every per-pair test-domain multiplier at
     ``INITIAL_SCALE`` (1.5). Mode "adaptive" adjusts the multipliers by
     ``epsilon`` based on each parent square's failure mode; mode "fixed" is
     the same rule with a step of 0, so the multipliers stay at 1.5.
-    ``zero_tol`` is the residual below which a refined point counts as an
-    intersection; None picks 1e-6 * max coefficient magnitude at solve
-    time, and the report carries the value used.
-
-    ``max_squares`` is a safety valve for inputs with non-isolated
-    intersections (overlapping curves), whose zero set makes the number of
-    non-excludable squares grow exponentially with depth: the run stops,
-    truncated, once that many squares have been examined. Legitimate
-    problems in this solver's domain use a few hundred squares.
     """
 
     mode: str = "adaptive"
     epsilon: float = 0.05
-    zero_tol: float | None = None
-    max_squares: int = 100_000
 
     def __post_init__(self) -> None:
         if self.mode not in ("adaptive", "fixed"):
             raise ValueError(f"mode must be 'adaptive' or 'fixed', got {self.mode!r}")
         if not 0.0 <= self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
-        if self.zero_tol is not None and not self.zero_tol >= 0.0:
-            raise ValueError(f"zero_tol must be nonnegative, got {self.zero_tol}")
-        if self.max_squares < 1:
-            raise ValueError("max_squares must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,8 +143,8 @@ class IntersectionRecord:
 
 @dataclass
 class SolveReport:
-    # The residual tolerance the run accepted zeros under: ``config.zero_tol``,
-    # or its unset default resolved as ``SolverConfig`` describes.
+    # The residual below which a refined point counted as an intersection:
+    # 1e-6 times the largest coefficient magnitude of the difference net.
     zero_tol: float
     intersections: list[IntersectionRecord] = field(default_factory=list)
     squares_examined: int = 0
@@ -172,12 +162,12 @@ def update_scales(
 ) -> tuple[float, float, float]:
     """Children's test-domain multipliers from the parent's test outcome.
 
-    A passing parent hands its multipliers down unchanged. Otherwise each
-    pair adapts independently: a containment failure grows the multiplier
-    by epsilon, a convergence failure shrinks it by epsilon (never below
-    1), and a singular Jacobian leaves it alone.
+    A passing parent, or a step of 0, hands its multipliers down unchanged.
+    Otherwise each pair adapts independently: a containment failure grows
+    the multiplier by epsilon, a convergence failure shrinks it by epsilon
+    (never below 1), and a singular Jacobian leaves it alone.
     """
-    if outcome.passed is not None:
+    if not epsilon or outcome.passed is not None:
         return scales
     new = []
     for t, s in zip(outcome.pairs, scales):
@@ -281,9 +271,9 @@ def solve(
     the popped square's fate ("pruned" by an explored region, "excluded" by
     the hull test, or convergence-tested: "kantorovich"), each Newton
     refinement ("newton"), each accepted intersection ("intersection") and
-    each truncation ("truncated": reason "max_squares" once when the budget
-    runs out, reason "max_depth" with the square for each square at
-    ``MAX_DEPTH`` that would otherwise be quartered). It exists for
+    each truncation ("truncated": reason "max_squares" once after
+    ``MAX_SQUARES`` squares, reason "max_depth" with the square for each
+    square at ``MAX_DEPTH`` that would otherwise be quartered). It exists for
     instrumentation and does not affect the run. The TRACE log is one more
     observer on the same events. Batching the restriction and the axis test
     moves no event: a square's net and its axis decision depend on nothing
@@ -309,16 +299,14 @@ def solve(
     squares, rows = [root], unit_net.coeffs[None]
     families: deque[tuple[list[Square], np.ndarray]] = deque()
     regions: list[Rect] = []
-    report = SolveReport(1e-6 * scale if config.zero_tol is None else config.zero_tol)
+    report = SolveReport(1e-6 * scale)
     emit = _with_trace_log(observer) if log.isEnabledFor(TRACE) else observer
     observing = emit is not _ignore_events  # else build no event payloads
 
     while True:
         axis_passed, margins = axis_test(rows)
-        starts = least_norm_rows(rows.reshape(len(rows), -1, net.dim))
-        decided = zip(axis_passed.tolist(), margins.tolist(), starts.tolist())
-        for sq, row, (excluded, margin, start) in zip(squares, rows, decided):
-            if report.squares_examined >= config.max_squares:
+        for sq, row, excluded, margin in zip(squares, rows, axis_passed.tolist(), margins.tolist()):
+            if report.squares_examined >= MAX_SQUARES:
                 report.truncated = True
                 if observing:
                     emit("truncated", {"reason": "max_squares"})
@@ -333,7 +321,7 @@ def solve(
                     emit("pruned", {"square": sq})
                 continue
 
-            if excluded or walk_test(row.reshape(-1, net.dim), margin, start):
+            if excluded or walk_test(row.reshape(-1, net.dim), margin):
                 report.exclusion_passes += 1
                 if observing:
                     emit("excluded", {"square": sq})
@@ -389,8 +377,7 @@ def solve(
                     emit("truncated", {"reason": "max_depth", "square": sq})
                 continue
 
-            adapt = passed is None and step  # else ``update_scales`` keeps the scales
-            child_scales = update_scales(outcome, sq.scales, step) if adapt else sq.scales
+            child_scales = update_scales(outcome, sq.scales, step)
             # A copy, so a queued parent does not keep its batch alive.
             families.append((_children(sq, child_scales), row.copy()))
             report.subdivisions += 1

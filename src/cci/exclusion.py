@@ -11,14 +11,15 @@ runs in two stages:
    returns each net's margin, which the second stage takes.
 2. A GJK walk (``walk_test``, one net at a time; Gilbert, Johnson &
    Keerthi, "A fast procedure for computing the distance between complex
-   objects in three-dimensional space", 1988) toward the hull's point
-   nearest the origin. Each major step adds the coefficient p of least p.x
-   to a simplex of at most four coefficients, which a closed-form step in
-   Python floats reduces to its point nearest the origin and the smallest
-   face that holds it (barycentric weights from cross products and signed
-   volumes, as in Montanari, Petrinic & Barbieri, ACM TOG 2017). The walk
-   passes at the first x with min p.x > margin |x| over the coefficients
-   p, and fails otherwise.
+   objects in three-dimensional space", 1988) from the coefficient of least
+   norm toward the hull's point nearest the origin. Each major step adds
+   the coefficient p of least p.x to a simplex of at most four
+   coefficients, which a closed-form step in Python floats reduces to its
+   point nearest the origin and the smallest face that holds it
+   (barycentric weights from cross products and signed volumes, as in
+   Montanari, Petrinic & Barbieri, ACM TOG 2017). The walk passes at the
+   first x with min p.x > margin |x| over the coefficients p, and fails
+   otherwise.
 
 ``exclusion_test`` runs both stages on one net. The solver runs the first
 on every square of a batch at once and the second on each square the
@@ -84,23 +85,18 @@ def axis_test(clouds: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.nd
     return passed, margin
 
 
-def least_norm_rows(clouds: np.ndarray) -> np.ndarray:
-    """Per cloud of a stack (N, K, dim), the walk's start: its first row of least norm."""
-    return np.einsum("nij,nij->ni", clouds, clouds).argmin(axis=1)
-
-
-def walk_test(pts: np.ndarray, margin: float, start: int | None = None) -> bool:
-    """The second stage on one cloud's rows, with ``axis_test``'s margin and optional start row.
+def walk_test(pts: np.ndarray, margin: float) -> bool:
+    """The second stage on one cloud's rows, with ``axis_test``'s margin.
 
     True iff the GJK walk finds a separating direction. A cloud of more than
     three columns, or an all-zero one (margin 0), fails.
     """
-    return pts.shape[1] <= 3 and _separating_direction(pts, margin, start) is not None
+    return pts.shape[1] <= 3 and _separating_direction(pts, margin) is not None
 
 
-def _separating_direction(pts: np.ndarray, margin: float, start=None) -> np.ndarray | None:
+def _separating_direction(pts: np.ndarray, margin: float) -> np.ndarray | None:
     """A direction x with min(pts @ x) > margin |x|, found by a GJK walk from
-    the row of least norm (index ``start`` when given), or None.
+    the first row of least norm, or None.
 
     Rows of 1 to 3 columns are padded to three for the simplex step, and x
     is cut back to the rows' width. At most ``_MAX_MAJOR`` major steps run,
@@ -108,7 +104,7 @@ def _separating_direction(pts: np.ndarray, margin: float, start=None) -> np.ndar
     """
     dim = pts.shape[1]
     pad = (0.0,) * (3 - dim)
-    x = pts[int(least_norm_rows(pts[None])[0]) if start is None else start]
+    x = pts[int(np.einsum("ij,ij->i", pts, pts).argmin())]
     simplex = [(*x.tolist(), *pad)]
     nx = math.hypot(*simplex[0])
     dots = pts @ x

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import (
     ControlNet,
     eval_net,  # noqa: F401 -- unused here; bench/tracing.py patches this binding
@@ -37,27 +35,30 @@ def newton_solve(
     Stops when the infinity norm of the step drops to ``tol`` or after
     ``max_iter`` iterations; a singular Jacobian at any iterate aborts.
     A run capped at ``max_iter=k`` ends at the k-th iterate of a longer one.
+    The step is summed in Python floats from ``inverse_2x2``'s entries.
     """
-    x = np.array(x0, dtype=float)
+    u, v = float(x0[0]), float(x0[1])
     iterations = 0
     failure = "max_iter reached"
     converged = False
     for _ in range(max_iter):
-        value, jac = jet(pair_net, x)
+        value, jac = jet(pair_net, (u, v))
         jac_inv = inverse_2x2(jac.tolist())
         if jac_inv is None:
             failure = "singular Jacobian at iterate"
             break
-        step = -(np.array(jac_inv) @ value)
-        x = x + step
+        (a, b), (c, d) = jac_inv
+        f0, f1 = value.tolist()
+        du, dv = a * f0 + b * f1, c * f0 + d * f1
+        u, v = u - du, v - dv
         iterations += 1
-        if float(np.abs(step).max()) <= tol:
+        if abs(du) <= tol and abs(dv) <= tol:
             converged = True
             failure = None
             break
     return NewtonResult(
         converged=converged,
-        root=(float(x[0]), float(x[1])),
+        root=(u, v),
         iterations=iterations,
         failure_reason=failure,
     )

@@ -52,12 +52,12 @@ def test_solve_writes_to_stdout_by_default(problems_dir):
     doc = json.loads(result.output)
     assert doc["intersections"] == []
     assert doc["counters"]["squares_examined"] == 1
-    # The CLI defaults are SolverConfig's; zero_tol is reported as resolved,
-    # 1e-6 times the largest |c1_i - c2_j|.
-    assert {**doc["config"], "zero_tol": None} == dataclasses.asdict(SolverConfig())
+    # The CLI defaults are SolverConfig's, plus the residual tolerance the
+    # run used: 1e-6 times the largest |c1_i - c2_j|.
     problem = load_problem(path)
     a, b = problem.curve1.control_points, problem.curve2.control_points
-    assert doc["config"]["zero_tol"] == 1e-6 * np.abs(a[:, None] - b[None, :]).max()
+    zero_tol = 1e-6 * np.abs(a[:, None] - b[None, :]).max()
+    assert doc["config"] == {**dataclasses.asdict(SolverConfig()), "zero_tol": zero_tol}
 
 
 def test_solve_malformed_file_exits_1(tmp_path):
@@ -86,12 +86,12 @@ def test_solve_missing_file_exits_1(tmp_path):
 
 
 @pytest.mark.parametrize("args", [
-    ["solve", "p06.json", "--zero-tol=-1"],
-    ["solve", "p06.json", "--max-squares=0"],
+    ["solve", "p06.json", "--epsilon=-inf"],
+    ["bench", ".", "--epsilons=nan"],
     ["solve", "p06.json", "--epsilon=-0.1"],
     ["solve", "p06.json", "--epsilon=nan"],
     ["solve", "p06.json", "--epsilon=inf"],
-    ["solve", "p06.json", "--zero-tol=nan"],
+    ["bench", ".", "--epsilons=0.05,abc"],
     ["bench", ".", "--epsilons=-0.1"],
     ["bench", ".", "--epsilons=0.05,inf"],
 ])
@@ -104,13 +104,16 @@ def test_bad_settings_exit_1_before_solving(problems_dir, args):
 
 @pytest.mark.parametrize("args, message", [
     # Settings that are constants now: the depth cap, Newton's step
-    # tolerance and the fixed column of bench.
+    # tolerance, the fixed column of bench, the square budget and the
+    # residual tolerance.
     (["solve", "p06.json", "--max-depth=-1"], "No such option"),
     (["solve", "p06.json", "--newton-tol=1e-7"], "No such option"),
     (["bench", ".", "--max-depth=-1"], "No such option"),
     (["bench", ".", "--no-baseline"], "No such option"),
     (["solve", "p06.json", "--no-such-flag"], "No such option"),
-    (["solve", "p06.json", "--max-squares=abc"], "not a valid integer"),
+    (["solve", "p06.json", "--max-squares=5"], "No such option"),
+    (["solve", "p06.json", "--zero-tol=1e-9"], "No such option"),
+    (["solve", "p06.json", "--epsilon=abc"], "not a valid float"),
 ])
 def test_usage_errors_exit_1_before_solving(problems_dir, monkeypatch, args, message):
     # Exit code 2 means a truncated run, so a usage error must not use it.
@@ -140,7 +143,7 @@ def test_group_usage_errors_exit_1(monkeypatch, args, message):
 
 
 def test_bad_settings_print_no_traceback(problems_dir):
-    for args in (["solve", str(problems_dir / "suite" / "p06.json"), "--max-squares", "0"],
+    for args in (["solve", str(problems_dir / "suite" / "p06.json"), "--epsilon", "nan"],
                  ["bench", str(problems_dir / "suite"), "--epsilons=-0.1"]):
         proc = subprocess.run([sys.executable, "-m", "cci.cli", *args],
                               capture_output=True, text=True, env=subprocess_env())
@@ -166,7 +169,7 @@ def test_solve_result_round_trips_exactly(problems_dir, tmp_path):
     assert again == doc
     for key, value in doc["counters"].items():
         assert isinstance(value, int), key
-    assert list(doc["config"]) == ["mode", "epsilon", "zero_tol", "max_squares"]
+    assert list(doc["config"]) == ["mode", "epsilon", "zero_tol"]
     assert doc["config"]["epsilon"] == 0.1
 
 

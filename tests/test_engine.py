@@ -1,6 +1,7 @@
 """Driver tests: hand-traced fixtures, adaptation rules, pruning, and
 whole-solver properties on generated transversal problems."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import math
@@ -318,22 +319,20 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(epsilon=-0.1)
     SolverConfig(epsilon=0.0)  # zero step must be allowed (baseline equivalence)
-    # Non-finite steps and tolerances, or tolerances of the wrong sign: with
-    # zero_tol=nan a run would report no roots at all.
-    for bad in (
-        {"epsilon": float("nan")},
-        {"epsilon": float("inf")},
-        {"zero_tol": -1e-9},
-        {"zero_tol": float("nan")},
-        {"max_squares": 0},
-    ):
+    for bad in ({"epsilon": float("nan")}, {"epsilon": float("inf")}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
-    SolverConfig(zero_tol=0.0)
-    # The depth cap and Newton's step tolerance are constants, not settings.
-    for removed in ({"max_depth": 40}, {"newton_tol": 1e-7}):
+    # The depth cap, Newton's step tolerance, the residual tolerance and the
+    # square budget are constants, not settings.
+    for removed in (
+        {"max_depth": 40},
+        {"newton_tol": 1e-7},
+        {"zero_tol": 1e-9},
+        {"max_squares": 5},
+    ):
         with pytest.raises(TypeError):
             SolverConfig(**removed)
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["mode", "epsilon"]
 
 
 # ---------------------------------------------------------------------------
@@ -602,17 +601,7 @@ def test_bookkeeping_matches_observer_counts():
     assert report.squares_examined == 4 * report.subdivisions + 1
 
 
-def test_zero_tol_override():
-    # an unreachably small residual tolerance suppresses every acceptance
-    c1 = BezierCurve([[0, 0, 0], [0.3, 1, 0], [1, 0.2, 0]])
-    c2 = BezierCurve([[0, 1, 0], [0.5, -0.5, 0], [1, 1, 0]])
-    baseline = solve(c1, c2)
-    assert len(baseline.intersections) >= 1
-    report = solve(c1, c2, SolverConfig(zero_tol=1e-300))
-    assert report.intersections == []
-
-
-def test_overlapping_curves_hit_square_budget():
+def test_overlapping_curves_hit_square_budget(monkeypatch):
     # coincident curves have a one-dimensional zero set, so non-excludable
     # squares multiply with depth; the square budget must stop the run
     c = BezierCurve([[0, 0, 0], [0.3, 1, 0.2], [0.7, -0.2, 0.1], [1, 1, 0]])
@@ -622,14 +611,15 @@ def test_overlapping_curves_hit_square_budget():
         if event == "truncated":
             truncations.append(payload["reason"])
 
-    report = solve(c, c, SolverConfig(max_squares=3000), observer=observer)
+    monkeypatch.setattr(engine, "MAX_SQUARES", 3000)
+    report = solve(c, c, observer=observer)
     assert report.truncated
     assert report.squares_examined == 3000
     assert truncations == ["max_squares"]
 
 
 @pytest.mark.parametrize("budget, truncated, squares", [(5, False, 5), (4, True, 4), (1, True, 1)])
-def test_square_budget_at_batch_boundaries(budget, truncated, squares):
+def test_square_budget_at_batch_boundaries(monkeypatch, budget, truncated, squares):
     # Two quadratics whose root square fails the convergence test, then one
     # batch of its four children: the second certifies the crossing and is
     # finished, the other three are excluded. The budget is checked before
@@ -642,7 +632,8 @@ def test_square_budget_at_batch_boundaries(budget, truncated, squares):
     def observer(event, payload):
         events.append(payload.get("reason", event))
 
-    report = solve(c1, c2, SolverConfig(max_squares=budget), observer=observer)
+    monkeypatch.setattr(engine, "MAX_SQUARES", budget)
+    report = solve(c1, c2, observer=observer)
     assert report.truncated is truncated
     assert report.squares_examined == squares == events.count("square")
     assert events.count("max_squares") == int(truncated)

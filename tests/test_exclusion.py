@@ -597,51 +597,3 @@ def test_axis_test_of_a_stack_matches_the_single_net_stage_on_every_suite_net(
     # Batches of one and of many nets; both decisions, many times.
     assert min(map(len, batches)) == 1 and max(map(len, batches)) >= 16
     assert decisions[True] >= 150 and decisions[False] >= 150
-
-
-def _per_cloud_starts(batch):
-    """Each cloud's walk start as one cloud alone picks it."""
-    clouds = batch.reshape(len(batch), -1, batch.shape[-1])
-    return [int(np.einsum("ij,ij->i", c, c).argmin()) for c in clouds]
-
-
-def test_batch_start_rows_match_each_cloud_alone(problems_dir, monkeypatch):
-    batches = _suite_batches(problems_dir, monkeypatch)
-    rng = np.random.default_rng(65)
-    # Tied norms: repeated rows, rows that differ only in sign or in the
-    # order of their coordinates, and all-zero clouds.
-    for _ in range(200):
-        batch = rng.integers(-3, 4, size=(rng.integers(1, 9), 6, 5, 3)).astype(float)
-        batch[0, 1, 2] = batch[0, 0, 0][::-1]
-        batch[-1, 3, 4] = -batch[-1, 0, 1]
-        batches.append(batch)
-    batches.append(np.zeros((3, 2, 2, 3)))
-    scales = 2.0 ** rng.integers(-60, 60, size=(5, 1, 1, 1))
-    batches.append(rng.normal(size=(5, 17, 17, 3)) * scales)
-    ties = 0
-    for batch in batches:
-        clouds = batch.reshape(len(batch), -1, batch.shape[-1])
-        assert exclusion.least_norm_rows(clouds).tolist() == _per_cloud_starts(batch)
-        for cloud in clouds:
-            norms = np.einsum("ij,ij->i", cloud, cloud)
-            ties += np.count_nonzero(norms == norms.min()) > 1
-    assert ties >= 100
-
-
-def test_walk_from_a_given_start_is_the_walk_from_its_own(problems_dir, monkeypatch):
-    batches = _suite_batches(problems_dir, monkeypatch)
-    walks = 0
-    for batch in batches:
-        passed, margins = exclusion.axis_test(batch)
-        starts = _per_cloud_starts(batch)
-        for net, decided, margin, start in zip(batch, passed, margins.tolist(), starts):
-            if decided:
-                continue
-            pts = net.reshape(-1, net.shape[-1])
-            own = exclusion._separating_direction(pts, margin)
-            given = exclusion._separating_direction(pts, margin, start)
-            assert (own is None) == (given is None)
-            assert own is None or np.array_equal(own, given)
-            assert exclusion.walk_test(pts, margin, start) == (given is not None)
-            walks += 1
-    assert walks >= 150

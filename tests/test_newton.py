@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cci.geometry import ControlNet, _center_weights, center_jet, eval_net, jet
+from cci.kantorovich import inverse_2x2
 from cci.newton import newton_solve
 from conftest import newton_path, random_net_coeffs
 
@@ -121,3 +122,21 @@ def test_newton_iterates_leave_the_center_weights_cached():
     assert result.converged and result.iterations > 3
     after = _center_weights.cache_info()
     assert (after.currsize, after.misses) == (before.currsize, before.misses)
+
+
+def test_newton_step_is_float_arithmetic_on_the_inverse_entries():
+    # The step J^-1 f is summed in Python floats, as the convergence test
+    # sums eta. numpy's 2x2 product rounds apart from that on some BLAS
+    # kernels, so the iterates' last bits would depend on the kernel.
+    rng = np.random.default_rng(61)
+    steps = 0
+    for _ in range(30):
+        net = ControlNet(random_net_coeffs(rng, 3, 3, d=2))
+        path = newton_path(net, tuple(rng.uniform(0.2, 0.8, 2)), max_iter=6)
+        for (u, v), x in zip(path, path[1:]):
+            value, jac = jet(net, (u, v))
+            (a, b), (c, d) = inverse_2x2(jac.tolist())
+            f0, f1 = value.tolist()
+            assert x == (u - (a * f0 + b * f1), v - (c * f0 + d * f1))
+            steps += 1
+    assert steps >= 100
