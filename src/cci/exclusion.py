@@ -140,56 +140,58 @@ def _nearest_face(simplex: list[tuple]) -> tuple[tuple, list[tuple]] | None:
     When the origin's projection onto the points' affine hull has positive
     barycentric weights (kept up to a positive factor), it is y. Otherwise y
     lies on a facet opposite a point of weight <= 0: the nearest facet's y.
+    Differences, dot products p0 q0 + p1 q1 + p2 q2 and cross products are
+    written out, each summed left to right.
     """
-    a, *rest = simplex
+    (a0, a1, a2), *rest = simplex
     if not rest:
-        return a, simplex
-    u = _sub(rest[0], a)
+        return simplex[0], simplex
+    u0, u1, u2 = rest[0][0] - a0, rest[0][1] - a1, rest[0][2] - a2
+    uu = u0 * u0 + u1 * u1 + u2 * u2
     if len(simplex) == 2:
-        uu = _dot(u, u)
         if not uu > 0.0:
             return None
-        t = -_dot(a, u) / uu
-        y, weights = (a[0] + t * u[0], a[1] + t * u[1], a[2] + t * u[2]), (1.0 - t, t)
+        t = -(a0 * u0 + a1 * u1 + a2 * u2) / uu
+        y, weights = (a0 + t * u0, a1 + t * u1, a2 + t * u2), (1.0 - t, t)
     elif len(simplex) == 3:
-        b, c = rest
-        v = _sub(c, a)
-        n = _cross(u, v)
-        nn = _dot(n, n)
-        if not nn > _DEGENERATE * _dot(u, u) * _dot(v, v):
+        (b0, b1, b2), (c0, c1, c2) = rest
+        v0, v1, v2 = c0 - a0, c1 - a1, c2 - a2
+        n0, n1, n2 = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
+        nn = n0 * n0 + n1 * n1 + n2 * n2
+        if not nn > _DEGENERATE * uu * (v0 * v0 + v1 * v1 + v2 * v2):
             return None
-        t = _dot(a, n) / nn
-        y = (t * n[0], t * n[1], t * n[2])
-        weights = (_dot(n, _cross(b, c)), _dot(n, _cross(c, a)), _dot(n, _cross(a, b)))
+        t = (a0 * n0 + a1 * n1 + a2 * n2) / nn
+        y = (t * n0, t * n1, t * n2)
+        weights = (
+            n0 * (b1 * c2 - b2 * c1) + n1 * (b2 * c0 - b0 * c2) + n2 * (b0 * c1 - b1 * c0),
+            n0 * (c1 * a2 - c2 * a1) + n1 * (c2 * a0 - c0 * a2) + n2 * (c0 * a1 - c1 * a0),
+            n0 * (a1 * b2 - a2 * b1) + n1 * (a2 * b0 - a0 * b2) + n2 * (a0 * b1 - a1 * b0),
+        )
     else:
-        b, c, d = rest
-        v, w = _sub(c, a), _sub(d, a)
-        volume = _dot(u, _cross(v, w))
-        if not volume * volume > _DEGENERATE * _dot(u, u) * _dot(v, v) * _dot(w, w):
+        (b0, b1, b2), (c0, c1, c2), (d0, d1, d2) = rest
+        v0, v1, v2 = c0 - a0, c1 - a1, c2 - a2
+        w0, w1, w2 = d0 - a0, d1 - a1, d2 - a2
+        volume = u0 * (v1 * w2 - v2 * w1) + u1 * (v2 * w0 - v0 * w2) + u2 * (v0 * w1 - v1 * w0)
+        vv, ww = v0 * v0 + v1 * v1 + v2 * v2, w0 * w0 + w1 * w1 + w2 * w2
+        if not volume * volume > _DEGENERATE * uu * vv * ww:
             return None
-        cd, ab = _cross(c, d), _cross(a, b)
+        cd0, cd1, cd2 = c1 * d2 - c2 * d1, c2 * d0 - c0 * d2, c0 * d1 - c1 * d0
+        ab0, ab1, ab2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
         y = (0.0, 0.0, 0.0)
-        weights = [volume * s for s in (_dot(b, cd), -_dot(a, cd), _dot(ab, d), -_dot(ab, c))]
+        weights = [volume * s for s in (
+            b0 * cd0 + b1 * cd1 + b2 * cd2, -(a0 * cd0 + a1 * cd1 + a2 * cd2),
+            ab0 * d0 + ab1 * d1 + ab2 * d2, -(ab0 * c0 + ab1 * c1 + ab2 * c2),
+        )]
     if min(weights) > 0.0:
         return y, simplex
-    best = None
+    best = best_norm = None
     for drop, weight in enumerate(weights):
         if weight <= 0.0:
             found = _nearest_face(simplex[:drop] + simplex[drop + 1:])
             if found is None:
                 return None
-            if best is None or _dot(found[0], found[0]) < _dot(best[0], best[0]):
-                best = found
+            (y0, y1, y2), _ = found
+            norm = y0 * y0 + y1 * y1 + y2 * y2
+            if best is None or norm < best_norm:
+                best, best_norm = found, norm
     return best
-
-
-def _sub(p: tuple, q: tuple) -> tuple:
-    return p[0] - q[0], p[1] - q[1], p[2] - q[2]
-
-
-def _dot(p: tuple, q: tuple) -> float:
-    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
-
-
-def _cross(p: tuple, q: tuple) -> tuple:
-    return p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0]

@@ -299,6 +299,28 @@ def center_jet(net: ControlNet) -> np.ndarray:
     return _derivatives(net, _center_weights(net.degree_u), _center_weights(net.degree_v))
 
 
+@functools.lru_cache(maxsize=256)
+def _corner_weights(m: int, n: int) -> np.ndarray:
+    """``corner_seconds``'s weights on a degree-(m, n) net's flattened
+    coefficients, one row per corner and derivative: products of
+    ``_jet_weights`` rows at 0 and 1, exact integers that read only the end
+    differences, m (m - 1) (c_0 - 2 c_1 + c_2) along u at u = 0, say.
+    Cached and shared, hence read-only."""
+    ends_u = [_jet_weights(m, t, 2) for t in (0.0, 1.0)]
+    ends_v = [_jet_weights(n, t, 2) for t in (0.0, 1.0)]
+    weights = np.array([np.outer(ends_u[eu][k], ends_v[ev][2 - k]).ravel()
+                        for ev in (0, 1) for eu in (0, 1) for k in (2, 1, 0)])
+    weights.flags.writeable = False
+    return weights
+
+
+def corner_seconds(net: ControlNet) -> np.ndarray:
+    """f_uu, f_uv and f_vv of the net's map at the corners (0, 0), (1, 0),
+    (0, 1) and (1, 1), in that order: shape (4, 3, dim)."""
+    weights = _corner_weights(net.degree_u, net.degree_v)
+    return (weights @ net.coeffs.reshape(-1, net.dim)).reshape(4, 3, net.dim)
+
+
 def eval_net(net: ControlNet, u: float, v: float) -> np.ndarray:
     """Value of the net's map at (u, v): the value half of ``jet``."""
     return jet(net, (u, v))[0]

@@ -18,11 +18,13 @@ a true h past 1/2. The proof that omega's lower bound fails only pairs the
 full test fails holds for any positive bound (``_omega_floor``).
 
 Most tested squares fail, and a failure needs only a lower bound on omega:
-omega's row sums at the square's center, less a proven rounding allowance.
-Pairs it fails restrict nothing and report no omega; the others take the
-full test, so every status is the one the full test alone would give. The
-allowance is cached but for the test domain's ``restriction_growth``, and a
-domain so far out that it reaches ``_MAX_SLACK`` fails its pairs outright.
+omega's row sums at the square's center, less a proven rounding allowance,
+and where the center leaves a pair open, the largest terms over the center
+and the square's four corners, read once per square. Pairs it fails
+restrict nothing and report no omega; the others take the full test, so
+every status is the one the full test alone would give. The allowance is
+cached but for the test domain's ``restriction_growth``, and a domain so
+far out that it reaches ``_MAX_SLACK`` fails its pairs outright.
 
 ``test_pairs`` is the only producer of eta, omega, rho_minus and rho_plus;
 a numerically singular Jacobian is a pair status, not an exception. All
@@ -44,6 +46,7 @@ from .geometry import (
     ControlNet,
     Rect,
     center_jet,
+    corner_seconds,
     derivative_coeffs,
     eval_net,  # noqa: F401 -- unused here; bench/tracing.py patches this binding
     extract_pair,
@@ -108,20 +111,18 @@ class KantorovichOutcome:
 _SINGULAR_RTOL = 1e-14
 
 
-def inverse_2x2(jac: np.ndarray | Sequence[Sequence[float]]) -> list[list[float]] | None:
-    """J^-1 of a 2x2 Jacobian (array or nested sequence of floats) as nested
-    lists of its entries' type, or None when J is numerically singular.
+def inverse_2x2(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float] | None:
+    """The entries of J^-1, row by row, for J = [[a, b], [c, d]], in the
+    entries' type; None when J is numerically singular.
 
     J counts as singular when |det J| <= 1e-14 * max(1, |J|^2) in the
-    infinity norm, decided on the four entries as scalars. The entries stay
-    scalars: a caller that needs an array builds it.
+    infinity norm, decided on the four entries as scalars.
     """
-    (a, b), (c, d) = jac
     det = a * d - b * c
     norm = max(abs(a) + abs(b), abs(c) + abs(d))
     if abs(det) <= _SINGULAR_RTOL * max(1.0, norm**2):
         return None
-    return [[d / det, -b / det], [-c / det, a / det]]
+    return d / det, -b / det, -c / det, a / det
 
 
 def second_derivative_nets(net: ControlNet) -> tuple[ControlNet, ControlNet, ControlNet]:
@@ -149,18 +150,20 @@ class PairSystem:
         uu = max(m - 1, 1) * (n + 1)  # f_uu's rows in omega's block, then f_uv's
         self.offsets = np.array([0, uu, uu + max(m, 1) * max(n, 1)])
 
-    def omega(self, jac_inv: Sequence[Sequence[float]], block: np.ndarray) -> float:
+    def omega(self, jac_inv: Sequence[float], block: np.ndarray) -> float:
         """Certified Lipschitz constant for the preconditioned Jacobian on a test domain.
 
         ``block`` stacks the coefficients of f_uu, f_uv and f_vv of the full
         map over the domain, one row per coefficient, shape (K, dim), from
         ``offsets`` on. With g = J^-1 f and M_xx,i the largest |coefficient|
-        of g_xx,i, returns max_i (M_uu,i + 2 M_uv,i + M_vv,i) <= 4 max |J^-1 c|:
+        of g_xx,i and J^-1 given by ``inverse_2x2``'s entries, returns
+        max_i (M_uu,i + 2 M_uv,i + M_vv,i) <= 4 max |J^-1 c|:
         row i of J^-1 (J(x) - J(y)) has entries at most (M_uu,i + M_uv,i) and
         (M_uv,i + M_vv,i) times |x - y|, as a Bernstein net bounds its
         polynomial; J^-1 is linear, so it applies to coefficients.
         """
-        g = np.abs(block[:, self.pair] @ np.array(jac_inv).T)
+        a, b, c, d = jac_inv
+        g = np.abs(block[:, self.pair] @ np.array(((a, b), (c, d))).T)
         (uu0, uu1), (uv0, uv1), (vv0, vv1) = np.maximum.reduceat(g, self.offsets).tolist()
         return max(uu0 + 2.0 * uv0 + vv0, uu1 + 2.0 * uv1 + vv1)
 
@@ -207,28 +210,34 @@ def _floor_slack(net: ControlNet, half_width: float, domain: Rect) -> float:
 
 def _omega_floor(
     system: PairSystem,
-    jac_inv: list[list[float]],
-    curvature: list[list[float]],
+    jac_inv: Sequence[float],
+    curvature: list[Sequence[Sequence[float]]],
     slack: float,
 ) -> float:
     """A lower bound on the pair's omega, as the full test computes it.
 
-    ``curvature`` holds f_uu, f_uv and f_vv at the square's center, from the
-    square's net with exact weights, divided by (2h)^2. In exact arithmetic
-    each is a convex combination of its second-derivative net's Bernstein
-    coefficients over any domain that holds the center, so with g = J^-1 f,
-    |g_xx,i(center)| <= M_xx,i (``PairSystem.omega``) and
-    max_i (|g_uu,i| + 2 |g_uv,i| + |g_vv,i|)(center) <= omega. Each of its
-    four terms (g_uv,i counts twice) errs, at the center and in the full
-    test's M_xx,i, by at most |J^-1| 4 M^2 2 (m + n + 2) u S ((d + 2) / (2h)^2
-    + 8 G), so the allowance ``slack`` S |J^-1| (``_floor_slack``) is four
-    times that, with S = ``system.max_coeff``, M = max(m, n), u the unit
-    roundoff, d the depth:
+    ``curvature`` holds, per point, f_uu, f_uv and f_vv there, from the
+    square's net with exact weights, divided by (2h)^2: the square's center,
+    then maybe its four corners (``corner_seconds``). Every scale is at
+    least 1, so every point lies in every test domain. In exact arithmetic
+    each value is a convex combination of its second-derivative net's
+    Bernstein coefficients over any domain that holds its point, so with
+    g = J^-1 f and P_xx,i the largest |g_xx,i| over the points,
+    P_xx,i <= M_xx,i (``PairSystem.omega``) and
+    max_i (P_uu,i + 2 P_uv,i + P_vv,i) <= omega. Each of its four terms
+    (P_uv,i counts twice) errs, at a point and in the full test's M_xx,i,
+    by at most |J^-1| 4 M^2 2 (m + n + 2) u S ((d + 2) / (2h)^2 + 8 G), so
+    the allowance ``slack`` S |J^-1| (``_floor_slack``) is four times that,
+    with S = ``system.max_coeff``, M = max(m, n), u the unit roundoff, d the
+    depth:
 
     - The net went down d quarter restrictions with exact, convex weights,
-      each adding at most (m + n + 2) u S to a coefficient; second-derivative
-      weights at 1/2 sum in absolute value to at most 4 M^2. The d levels,
-      the contraction's rounding and that of the J^-1 products: d + 2.
+      each adding at most (m + n + 2) u S to a coefficient. The weights of a
+      second derivative sum in absolute value to at most 4 M^2: at 1/2, and
+      at a corner, whose end differences weigh 4 m (m - 1), 4 m n and
+      4 n (n - 1). The d levels, the contraction's rounding (a corner's 3 or
+      4 terms round less than the center's) and that of the J^-1 products:
+      d + 2.
     - The second-derivative nets are rounded differences of the root net,
       off by at most 16 M^2 u S, and the full test restricts them with split
       weights good to (m + 4) u each, two products and the J^-1 product: at
@@ -245,13 +254,17 @@ def _omega_floor(
     the computed eta * floor is below eta omega (1 - u) <= the computed
     eta * omega: it passes B only if that does too.
     """
-    (a, b), (c, d) = jac_inv
+    a, b, c, d = jac_inv
     i, k = system.pair
-    fu, fm, fv = curvature
-    lower = max(
-        abs(a * fu[i] + b * fu[k]) + 2.0 * abs(a * fm[i] + b * fm[k]) + abs(a * fv[i] + b * fv[k]),
-        abs(c * fu[i] + d * fu[k]) + 2.0 * abs(c * fm[i] + d * fm[k]) + abs(c * fv[i] + d * fv[k]),
-    )
+    uu0 = uv0 = vv0 = uu1 = uv1 = vv1 = 0.0  # P_xx,i of rows i = 0 and 1
+    for fu, fm, fv in curvature:  # running maxima by compares: cheaper than max()
+        uu0 = x if (x := abs(a * fu[i] + b * fu[k])) > uu0 else uu0
+        uv0 = x if (x := abs(a * fm[i] + b * fm[k])) > uv0 else uv0
+        vv0 = x if (x := abs(a * fv[i] + b * fv[k])) > vv0 else vv0
+        uu1 = x if (x := abs(c * fu[i] + d * fu[k])) > uu1 else uu1
+        uv1 = x if (x := abs(c * fm[i] + d * fm[k])) > uv1 else uv1
+        vv1 = x if (x := abs(c * fv[i] + d * fv[k])) > vv1 else vv1
+    lower = max(uu0 + 2.0 * uv0 + vv0, uu1 + 2.0 * uv1 + vv1)
     norm = max(abs(a) + abs(b), abs(c) + abs(d))
     return lower * (1.0 - _FLOOR_GUARD) - slack * system.max_coeff * norm
 
@@ -278,35 +291,52 @@ def test_pairs(
     contraction of ``net`` at (1/2, 1/2); derivatives of order j are local
     ones divided by (2 * half_width)^j, a power of two for solver squares, so
     the conversion is exact. The 2x2 algebra runs on Python floats. A pair
-    that omega's lower bound fails computes no omega. The others restrict
-    ``seconds`` over each distinct test domain once, with one
-    ``reparametrize`` call per net, stacked into one block that they share.
+    that omega's lower bound fails computes no omega: the bound reads the
+    center, and, once the center leaves a pair open, the four corners too.
+    The others restrict ``seconds`` over each distinct test domain once,
+    with one ``reparametrize`` call per net, stacked into one block that
+    they share. Test domains and the pair tests that restrict nothing are
+    built unchecked.
     """
     (value, f_v, f_vv), (f_u, f_uv, _), (f_uu, _, _) = center_jet(net).tolist()
     width = 2.0 * half_width
-    curvature = [[x / (width * width) for x in f] for f in (f_uu, f_uv, f_vv)]
+    area = width * width
+    curvature = [([x / area for x in f_uu], [x / area for x in f_uv], [x / area for x in f_vv])]
+    cu, cv = center
     domains: dict[float, Rect] = {}
     slacks: dict[float, float] = {}
     blocks: dict[float, np.ndarray] = {}
     results: list[PairTest] = []
     for system, scale in zip(systems, scales):
-        if scale not in domains:
-            domains[scale] = Rect.ball(center, scale * half_width)
-        domain = domains[scale]
-        i, k = system.pair
-        jac_inv = inverse_2x2(((f_u[i] / width, f_v[i] / width), (f_u[k] / width, f_v[k] / width)))
+        domain = domains.get(scale)
+        if domain is None:
+            r = scale * half_width
+            domain = unchecked(Rect, lo_u=cu - r, hi_u=cu + r, lo_v=cv - r, hi_v=cv + r)
+            domains[scale] = domain
+        pair = system.pair
+        i, k = pair
+        jac_inv = inverse_2x2(f_u[i] / width, f_v[i] / width, f_u[k] / width, f_v[k] / width)
         if jac_inv is None:
-            results.append(PairTest(system.pair, PairStatus.SINGULAR_JACOBIAN, domain))
+            status = PairStatus.SINGULAR_JACOBIAN
+            results.append(unchecked(PairTest, pair=pair, status=status, test_domain=domain))
             continue
-        (a, b), (c, d) = jac_inv
+        a, b, c, d = jac_inv
         eta = max(abs(a * value[i] + b * value[k]), abs(c * value[i] + d * value[k]))
-        if scale not in slacks:
-            slacks[scale] = _floor_slack(net, half_width, domain)
-        slack = slacks[scale]
-        if not slack < _MAX_SLACK or (
-            eta * _omega_floor(system, jac_inv, curvature, slack) > PASS_BOUND
-        ):
-            results.append(PairTest(system.pair, PairStatus.FAIL_CONVERGENCE, domain, eta))
+        slack = slacks.get(scale)
+        if slack is None:
+            slack = slacks[scale] = _floor_slack(net, half_width, domain)
+        decided = not slack < _MAX_SLACK or (
+            eta * _omega_floor(system, jac_inv, curvature[:1], slack) > PASS_BOUND
+        )
+        if not decided:  # the center leaves the pair open: add the corners
+            if len(curvature) == 1:
+                curvature += (corner_seconds(net) / area).tolist()
+            decided = eta * _omega_floor(system, jac_inv, curvature, slack) > PASS_BOUND
+        if decided:
+            status = PairStatus.FAIL_CONVERGENCE
+            results.append(
+                unchecked(PairTest, pair=pair, status=status, test_domain=domain, eta=eta)
+            )
             continue
         if scale not in blocks:
             blocks[scale] = np.concatenate(
@@ -319,7 +349,7 @@ def test_pairs(
             radii = rho_radii(eta, omega)
             inside = radii[0] <= scale * half_width
             status = PairStatus.PASS if inside else PairStatus.FAIL_CONTAINMENT
-        results.append(PairTest(system.pair, status, domain, eta, omega, *radii))
+        results.append(PairTest(pair, status, domain, eta, omega, *radii))
         if status is PairStatus.PASS:
             break
     return KantorovichOutcome(tuple(results))

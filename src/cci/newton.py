@@ -43,11 +43,11 @@ def newton_solve(
     converged = False
     for _ in range(max_iter):
         value, jac = jet(pair_net, (u, v))
-        jac_inv = inverse_2x2(jac.tolist())
+        jac_inv = inverse_2x2(*jac.ravel().tolist())
         if jac_inv is None:
             failure = "singular Jacobian at iterate"
             break
-        (a, b), (c, d) = jac_inv
+        a, b, c, d = jac_inv
         f0, f1 = value.tolist()
         du, dv = a * f0 + b * f1, c * f0 + d * f1
         u, v = u - du, v - dv

@@ -86,7 +86,7 @@ def full_test_omega(net: ControlNet, jac: np.ndarray, test: PairTest) -> float:
             for n in second_derivative_nets(net)
         ]
     )
-    jac_inv = inverse_2x2(np.asarray(jac)[list(test.pair)])
+    jac_inv = inverse_2x2(*np.asarray(jac)[list(test.pair)].ravel().tolist())
     return PairSystem(net, test.pair).omega(jac_inv, block)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 import cci
 import cci.exclusion as exclusion
+import nearest_face_reference
 import wolfe_reference
 from cci.exclusion import exclusion_test
 from cci.geometry import BezierCurve, ControlNet, difference_net
@@ -498,6 +499,44 @@ def test_nearest_face_matches_the_exact_nearest_point():
         outcomes[len(face)] += 1
     assert outcomes["degenerate"] >= 400
     assert all(outcomes[size] >= 50 for size in (1, 2, 3)) and outcomes[4] >= 5
+
+
+def _near_degenerate_simplices(seed, count):
+    """Segments, triangles and tetrahedra of 1 to 4 random points, half of
+    them made nearly degenerate: a repeated point, or a last point off the
+    others' line or plane by a relative 1e-4 to 1e-8, about where
+    ``_DEGENERATE`` starts to fail the face."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        size = 1 + k % 4
+        pts = rng.normal(size=(size, 3)) * 10.0 ** rng.uniform(-3, 3) + rng.normal(size=3)
+        if k % 8 >= 4 and size >= 2:
+            base = pts[0]
+            if size > 2:  # a point of the others' line (triangle) or plane (tetrahedron)
+                base = base + rng.normal(size=size - 2) @ (pts[1:-1] - pts[0])
+            off = 10.0 ** rng.uniform(-8, -4) * np.abs(pts).max() * rng.normal(size=3)
+            pts[-1] = base + (0.0 if k % 16 >= 12 else off)
+        yield [tuple(p) for p in pts.tolist()]
+
+
+def test_inlined_nearest_face_is_the_helper_based_one_bit_for_bit():
+    # ``_nearest_face`` writes its vector algebra out inline, in the order of
+    # the helpers it replaced; every result, None included, must be the same.
+    seen = Counter()
+    simplices = [s for s, _ in _seeded_simplices(64, 1200)] + BOUNDARY_SIMPLICES
+    for simplex in [*simplices, *_near_degenerate_simplices(65, 4000)]:
+        found = exclusion._nearest_face(simplex)
+        expected = nearest_face_reference.nearest_face(simplex)
+        if expected is None:
+            assert found is None
+            seen["degenerate"] += 1
+            continue
+        (y, face), (y_ref, face_ref) = found, expected
+        assert [x.hex() for x in y] == [x.hex() for x in y_ref] and face == face_ref
+        seen[len(simplex), len(face)] += 1
+    assert seen["degenerate"] >= 200
+    assert all(seen[size, size] >= 20 for size in (1, 2, 3, 4)), seen
+    assert all(seen[size, 1] + seen[size, 2] >= 20 for size in (3, 4)), seen
 
 
 def test_nets_of_more_than_three_dimensions_take_the_axis_test_alone(monkeypatch):

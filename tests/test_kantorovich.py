@@ -18,6 +18,7 @@ from cci.geometry import (
     ControlNet,
     Rect,
     center_jet,
+    corner_seconds,
     eval_net,
     extract_pair,
     jet,
@@ -130,8 +131,14 @@ def _net_with_zero_at(rng, z, m=3, n=3):
 # ---------------------------------------------------------------------------
 # eta = |J^-1 F| through inverse_2x2, the one 2x2 routine
 
+def _inverse(jac):
+    """``inverse_2x2`` of a 2x2 array's entries, as a 2x2 array, or None."""
+    entries = inverse_2x2(*np.ravel(jac).tolist())
+    return None if entries is None else np.reshape(entries, (2, 2))
+
+
 def _eta(jac, value):
-    return float(np.abs(np.array(inverse_2x2(jac)) @ value).max())
+    return float(np.abs(_inverse(jac) @ value).max())
 
 
 def test_eta_zero_value():
@@ -139,7 +146,7 @@ def test_eta_zero_value():
 
 
 def test_eta_identity_jacobian():
-    assert np.array_equal(inverse_2x2(np.eye(2)), np.eye(2))
+    assert np.array_equal(_inverse(np.eye(2)), np.eye(2))
     assert _eta(np.eye(2), np.array([0.3, -0.1])) == pytest.approx(0.3, abs=0)
 
 
@@ -151,12 +158,12 @@ def test_eta_matches_lapack_solve():
             continue
         value = rng.normal(size=2)
         expected = np.linalg.solve(jac, value)
-        assert np.abs(np.array(inverse_2x2(jac)) @ value - expected).max() <= 1e-12
+        assert np.abs(_inverse(jac) @ value - expected).max() <= 1e-12
         assert _eta(jac, value) == pytest.approx(float(np.abs(expected).max()), abs=1e-12)
 
 
 def test_inverse_2x2_singular_is_none():
-    assert inverse_2x2(np.array([[1.0, 2.0], [2.0, 4.0]])) is None
+    assert inverse_2x2(1.0, 2.0, 2.0, 4.0) is None
 
 
 @pytest.mark.parametrize("norm", [0.5, 1024.0])
@@ -173,7 +180,7 @@ def test_inverse_2x2_singular_threshold(norm):
         (2.0 * at, False),
     ]:
         jac = np.diag([norm, x])
-        jac_inv = inverse_2x2(jac)
+        jac_inv = _inverse(jac)
         if singular:
             assert jac_inv is None
         else:
@@ -385,6 +392,45 @@ def test_pairs_failed_by_omegas_lower_bound_restrict_nothing(monkeypatch):
     assert [t.status for t in outcome.pairs] == [PairStatus.FAIL_CONVERGENCE] * 3
     assert all(t.omega is None for t in outcome.pairs)
     assert calls == {"reparametrize": 0, "omega": 0}
+
+
+def _cubic_net():
+    """(s + 4 s^3 - 1/16, t), s = u - 1/2 and t = v - 1/2, over the unit
+    square. At the center J = I, f = (-1/16, 0) and f_uu = 24 s vanishes; at
+    the corners f_uu = +-12, so omega >= 12 on the unit square and
+    eta * omega >= 3/4 > PASS_BOUND."""
+    mono = [Fraction(-17, 16), 4, -6, 4]  # powers of u
+    # Bernstein coefficient i of sum_j a_j u^j is sum_(j <= i) C(i, j) / C(3, j) a_j.
+    bernstein = [
+        sum(Fraction(math.comb(i, j), math.comb(3, j)) * a for j, a in enumerate(mono[: i + 1]))
+        for i in range(4)
+    ]
+    coeffs = np.empty((4, 2, 2))
+    coeffs[:, :, 0] = np.array(bernstein, dtype=float)[:, None]
+    coeffs[:, :, 1] = [-0.5, 0.5]
+    return ControlNet(coeffs)
+
+
+def test_corners_decide_a_pair_whose_curvature_vanishes_at_the_center(monkeypatch):
+    # The center's second derivatives leave omega's lower bound at 0 less its
+    # allowance; the corners' lift it to about 12, which fails the pair
+    # before its omega block is restricted. The full test fails it too.
+    net = _cubic_net()
+    calls = _count_restrictions_and_omegas(monkeypatch)
+    t = pair_test_at(net, (0.5, 0.5), 0.5)
+    assert t.status is PairStatus.FAIL_CONVERGENCE and t.omega is None
+    assert calls == {"reparametrize": 0, "omega": 0}
+    jac = jet(net, (0.5, 0.5))[1]
+    jac_inv = inverse_2x2(*jac.ravel().tolist())
+    system = PairSystem(net, (0, 1))
+    slack = kantorovich._floor_slack(net, 0.5, t.test_domain)
+    curvature = _curvature(net, 0.5)
+    at_center = kantorovich._omega_floor(system, jac_inv, curvature[:1], slack)
+    floor = kantorovich._omega_floor(system, jac_inv, curvature, slack)
+    assert t.eta == pytest.approx(1.0 / 16.0, rel=1e-12)
+    assert t.eta * at_center <= PASS_BOUND < t.eta * floor
+    assert floor == pytest.approx(12.0, rel=1e-8)
+    assert floor <= full_test_omega(net, jac, t)
 
 
 def test_classification_matches_monomial_reimplementation():
@@ -668,9 +714,11 @@ def _carried_square(net, path):
 
 
 def _curvature(carried, half_width):
-    """f_uu, f_uv and f_vv at the square's center, as ``test_pairs`` takes them."""
-    grid = center_jet(carried)
-    return (grid[(2, 1, 0), (0, 1, 2)] / (2.0 * half_width) ** 2).tolist()
+    """f_uu, f_uv and f_vv at the square's center, then at its four corners,
+    as ``test_pairs`` takes them for omega's lower bound."""
+    area = (2.0 * half_width) ** 2
+    center = (center_jet(carried)[(2, 1, 0), (0, 1, 2)] / area).tolist()
+    return [center, *(corner_seconds(carried) / area).tolist()]
 
 
 def _always_restricting_test(systems, seconds, net, center, half_width, scales):
@@ -679,7 +727,8 @@ def _always_restricting_test(systems, seconds, net, center, half_width, scales):
 
     The convergence test without omega's lower bound: every non-singular
     pair restricts the second-derivative nets over its test domain.
-    ``decided`` says whether the lower bound alone fails the pair.
+    ``decided`` says whether the lower bound alone, over the center and the
+    four corners, fails the pair.
     """
     value, jac = jet(net, (0.5, 0.5))
     value, jac = value.tolist(), jac / (2.0 * half_width)
@@ -687,11 +736,11 @@ def _always_restricting_test(systems, seconds, net, center, half_width, scales):
     results = []
     for system, scale in zip(systems, scales):
         i, k = system.pair
-        jac_inv = inverse_2x2(jac[[i, k]])
+        jac_inv = inverse_2x2(*jac[[i, k]].ravel().tolist())
         if jac_inv is None:
             results.append((PairStatus.SINGULAR_JACOBIAN, None, None, None, False))
             continue
-        (a, b), (c, d) = jac_inv
+        a, b, c, d = jac_inv
         eta = max(abs(a * value[i] + b * value[k]), abs(c * value[i] + d * value[k]))
         domain = Rect.ball(center, scale * half_width)
         slack = kantorovich._floor_slack(net, half_width, domain)
@@ -758,8 +807,9 @@ def test_omega_on_deep_squares_matches_exact_restriction():
     # root's second-derivative nets restricted exactly over the test domain.
     # Taking omega from the carried net's own second differences lost
     # relative accuracy like 2^d and undershot here by up to 1e-7.
-    # omega's lower bound at the center, less its rounding allowance, must
-    # never exceed the exact omega, and it must decide shallow squares.
+    # omega's lower bound, at the center and over the center and the corners,
+    # less its rounding allowance, must never exceed the exact omega, and it
+    # must decide shallow squares.
     rng = np.random.default_rng(48)
     checked = decided = 0
     for depth in (*range(13), 20, 30, 40):
@@ -783,8 +833,8 @@ def test_omega_on_deep_squares_matches_exact_restriction():
                 if t.status is PairStatus.SINGULAR_JACOBIAN:
                     continue
                 pair = list(t.pair)
-                jac_inv = inverse_2x2(jac[pair])
-                exact_inv = np.array([[Fraction(x) for x in row] for row in jac_inv], dtype=object)
+                jac_inv = inverse_2x2(*jac[pair].ravel().tolist())
+                exact_inv = np.array([Fraction(x) for x in jac_inv], dtype=object).reshape(2, 2)
                 # Per net and row of J^-1 f'', the largest |coefficient|; each
                 # row weighs f_uu, f_uv and f_vv as 1, 2 and 1.
                 m_uu, m_uv, m_vv = (
@@ -796,8 +846,9 @@ def test_omega_on_deep_squares_matches_exact_restriction():
                 assert omega >= float(exact) * (1.0 - 1e-13)
                 assert omega <= float(exact) * (1.0 + 1e-13)
                 slack = kantorovich._floor_slack(carried, h, d)
+                at_center = kantorovich._omega_floor(system, jac_inv, curvature[:1], slack)
                 floor = kantorovich._omega_floor(system, jac_inv, curvature, slack)
-                assert floor <= exact and floor <= omega
+                assert at_center <= floor <= exact and floor <= omega
                 if t.eta * floor > PASS_BOUND:
                     assert t.status is PairStatus.FAIL_CONVERGENCE
                     decided += depth <= 6

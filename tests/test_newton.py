@@ -135,7 +135,7 @@ def test_newton_step_is_float_arithmetic_on_the_inverse_entries():
         path = newton_path(net, tuple(rng.uniform(0.2, 0.8, 2)), max_iter=6)
         for (u, v), x in zip(path, path[1:]):
             value, jac = jet(net, (u, v))
-            (a, b), (c, d) = inverse_2x2(jac.tolist())
+            a, b, c, d = inverse_2x2(*jac.ravel().tolist())
             f0, f1 = value.tolist()
             assert x == (u - (a * f0 + b * f1), v - (c * f0 + d * f1))
             steps += 1

@@ -1,0 +1,97 @@
+"""Print a digest of everything the solver decides, per benchmark workload.
+
+Solves every case of ``paper_suite`` and of ``spatial_crossings`` at seeds
+1, 2 and 17 with the cci of this checkout's ``src``, and prints per workload
+the number of squares examined and one SHA-256 over the run::
+
+    python3 tools/identity.py
+
+The digest covers every observer event with its square (center, half-width,
+scales and depth), each tested pair's status and eta, each Newton root and
+every reported root, floats by their exact bits. It leaves out omega, which
+the convergence test reports only for the pairs it restricts. Two commits
+that print the same lines made the same decisions and found the same roots.
+"""
+
+from __future__ import annotations
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # as bench/run.py: the pinned bits assume it
+
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "src"))
+
+import cci  # noqa: E402
+
+# (workload, seed); paper_suite ignores its seed.
+RUNS = (("paper_suite", 0), ("spatial_crossings", 1), ("spatial_crossings", 2), ("spatial_crossings", 17))
+
+
+def load_workloads():
+    """bench/workloads.py as a module; its dataclasses need it in sys.modules."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", REPO / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def bits(x) -> str:
+    return "-" if x is None else float(x).hex()
+
+
+def square_key(sq) -> str:
+    return " ".join([*map(bits, sq.center), bits(sq.half_width), *map(bits, sq.scales), str(sq.depth)])
+
+
+def event_line(event: str, payload: dict) -> str:
+    """One event as text: its name, its square and what it decided."""
+    parts = [event]
+    if "square" in payload:
+        parts.append(square_key(payload["square"]))
+    if event == "kantorovich":
+        parts += [f"{t.pair} {t.status.value} {bits(t.eta)}" for t in payload["outcome"].pairs]
+    elif event == "newton":
+        result = payload["result"]
+        parts += [str(result.converged), *map(bits, result.root)]
+    elif event == "intersection":
+        record = payload["record"]
+        parts += [bits(record.u), bits(record.v), square_key(record.source_square)]
+    elif event == "truncated":
+        parts.append(payload["reason"])
+    return " ".join(parts)
+
+
+def digest(cases) -> tuple[int, str]:
+    """Squares examined over the cases, and the SHA-256 of their events and roots."""
+    sha, squares = hashlib.sha256(), 0
+
+    def observer(event: str, payload: dict) -> None:
+        sha.update((event_line(event, payload) + "\n").encode())
+
+    for case in cases:
+        config = cci.SolverConfig(**case.config)
+        report = cci.solve(cci.BezierCurve(case.curve1), cci.BezierCurve(case.curve2), config, observer)
+        squares += report.squares_examined
+        roots = " ".join(f"{bits(r.u)},{bits(r.v)}" for r in report.intersections)
+        sha.update(f"case {case.name} {report.truncated} {roots}\n".encode())
+    return squares, sha.hexdigest()
+
+
+def main() -> int:
+    workloads = load_workloads()
+    for workload, seed in RUNS:
+        squares, hexdigest = digest(workloads.build(workload, seed, cci.load_problem))
+        label = workload if workload == "paper_suite" else f"{workload} seed {seed}"
+        print(f"{label}: {squares} squares sha256 {hexdigest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
