@@ -33,8 +33,8 @@ for rect in (Rect(0.0, 0.25, 0.6, 0.85), Rect(0.05, 0.35, 0.05, 0.35)):
     print(f"square {rect}: {'no intersection possible' if excluded else 'cannot rule out a zero'}")
 
 # Convergence test on a square containing the intersection near
-# (0.158, 0.158). Each of the three coordinate pairs gets its own test
-# domain, here 1.5 times the square; the first passing pair wins. (The
+# (0.158, 0.158). The three coordinate pairs share one test domain, here
+# 1.5 times the square; the first passing pair wins. (The
 # curves are coplanar, so the two pairs involving the z coordinate are
 # singular and skipped.) The solver builds the pair systems and the
 # second-derivative nets once per run and passes each square's own net.
@@ -43,9 +43,7 @@ for rect in (Rect(0.0, 0.25, 0.6, 0.85), Rect(0.05, 0.35, 0.05, 0.35)):
 center, half_width = (0.1875, 0.1875), 0.0625
 systems = [PairSystem(net, pair) for pair in COMPONENT_PAIRS]
 square = reparametrize(net, Rect.ball(center, half_width))
-outcome = test_pairs(
-    systems, second_derivative_nets(net), square, center, half_width, (1.5, 1.5, 1.5)
-)
+outcome = test_pairs(systems, second_derivative_nets(net), square, center, half_width, 1.5)
 for t in outcome.pairs:
     print(f"\npair {t.pair}: {t.status.value}")
     if t.eta is not None:

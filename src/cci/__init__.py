@@ -41,7 +41,7 @@ from .engine import (
     point_is_known,
     region_prunes_square,
     solve,
-    update_scales,
+    update_scale,
 )
 from .oracle import brute_force_intersections
 from .problems import Problem, ProblemFormatError, load_problem, parse_problem

@@ -11,7 +11,7 @@ The residual tolerance (relative to the input's scale) and the square
 budget are fixed; the result's ``config.zero_tol`` reports the tolerance.
 
 Set CCI_LOG_LEVEL=trace to log every queue pop with the square, test
-results and test-domain multipliers; cci logs nothing else.
+results and test-domain multiplier; cci logs nothing else.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def _emit(text: str, output: Path | None) -> None:
 @click.option("--mode", type=click.Choice(["adaptive", "fixed"]), default=SolverConfig.mode,
               show_default=True, help="Adapt test-domain sizes, or keep them fixed.")
 @click.option("--epsilon", type=float, default=SolverConfig.epsilon, show_default=True,
-              help="Adaptation step for the test-domain multipliers.")
+              help="Adaptation step for the test-domain multiplier.")
 @click.option("-o", "--output", type=click.Path(path_type=Path), default=None,
               help="Write the result JSON here instead of stdout.")
 def cmd_solve(input_path, output, **options) -> None:

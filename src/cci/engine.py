@@ -6,9 +6,9 @@ the exclusion test proves it empty, and otherwise run through the
 convergence test; a pass triggers Newton refinement and, for a confirmed
 new zero, an explored region that prunes later squares. A square that
 region contains is finished; every other square failing exclusion is
-quartered, and the children's per-pair test-domain multipliers are adapted
-from the parent's test outcome (grown after a containment failure, shrunk
-after a convergence failure). Fixed mode is the same rule with a step of 0.
+quartered, and the children's test-domain multiplier is adapted from the
+parent's test outcome (grown after a containment failure, else shrunk after
+a convergence failure). Fixed mode is the same rule with a step of 0.
 
 The queue runs breadth-first in batches. A batch is a list of squares and
 their nets, the first one the root with the unit net. The axis stage of the
@@ -90,13 +90,13 @@ Observer = Callable[[str, dict], None]
 class Square:
     """Candidate subdomain: the closed ball of ``half_width`` about ``center``.
 
-    ``scales`` are the per-pair test-domain multipliers (always >= 1), in
-    the component-pair order of the convergence test.
+    ``scale`` is the test-domain multiplier (always >= 1): every pair is
+    tested in the ball of half-width ``scale * half_width`` about ``center``.
     """
 
     center: tuple[float, float]
     half_width: float
-    scales: tuple[float, float, float]
+    scale: float
     depth: int = 0
 
     def __post_init__(self) -> None:
@@ -107,19 +107,18 @@ class Square:
         if not (-1e-12 <= cu - r and cu + r <= 1.0 + 1e-12
                 and -1e-12 <= cv - r and cv + r <= 1.0 + 1e-12):
             raise ValueError("square must lie inside the unit parameter square")
-        s0, s1, s2 = self.scales
-        if not (1.0 <= s0 < math.inf and 1.0 <= s1 < math.inf and 1.0 <= s2 < math.inf):
-            raise ValueError(f"test-domain scales must be finite and >= 1, got {self.scales}")
+        if not 1.0 <= self.scale < math.inf:
+            raise ValueError(f"test-domain scale must be finite and >= 1, got {self.scale}")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """The method's two settings: the test-domain rule and its step.
 
-    Both modes start every per-pair test-domain multiplier at
-    ``INITIAL_SCALE`` (1.5). Mode "adaptive" adjusts the multipliers by
-    ``epsilon`` based on each parent square's failure mode; mode "fixed" is
-    the same rule with a step of 0, so the multipliers stay at 1.5.
+    Both modes start the test-domain multiplier at ``INITIAL_SCALE`` (1.5).
+    Mode "adaptive" adjusts it by ``epsilon`` based on each parent square's
+    failure mode; mode "fixed" is the same rule with a step of 0, so the
+    multiplier stays at 1.5.
     """
 
     mode: str = "adaptive"
@@ -155,29 +154,22 @@ class SolveReport:
     truncated: bool = False
 
 
-def update_scales(
-    outcome: KantorovichOutcome,
-    scales: tuple[float, float, float],
-    epsilon: float,
-) -> tuple[float, float, float]:
-    """Children's test-domain multipliers from the parent's test outcome.
+def update_scale(outcome: KantorovichOutcome, scale: float, epsilon: float) -> float:
+    """Children's test-domain multiplier from the parent's test outcome.
 
-    A passing parent, or a step of 0, hands its multipliers down unchanged.
-    Otherwise each pair adapts independently: a containment failure grows
-    the multiplier by epsilon, a convergence failure shrinks it by epsilon
-    (never below 1), and a singular Jacobian leaves it alone.
+    A passing parent, or a step of 0, hands its multiplier down unchanged.
+    Otherwise a containment failure of any pair grows it by epsilon; failing
+    that, a convergence failure of any pair shrinks it by epsilon (never
+    below 1); a square whose pairs are all singular keeps it.
     """
     if not epsilon or outcome.passed is not None:
-        return scales
-    new = []
-    for t, s in zip(outcome.pairs, scales):
-        if t.status is PairStatus.FAIL_CONTAINMENT:
-            new.append(s + epsilon)
-        elif t.status is PairStatus.FAIL_CONVERGENCE:
-            new.append(max(1.0, s - epsilon))
-        else:
-            new.append(s)
-    return (new[0], new[1], new[2])
+        return scale
+    statuses = {t.status for t in outcome.pairs}
+    if PairStatus.FAIL_CONTAINMENT in statuses:
+        return scale + epsilon
+    if PairStatus.FAIL_CONVERGENCE in statuses:
+        return max(1.0, scale - epsilon)
+    return scale
 
 
 def region_prunes_square(regions: list[Rect], square: Square) -> bool:
@@ -196,13 +188,13 @@ def point_is_known(regions: list[Rect], x: tuple[float, float]) -> bool:
     return any(r.contains_point(x) for r in regions)
 
 
-def _children(square: Square, scales: tuple[float, float, float]) -> list[Square]:
+def _children(square: Square, scale: float) -> list[Square]:
     """The square's quarters, in the order of ``geometry.QUARTERS``."""
     (cu, cv), h = square.center, 0.5 * square.half_width
     lo_u, hi_u, lo_v, hi_v = cu - h, cu + h, cv - h, cv + h
     depth = square.depth + 1
     return [
-        unchecked(Square, center=center, half_width=h, scales=scales, depth=depth)
+        unchecked(Square, center=center, half_width=h, scale=scale, depth=depth)
         for center in ((lo_u, lo_v), (hi_u, lo_v), (lo_u, hi_v), (hi_u, hi_v))
     ]
 
@@ -221,8 +213,8 @@ def _trace_log(event: str, payload: dict) -> None:
         sq = payload["square"]
         log.log(
             TRACE,
-            "pop depth=%d center=(%.9g, %.9g) r=%.3g scales=(%.3g, %.3g, %.3g)",
-            sq.depth, sq.center[0], sq.center[1], sq.half_width, *sq.scales,
+            "pop depth=%d center=(%.9g, %.9g) r=%.3g scale=%.3g",
+            sq.depth, sq.center[0], sq.center[1], sq.half_width, sq.scale,
         )
     elif event == "kantorovich":
         for t in payload["outcome"].pairs:
@@ -290,7 +282,7 @@ def solve(
     seconds = second_derivative_nets(unit_net)
 
     step = 0.0 if config.mode == "fixed" else config.epsilon
-    root = Square((0.5, 0.5), 0.5, (INITIAL_SCALE,) * 3, 0)
+    root = Square((0.5, 0.5), 0.5, INITIAL_SCALE, 0)
     # The queue is FIFO: the current batch, then ``families``, which holds per
     # subdivided parent its four children and its net's coefficients. The
     # solver runs breadth-first and holds one net per queued parent plus one
@@ -328,7 +320,7 @@ def solve(
                 continue
 
             carried = unchecked(ControlNet, coeffs=row)
-            outcome = test_pairs(systems, seconds, carried, sq.center, sq.half_width, sq.scales)
+            outcome = test_pairs(systems, seconds, carried, sq.center, sq.half_width, sq.scale)
             if observing:
                 emit("kantorovich", {"square": sq, "outcome": outcome})
 
@@ -377,9 +369,8 @@ def solve(
                     emit("truncated", {"reason": "max_depth", "square": sq})
                 continue
 
-            child_scales = update_scales(outcome, sq.scales, step)
             # A copy, so a queued parent does not keep its batch alive.
-            families.append((_children(sq, child_scales), row.copy()))
+            families.append((_children(sq, update_scale(outcome, sq.scale, step)), row.copy()))
             report.subdivisions += 1
 
         if not families:

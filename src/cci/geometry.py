@@ -121,11 +121,7 @@ def sample_curve(curve: BezierCurve, ts: np.ndarray) -> np.ndarray:
 
 def derivative_curve(curve: BezierCurve) -> BezierCurve:
     """Hodograph: the curve whose value is the derivative of the input."""
-    pts = curve.control_points
-    m = curve.degree
-    if m == 0:
-        return BezierCurve(np.zeros((1, 3)))
-    return BezierCurve(m * (pts[1:] - pts[:-1]))
+    return BezierCurve(derivative_coeffs(curve.control_points, 0))
 
 
 def difference_net(c1: BezierCurve, c2: BezierCurve) -> ControlNet:
@@ -262,7 +258,7 @@ def _jet_weights(m: int, t: float, order: int = 1) -> np.ndarray:
     backward difference taking entry i to B_{i-1} - B_i. Every row is
     gathered from one vector of powers of t and one of 1 - t, so row 0 is,
     entry for entry, ``_basis_matrix``'s. At t = 1/2 every weight is a
-    dyadic rational, exact in floating point.
+    dyadic rational, exact in floating point below degree 50.
     """
     return _weights(((m, order),), (t,)).reshape(order + 1, m + 1)
 
@@ -295,7 +291,7 @@ def jet(net: ControlNet, x: tuple[float, float]) -> tuple[np.ndarray, np.ndarray
 def center_jet(net: ControlNet) -> np.ndarray:
     """Derivatives of the net's map at (1/2, 1/2), shape (3, 3, dim): entry
     (i, j) is taken i times along u and j times along v. The weights are
-    exact; (0, 0) and the Jacobian are ``jet``'s bit for bit."""
+    exact below degree 50; (0, 0) and the Jacobian are ``jet``'s bit for bit."""
     return _derivatives(net, _center_weights(net.degree_u), _center_weights(net.degree_v))
 
 
@@ -374,9 +370,9 @@ def _restriction_matrix(m: int, a: float, b: float) -> np.ndarray:
 
     Two splits, in the order whose second split parameter has the
     better-conditioned denominator (a may equal 1, or b equal 0, but never
-    both). Midpoint halves are dyadic rationals, so quarter restrictions of
-    dyadic coefficients stay exact. Cached, so each quarter's matrix is built
-    once per degree; shared, hence read-only.
+    both). Below degree 57 midpoint halves are exact dyadic rationals, so
+    quarter restrictions of dyadic coefficients stay exact. Cached, so each
+    quarter's matrix is built once per degree; shared, hence read-only.
     """
     if a == 0.0 and b == 1.0:
         matrix = np.eye(m + 1)

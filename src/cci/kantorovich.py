@@ -1,7 +1,8 @@
 """Convergence test for Newton starts, based on Kantorovich's theorem.
 
 For a candidate square centered at x0, each of the three 2-of-3-coordinate
-sub-systems of the intersection map is tested in its own square test domain.
+sub-systems of the intersection map is tested in the square's one test
+domain, a square about x0 that the parent's outcome sized.
 A sub-system passes when h = eta * omega, its first Newton step bound eta
 times a certified Lipschitz constant omega for the preconditioned Jacobian,
 stays at or below ``PASS_BOUND`` (0.45, where the base algorithm of
@@ -196,10 +197,11 @@ _MAX_SLACK = 2.0**960
 
 @functools.lru_cache(maxsize=256)
 def _slack_terms(m: int, n: int, half_width: float) -> tuple[float, float]:
-    """``_floor_slack``'s factors 32 (m + n + 2) M^2 u and (d + 2) / (2h)^2."""
+    """``_floor_slack``'s factors 32 (m + n + 2) M^2 u and L / (2h)^2."""
     width = 2.0 * half_width
     depth = max(0, 1 - math.frexp(width)[1])  # log2(1 / width), rounded up
-    return 32 * (m + n + 2) * max(m, n) ** 2 * _UNIT_ROUNDOFF, (depth + 2) / (width * width)
+    levels = (depth + 2) * (1 if max(m, n) < 50 else 2)  # weights at 1/2 round from 50
+    return 32 * (m + n + 2) * max(m, n) ** 2 * _UNIT_ROUNDOFF, levels / (width * width)
 
 
 def _floor_slack(net: ControlNet, half_width: float, domain: Rect) -> float:
@@ -217,27 +219,33 @@ def _omega_floor(
     """A lower bound on the pair's omega, as the full test computes it.
 
     ``curvature`` holds, per point, f_uu, f_uv and f_vv there, from the
-    square's net with exact weights, divided by (2h)^2: the square's center,
-    then maybe its four corners (``corner_seconds``). Every scale is at
-    least 1, so every point lies in every test domain. In exact arithmetic
-    each value is a convex combination of its second-derivative net's
-    Bernstein coefficients over any domain that holds its point, so with
+    square's net, divided by (2h)^2: the square's center, then maybe its four
+    corners (``corner_seconds``). The scale is at least 1, so every point
+    lies in the test domain. In exact arithmetic each value is a convex
+    combination of its second-derivative net's Bernstein coefficients over
+    any domain that holds its point, so with
     g = J^-1 f and P_xx,i the largest |g_xx,i| over the points,
     P_xx,i <= M_xx,i (``PairSystem.omega``) and
     max_i (P_uu,i + 2 P_uv,i + P_vv,i) <= omega. Each of its four terms
     (P_uv,i counts twice) errs, at a point and in the full test's M_xx,i,
-    by at most |J^-1| 4 M^2 2 (m + n + 2) u S ((d + 2) / (2h)^2 + 8 G), so
-    the allowance ``slack`` S |J^-1| (``_floor_slack``) is four times that,
-    with S = ``system.max_coeff``, M = max(m, n), u the unit roundoff, d the
-    depth:
+    by at most |J^-1| 4 M^2 2 (m + n + 2) u S (L / (2h)^2 + 8 G), so the
+    allowance ``slack`` S |J^-1| (``_floor_slack``) is four times that, with
+    S = ``system.max_coeff``, M = max(m, n), u the unit roundoff, d the
+    depth and L = d + 2 levels, doubled from M = 50:
 
-    - The net went down d quarter restrictions with exact, convex weights,
-      each adding at most (m + n + 2) u S to a coefficient. The weights of a
+    - The net went down d quarter restrictions with convex weights, each
+      adding at most (m + n + 2) u S to a coefficient. The weights of a
       second derivative sum in absolute value to at most 4 M^2: at 1/2, and
       at a corner, whose end differences weigh 4 m (m - 1), 4 m n and
       4 n (n - 1). The d levels, the contraction's rounding (a corner's 3 or
       4 terms round less than the center's) and that of the J^-1 products:
       d + 2.
+    - Below degree 50 the weights at 1/2 (the center's, the quarter splits')
+      are exact, and a corner's are small integers. From 50 on, binomials and
+      falling factorials round, u each: a center row of order k errs by
+      2^k (k + 2) u m!/(m - k)! in sum, a value by 24 u M^2 S; a split weight
+      by u relative, a value by 8 d u M^2 S. A level is worth
+      8 (m + n + 2) u M^2 S >= 416 u M^2 S there: doubling them covers both.
     - The second-derivative nets are rounded differences of the root net,
       off by at most 16 M^2 u S, and the full test restricts them with split
       weights good to (m + 4) u each, two products and the J^-1 product: at
@@ -275,7 +283,7 @@ def test_pairs(
     net: ControlNet,
     center: tuple[float, float],
     half_width: float,
-    scales: tuple[float, float, float],
+    scale: float,
 ) -> KantorovichOutcome:
     """Run the per-pair convergence test; stop at the first passing pair.
 
@@ -283,9 +291,8 @@ def test_pairs(
     square (``second_derivative_nets``) and ``net`` is the full difference
     net restricted to the square of the given center and half-width, carried
     down by quarter restrictions as ``solve`` does (omega's lower bound
-    assumes so). ``scales`` are the per-pair test-domain multipliers: pair k
-    is tested in the square of half-width scales[k] * half_width about
-    ``center``.
+    assumes so). Every pair is tested in one test domain, the square of
+    half-width ``scale * half_width`` about ``center``.
 
     Value, Jacobian and second derivatives at the center come from one
     contraction of ``net`` at (1/2, 1/2); derivatives of order j are local
@@ -293,26 +300,20 @@ def test_pairs(
     the conversion is exact. The 2x2 algebra runs on Python floats. A pair
     that omega's lower bound fails computes no omega: the bound reads the
     center, and, once the center leaves a pair open, the four corners too.
-    The others restrict ``seconds`` over each distinct test domain once,
-    with one ``reparametrize`` call per net, stacked into one block that
-    they share. Test domains and the pair tests that restrict nothing are
-    built unchecked.
+    The others share one block: ``seconds`` restricted to the test domain,
+    one ``reparametrize`` call per net, at most once per call, as is the
+    rounding allowance. The test domain and the pair tests that restrict
+    nothing are built unchecked.
     """
     (value, f_v, f_vv), (f_u, f_uv, _), (f_uu, _, _) = center_jet(net).tolist()
     width = 2.0 * half_width
     area = width * width
     curvature = [([x / area for x in f_uu], [x / area for x in f_uv], [x / area for x in f_vv])]
-    cu, cv = center
-    domains: dict[float, Rect] = {}
-    slacks: dict[float, float] = {}
-    blocks: dict[float, np.ndarray] = {}
+    (cu, cv), r = center, scale * half_width
+    domain = unchecked(Rect, lo_u=cu - r, hi_u=cu + r, lo_v=cv - r, hi_v=cv + r)
+    slack = block = None
     results: list[PairTest] = []
-    for system, scale in zip(systems, scales):
-        domain = domains.get(scale)
-        if domain is None:
-            r = scale * half_width
-            domain = unchecked(Rect, lo_u=cu - r, hi_u=cu + r, lo_v=cv - r, hi_v=cv + r)
-            domains[scale] = domain
+    for system in systems:
         pair = system.pair
         i, k = pair
         jac_inv = inverse_2x2(f_u[i] / width, f_v[i] / width, f_u[k] / width, f_v[k] / width)
@@ -322,9 +323,8 @@ def test_pairs(
             continue
         a, b, c, d = jac_inv
         eta = max(abs(a * value[i] + b * value[k]), abs(c * value[i] + d * value[k]))
-        slack = slacks.get(scale)
         if slack is None:
-            slack = slacks[scale] = _floor_slack(net, half_width, domain)
+            slack = _floor_slack(net, half_width, domain)
         decided = not slack < _MAX_SLACK or (
             eta * _omega_floor(system, jac_inv, curvature[:1], slack) > PASS_BOUND
         )
@@ -338,17 +338,16 @@ def test_pairs(
                 unchecked(PairTest, pair=pair, status=status, test_domain=domain, eta=eta)
             )
             continue
-        if scale not in blocks:
-            blocks[scale] = np.concatenate(
+        if block is None:
+            block = np.concatenate(
                 [reparametrize(n, domain).coeffs.reshape(-1, net.dim) for n in seconds]
             )
-        omega = system.omega(jac_inv, blocks[scale])
+        omega = system.omega(jac_inv, block)
         if eta * omega > PASS_BOUND:
             status, radii = PairStatus.FAIL_CONVERGENCE, (None, None)
         else:
             radii = rho_radii(eta, omega)
-            inside = radii[0] <= scale * half_width
-            status = PairStatus.PASS if inside else PairStatus.FAIL_CONTAINMENT
+            status = PairStatus.PASS if radii[0] <= r else PairStatus.FAIL_CONTAINMENT
         results.append(PairTest(pair, status, domain, eta, omega, *radii))
         if status is PairStatus.PASS:
             break

@@ -65,7 +65,7 @@ def pair_test_at(pair_net: ControlNet, x0: tuple[float, float], half_width: floa
     systems = [PairSystem(net, pair) for pair in COMPONENT_PAIRS]
     square = reparametrize(net, Rect.ball(x0, half_width))
     outcome = test_pairs(
-        systems, second_derivative_nets(net), square, x0, half_width, (1.0, 1.0, 1.0)
+        systems, second_derivative_nets(net), square, x0, half_width, 1.0
     )
     return outcome.pairs[0]
 

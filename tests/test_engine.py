@@ -19,7 +19,7 @@ from cci.engine import (
     point_is_known,
     region_prunes_square,
     solve,
-    update_scales,
+    update_scale,
 )
 from cci.geometry import BezierCurve, Rect
 from cci.kantorovich import (
@@ -131,35 +131,75 @@ def test_single_crossing_quadratics_need_one_square_in_both_modes():
 # ---------------------------------------------------------------------------
 # Adaptation rule
 
+def _outcome(*statuses):
+    return KantorovichOutcome(tuple(_pt(p, s) for p, s in zip(((0, 1), (0, 2), (1, 2)), statuses)))
+
+
 def test_update_scales_pass_keeps_parent_scales():
-    outcome = KantorovichOutcome((_pt((0, 1), PairStatus.PASS, eta=0.0),))
-    assert update_scales(outcome, (1.5, 1.5, 1.5), 0.1) == (1.5, 1.5, 1.5)
+    outcome = KantorovichOutcome(
+        (_pt((0, 1), PairStatus.FAIL_CONTAINMENT), _pt((0, 2), PairStatus.PASS, eta=0.0))
+    )
+    assert update_scale(outcome, 1.5, 0.1) == 1.5
+
+
+def test_update_scale_step_zero_keeps_the_scale():
+    for statuses in ([PairStatus.FAIL_CONTAINMENT] * 3, [PairStatus.FAIL_CONVERGENCE] * 3):
+        assert update_scale(_outcome(*statuses), 1.25, 0.0) == 1.25
 
 
 def test_update_scales_failure_modes():
-    outcome = KantorovichOutcome(
-        (
-            _pt((0, 1), PairStatus.FAIL_CONTAINMENT),
-            _pt((0, 2), PairStatus.FAIL_CONVERGENCE),
-            _pt((1, 2), PairStatus.FAIL_CONVERGENCE),
-        )
-    )
-    new = update_scales(outcome, (1.5, 1.05, 1.0), 0.1)
-    assert new == pytest.approx((1.6, 1.0, 1.0), abs=1e-15)
+    # One containment failure grows the square's one multiplier, whatever
+    # the other pairs say.
+    F = PairStatus
+    for statuses in (
+        (F.FAIL_CONTAINMENT, F.FAIL_CONVERGENCE, F.FAIL_CONVERGENCE),
+        (F.FAIL_CONVERGENCE, F.SINGULAR_JACOBIAN, F.FAIL_CONTAINMENT),
+        (F.SINGULAR_JACOBIAN, F.FAIL_CONTAINMENT, F.SINGULAR_JACOBIAN),
+    ):
+        assert update_scale(_outcome(*statuses), 1.05, 0.1) == 1.05 + 0.1
 
 
 def test_update_scales_singular_unchanged():
-    outcome = KantorovichOutcome(
-        tuple(_pt(p, PairStatus.SINGULAR_JACOBIAN) for p in ((0, 1), (0, 2), (1, 2)))
-    )
-    assert update_scales(outcome, (1.5, 1.5, 1.5), 0.2) == (1.5, 1.5, 1.5)
+    assert update_scale(_outcome(*[PairStatus.SINGULAR_JACOBIAN] * 3), 1.5, 0.2) == 1.5
 
 
 def test_update_scales_never_below_one():
-    outcome = KantorovichOutcome(
-        tuple(_pt(p, PairStatus.FAIL_CONVERGENCE) for p in ((0, 1), (0, 2), (1, 2)))
-    )
-    assert update_scales(outcome, (1.0, 1.2, 3.0), 0.5) == (1.0, 1.0, 2.5)
+    # Convergence failures alone shrink it, never below 1, singular pairs or not.
+    F = PairStatus
+    shrinking = _outcome(F.FAIL_CONVERGENCE, F.SINGULAR_JACOBIAN, F.FAIL_CONVERGENCE)
+    assert update_scale(shrinking, 3.0, 0.5) == 2.5
+    assert update_scale(shrinking, 1.2, 0.5) == 1.0
+    assert update_scale(shrinking, 1.0, 0.5) == 1.0
+
+
+def test_children_of_a_square_whose_pairs_disagree_all_take_the_grown_scale(monkeypatch):
+    # Seed-17 spatial10 tests a square whose pairs fail convergence twice and
+    # containment once: each of its four children takes the parent's scale
+    # plus epsilon, as the containment failure asks.
+    workloads = _bench_workloads(monkeypatch)
+    case = next(c for c in workloads.spatial_crossings(17) if c.name == "spatial10")
+    mixed, squares = [], []
+
+    def observer(event, payload):
+        if event == "square":
+            squares.append(payload["square"])
+        elif event == "kantorovich":
+            statuses = {t.status for t in payload["outcome"].pairs}
+            if {PairStatus.FAIL_CONTAINMENT, PairStatus.FAIL_CONVERGENCE} <= statuses:
+                mixed.append(payload["square"])
+
+    config = SolverConfig()
+    solve(BezierCurve(case.curve1), BezierCurve(case.curve2), config, observer)
+    assert mixed
+    for parent in mixed:
+        (cu, cv), h = parent.center, parent.half_width
+        children = [
+            sq for sq in squares
+            if sq.depth == parent.depth + 1
+            and abs(sq.center[0] - cu) == abs(sq.center[1] - cv) == 0.5 * h
+        ]
+        assert len(children) == 4
+        assert {sq.scale for sq in children} == {parent.scale + config.epsilon}
 
 
 # ---------------------------------------------------------------------------
@@ -171,18 +211,18 @@ def _region(center, rho_plus):
 
 
 def test_region_prunes_square_empty_list():
-    assert not region_prunes_square([], Square((0.5, 0.5), 0.25, (1.5,) * 3))
+    assert not region_prunes_square([], Square((0.5, 0.5), 0.25, 1.5))
 
 
 def test_region_prunes_square_inside_one_region():
     regions = [_region((0.5, 0.5), 0.4)]
-    assert region_prunes_square(regions, Square((0.5, 0.5), 0.25, (1.5,) * 3))
+    assert region_prunes_square(regions, Square((0.5, 0.5), 0.25, 1.5))
 
 
 def test_region_union_does_not_prune():
     # the square is covered only by the union of the two regions
     regions = [_region((0.25, 0.5), 0.3), _region((0.75, 0.5), 0.3)]
-    square = Square((0.5, 0.5), 0.3, (1.5,) * 3)
+    square = Square((0.5, 0.5), 0.3, 1.5)
     assert not region_prunes_square(regions, square)
     assert all(
         r.contains_point(p) or other.contains_point(p)
@@ -295,23 +335,23 @@ def test_point_is_known():
 
 def test_square_validation():
     with pytest.raises(ValueError):
-        Square((0.5, 0.5), 0.25, (0.9, 1.5, 1.5))
+        Square((0.5, 0.5), 0.25, 0.9)
     with pytest.raises(ValueError):
-        Square((0.9, 0.9), 0.5, (1.5, 1.5, 1.5))
+        Square((0.9, 0.9), 0.5, 1.5)
     with pytest.raises(ValueError):
-        Square((0.5, 0.5), 0.0, (1.5, 1.5, 1.5))
+        Square((0.5, 0.5), 0.0, 1.5)
     # NaN fails every comparison; it and infinities must still be refused.
     nan, inf = float("nan"), float("inf")
-    for center, half_width, scales in (
-        ((0.5, 0.5), nan, (1.5, 1.5, 1.5)),
-        ((0.5, 0.5), inf, (1.5, 1.5, 1.5)),
-        ((nan, 0.5), 0.25, (1.5, 1.5, 1.5)),
-        ((0.5, nan), 0.25, (1.5, 1.5, 1.5)),
-        ((0.5, 0.5), 0.25, (1.5, nan, 1.5)),
-        ((0.5, 0.5), 0.25, (1.5, 1.5, inf)),
+    for center, half_width, scale in (
+        ((0.5, 0.5), nan, 1.5),
+        ((0.5, 0.5), inf, 1.5),
+        ((nan, 0.5), 0.25, 1.5),
+        ((0.5, nan), 0.25, 1.5),
+        ((0.5, 0.5), 0.25, nan),
+        ((0.5, 0.5), 0.25, inf),
     ):
         with pytest.raises(ValueError):
-            Square(center, half_width, scales)
+            Square(center, half_width, scale)
 
 
 def test_config_validation():

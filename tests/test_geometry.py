@@ -167,6 +167,38 @@ def test_split_and_jet_weights_are_the_closed_form_bit_for_bit():
         assert not _center_weights(m).flags.writeable
 
 
+def _exact_center_weights(m: int) -> list[list[Fraction]]:
+    """``_center_weights(m)`` in exact arithmetic: row k is m!/(m-k)! times
+    the degree-(m-k) basis at 1/2, differenced k times."""
+    rows = []
+    for k in range(3):
+        if k > m:
+            rows.append([Fraction(0)] * (m + 1))
+            continue
+        row = [Fraction(math.comb(m - k, i), 2 ** (m - k)) for i in range(m - k + 1)]
+        for _ in range(k):
+            padded = [Fraction(0), *row, Fraction(0)]
+            row = [x - y for x, y in zip(padded[:-1], padded[1:])]
+        rows.append([math.perm(m, k) * x for x in row])
+    return rows
+
+
+def test_weights_at_one_half_are_exact_below_the_degrees_the_floor_proof_names():
+    # omega's lower bound takes the center weights as exact below degree 50
+    # and the quarter splits' as exact below 57; from there on they round,
+    # and the bound's allowance covers it (``kantorovich._omega_floor``).
+    for m in range(61):
+        center = [[Fraction(w) for w in row] for row in _center_weights(m).tolist()]
+        assert (center == _exact_center_weights(m)) == (m < 50), m
+        left, right = _restriction_matrix(m, 0.0, 0.5), _restriction_matrix(m, 0.5, 1.0)
+        exact = all(
+            Fraction(left[k, j]) == Fraction(math.comb(k, j), 2**k)
+            and Fraction(right[m - k, m - j]) == Fraction(math.comb(k, j), 2**k)
+            for k in range(m + 1) for j in range(k + 1)
+        )
+        assert exact == (m < 57), m
+
+
 def test_jet_is_the_closed_form_contraction_bit_for_bit():
     # ``jet`` gathers both axes' weights in one pass. Its value and Jacobian
     # must be the net contracted with each axis's closed-form weights, bit
@@ -230,6 +262,17 @@ def test_derivative_curve_finite_difference():
     for t in rng.uniform(0.1, 0.9, 20):
         fd = (eval_curve(c, t + h) - eval_curve(c, t - h)) / (2 * h)
         assert np.abs(eval_curve(d, t) - fd).max() <= 1e-6
+
+
+def test_derivative_curve_is_the_difference_formula_bit_for_bit():
+    # The hodograph goes through ``derivative_coeffs``: m (p[1:] - p[:-1]),
+    # and one zero point at degree 0.
+    rng = np.random.default_rng(57)
+    for m in range(21):
+        pts = rng.normal(size=(m + 1, 3)) * 10.0 ** rng.integers(-8, 9, (m + 1, 1))
+        expected = np.zeros((1, 3)) if m == 0 else m * (pts[1:] - pts[:-1])
+        got = derivative_curve(BezierCurve(pts)).control_points
+        assert got.tobytes() == expected.tobytes(), m
 
 
 def test_curve_validation():

@@ -295,12 +295,12 @@ def test_rho_radii_ordering():
 # ---------------------------------------------------------------------------
 # Full test classification
 
-def _test_square(net, center, half_width, scales):
+def _test_square(net, center, half_width, scale):
     """``test_pairs`` on one square of a net given over the unit square."""
     systems = [PairSystem(net, pair) for pair in COMPONENT_PAIRS]
     square = reparametrize(net, Rect.ball(center, half_width))
     return kantorovich.test_pairs(
-        systems, second_derivative_nets(net), square, center, half_width, scales
+        systems, second_derivative_nets(net), square, center, half_width, scale
     )
 
 
@@ -309,7 +309,7 @@ def test_pass_at_exact_transversal_zero():
     coeffs = np.array(
         [[[-1, 0, 0], [0, -1, 0]], [[0, 1, 0], [1, 0, 0]]], dtype=float
     )
-    outcome = _test_square(ControlNet(coeffs), (0.5, 0.5), 0.5, (1.5, 1.5, 1.5))
+    outcome = _test_square(ControlNet(coeffs), (0.5, 0.5), 0.5, 1.5)
     passed = outcome.passed
     assert passed is not None and passed.pair == (0, 1)
     assert passed.eta == 0.0
@@ -327,7 +327,7 @@ def test_fail_containment_for_far_affine_zero():
     for i in range(2):
         for j in range(2):
             coeffs[i, j] = b + i * gu + j * gv
-    outcome = _test_square(ControlNet(coeffs), (0.5, 0.5), 0.1, (1.5, 1.5, 1.5))
+    outcome = _test_square(ControlNet(coeffs), (0.5, 0.5), 0.1, 1.5)
     t = outcome.pairs[0]
     assert t.pair == (0, 1)
     assert t.status is PairStatus.FAIL_CONTAINMENT
@@ -339,7 +339,7 @@ def test_singular_pairs_recorded_for_planar_curves():
     rng = np.random.default_rng(45)
     coeffs = random_net_coeffs(rng, 3, 3)
     coeffs[:, :, 2] = 0.0
-    outcome = _test_square(ControlNet(coeffs), (0.5, 0.5), 0.25, (1.5, 1.5, 1.5))
+    outcome = _test_square(ControlNet(coeffs), (0.5, 0.5), 0.25, 1.5)
     if outcome.passed is None:
         assert [t.pair for t in outcome.pairs] == list(COMPONENT_PAIRS)
         assert outcome.pairs[1].status is PairStatus.SINGULAR_JACOBIAN
@@ -363,32 +363,30 @@ def _count_restrictions_and_omegas(monkeypatch) -> dict[str, int]:
     return calls
 
 
-@pytest.mark.parametrize("planar, restrictions, omegas", [(False, 6, 3), (True, 3, 1)])
-def test_one_restriction_per_net_and_domain_one_omega_per_pair(
-    monkeypatch, planar, restrictions, omegas
-):
+@pytest.mark.parametrize("planar, omegas", [(False, 3), (True, 1)])
+def test_at_most_one_restriction_per_net_per_tested_square(monkeypatch, planar, omegas):
     # An affine map has omega = 0, so omega's lower bound decides nothing and
-    # every non-singular pair takes the full test. Scales (1.5, 1.5, 1.45)
-    # give two test domains; each restricts the three second-derivative nets
-    # once, and only when a non-singular pair needs it. The zero lies far
-    # outside the domains, so every pair fails containment.
+    # every non-singular pair takes the full test. The pairs share the
+    # square's one test domain, which restricts the three second-derivative
+    # nets once, however many pairs need omega. The zero lies far outside
+    # the domain, so every pair fails containment.
     b = np.array([8.0, 8.0, 0.0 if planar else 8.0])
     gu = np.array([1.0, 0.0, 0.0 if planar else 0.5])
     gv = np.array([0.0, 1.0, 0.0 if planar else -0.5])
     coeffs = np.array([[b + (i / 2) * gu + (j / 2) * gv for j in range(3)] for i in range(3)])
     calls = _count_restrictions_and_omegas(monkeypatch)
-    outcome = _test_square(ControlNet(coeffs), (0.5, 0.5), 0.5, (1.5, 1.5, 1.45))
+    outcome = _test_square(ControlNet(coeffs), (0.5, 0.5), 0.5, 1.5)
     assert outcome.passed is None and len(outcome.pairs) == 3
     singular = [t.status is PairStatus.SINGULAR_JACOBIAN for t in outcome.pairs]
     assert singular == [False, planar, planar]
     assert outcome.pairs[0].status is PairStatus.FAIL_CONTAINMENT
-    assert calls == {"reparametrize": restrictions, "omega": omegas}
+    assert calls == {"reparametrize": 3, "omega": omegas}
 
 
 def test_pairs_failed_by_omegas_lower_bound_restrict_nothing(monkeypatch):
     calls = _count_restrictions_and_omegas(monkeypatch)
     coeffs = random_net_coeffs(np.random.default_rng(49), 5, 4)
-    outcome = _test_square(ControlNet(coeffs), (0.5, 0.5), 0.5, (1.5, 1.5, 1.45))
+    outcome = _test_square(ControlNet(coeffs), (0.5, 0.5), 0.5, 1.5)
     assert [t.status for t in outcome.pairs] == [PairStatus.FAIL_CONVERGENCE] * 3
     assert all(t.omega is None for t in outcome.pairs)
     assert calls == {"reparametrize": 0, "omega": 0}
@@ -442,7 +440,7 @@ def test_classification_matches_monomial_reimplementation():
         r = float(rng.uniform(0.05, 0.3))
         scale = float(rng.uniform(1.0, 2.5))
         net = ControlNet(coeffs)
-        outcome = _test_square(net, x0, r, (scale,) * 3)
+        outcome = _test_square(net, x0, r, scale)
         jac = jet(reparametrize(net, Rect.ball(x0, r)), (0.5, 0.5))[1] / (2.0 * r)
         for t in outcome.pairs:
             if t.status is PairStatus.SINGULAR_JACOBIAN:
@@ -500,7 +498,7 @@ def _passing_instances(seed, count):
         net3 = random_net_coeffs(rng, 3, 3)
         net3 -= eval_net(ControlNet(net3), *z)
         x0 = tuple(z + rng.uniform(-0.05, 0.05, 2))
-        outcome = _test_square(ControlNet(net3), x0, 0.1, (1.5, 1.5, 1.5))
+        outcome = _test_square(ControlNet(net3), x0, 0.1, 1.5)
         if outcome.passed is not None:
             found.append((ControlNet(net3), x0, outcome.passed))
     return found
@@ -642,7 +640,7 @@ def test_explored_region_affine_case_equals_test_domain():
     for i in range(2):
         for j in range(2):
             coeffs[i, j] = b + i * gu + j * gv
-    outcome = _test_square(ControlNet(coeffs), (0.5, 0.5), 0.5, (1.5, 1.5, 1.5))
+    outcome = _test_square(ControlNet(coeffs), (0.5, 0.5), 0.5, 1.5)
     passed = outcome.passed
     assert passed is not None and passed.rho_plus == math.inf
     region = explored_region(passed, (0.5, 0.5))
@@ -670,7 +668,7 @@ def test_explored_region_square_containment_is_corner_test():
             (c[0] - r, c[1] + r), (c[0] + r, c[1] + r),
         ]
         expected = all(region.contains_point(p) for p in corners)
-        assert region_prunes_square([region], Square(c, r, (1.5, 1.5, 1.5))) == expected
+        assert region_prunes_square([region], Square(c, r, 1.5)) == expected
 
 
 def test_explored_region_below_rounding_is_none():
@@ -721,7 +719,7 @@ def _curvature(carried, half_width):
     return [center, *(corner_seconds(carried) / area).tolist()]
 
 
-def _always_restricting_test(systems, seconds, net, center, half_width, scales):
+def _always_restricting_test(systems, seconds, net, center, half_width, scale):
     """(status, eta, omega, rho_minus, decided) per tested pair, omega always
     restricted.
 
@@ -734,7 +732,7 @@ def _always_restricting_test(systems, seconds, net, center, half_width, scales):
     value, jac = value.tolist(), jac / (2.0 * half_width)
     curvature = _curvature(net, half_width)
     results = []
-    for system, scale in zip(systems, scales):
+    for system in systems:
         i, k = system.pair
         jac_inv = inverse_2x2(*jac[[i, k]].ravel().tolist())
         if jac_inv is None:
@@ -760,8 +758,8 @@ def _always_restricting_test(systems, seconds, net, center, half_width, scales):
 
 def test_statuses_and_read_values_match_the_always_restricting_test():
     # Squares along random quarter paths toward a zero of the net, carried
-    # down as the solver carries them, at depths 0-24 and random per-pair
-    # scales: some planar (singular pairs), some passing, most failing.
+    # down as the solver carries them, at depths 0-24 and a random scale per
+    # square: some planar (singular pairs), some passing, most failing.
     rng = np.random.default_rng(52)
     seen = {"decided": 0, "restricted failure": 0, "pass": 0, "singular": 0}
     for _ in range(300):
@@ -781,11 +779,11 @@ def test_statuses_and_read_values_match_the_always_restricting_test():
             lo[1] += width * (k // 2)
             path.append(k)
         carried, center, h = _carried_square(net, path)
-        scales = tuple(float(x) for x in 1.0 + 0.05 * rng.integers(0, 31, 3))
+        scale = float(1.0 + 0.05 * rng.integers(0, 31))
         seconds = second_derivative_nets(net)
         systems = [PairSystem(net, pair) for pair in COMPONENT_PAIRS]
-        outcome = kantorovich.test_pairs(systems, seconds, carried, center, h, scales)
-        expected = _always_restricting_test(systems, seconds, carried, center, h, scales)
+        outcome = kantorovich.test_pairs(systems, seconds, carried, center, h, scale)
+        expected = _always_restricting_test(systems, seconds, carried, center, h, scale)
         assert len(outcome.pairs) == len(expected)
         for t, (status, eta, omega, rho_minus, decided) in zip(outcome.pairs, expected):
             if t.omega is None and status is not PairStatus.SINGULAR_JACOBIAN:
@@ -821,7 +819,7 @@ def test_omega_on_deep_squares_matches_exact_restriction():
         jac = jet(carried, (0.5, 0.5))[1] / (2.0 * h)
         curvature = _curvature(carried, h)
         for scale in (1.0, 1.5, 2.5):
-            outcome = kantorovich.test_pairs(systems, seconds, carried, center, h, (scale,) * 3)
+            outcome = kantorovich.test_pairs(systems, seconds, carried, center, h, scale)
             d = outcome.pairs[0].test_domain
             restricted = []
             for second in seconds:
@@ -860,13 +858,15 @@ def test_cached_floor_slack_is_its_formula_bit_for_bit():
     # ``_floor_slack`` caches the factors that depend only on the degrees and
     # the half-width; the slack must stay the formula written out, on a first
     # call and on a cached one, for domains inside and past the unit square.
+    # From degree 50 the weights at 1/2 round, and the depth levels double.
     rng = np.random.default_rng(20)
-    for m, n in ((0, 0), (1, 3), (3, 1), (9, 9), (13, 12), (16, 10)):
+    for m, n in ((0, 0), (1, 3), (3, 1), (9, 9), (13, 12), (16, 10), (50, 3), (57, 60)):
         net = ControlNet(rng.normal(size=(m + 1, n + 1, 3)))
         for depth in (0, 1, 5, 17, 40):
             h = 2.0 ** -(depth + 1)
             width = 2.0 * h
             levels = (max(0, 1 - math.frexp(width)[1]) + 2) / (width * width)
+            levels *= 1 if max(m, n) < 50 else 2
             for center in ((0.5, 0.5), (h, 1.0 - h), (0.375, 0.625)):
                 for scale in (1.0, 1.45, 1.5, 3.0, 1e3):
                     domain = Rect.ball(center, scale * h)
@@ -882,6 +882,57 @@ def test_cached_floor_slack_is_its_formula_bit_for_bit():
     assert kantorovich._floor_slack(net, 0.5, domain) == math.inf
 
 
+def _as_integers(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Floats as Python ints over one common power-of-two denominator."""
+    ratios = [x.as_integer_ratio() for x in values.ravel().tolist()]
+    d = max(q for _, q in ratios)
+    return np.array([p * (d // q) for p, q in ratios], dtype=object).reshape(values.shape), d
+
+
+def _exact_unit_omega(net, pair, jac_inv):
+    """omega over the unit square in exact arithmetic, from the pair's second
+    differences of ``net`` and the given J^-1, in integers."""
+    (c, dc), (inv, di) = _as_integers(net.coeffs[:, :, list(pair)]), _as_integers(np.array(jac_inv))
+    m, n = net.degree_u, net.degree_v
+    du, dv = m * (c[1:] - c[:-1]), n * (c[:, 1:] - c[:, :-1])
+    seconds = ((m - 1) * (du[1:] - du[:-1]), n * (du[:, 1:] - du[:, :-1]),
+               (n - 1) * (dv[:, 1:] - dv[:, :-1]))
+    inv = inv.reshape(2, 2).T
+    m_uu, m_uv, m_vv = (np.abs(s.reshape(-1, 2) @ inv).max(axis=0) for s in seconds)
+    return Fraction(max(m_uu + 2 * m_uv + m_vv), dc * di)
+
+
+def test_omega_floor_stays_below_the_exact_omega_where_the_weights_round():
+    # From degree 50 the center weights at 1/2 round; the lower bound's
+    # allowance covers that, so at degrees 50-60 the floor over the center
+    # and the corners of the root square, at scale 1, stays at most the
+    # exact omega over the unit square. On nets quadratic in the indices,
+    # whose second differences are exactly constant, the floor comes within
+    # 1e-6 of it.
+    rng = np.random.default_rng(58)
+    checked = 0
+    for m in range(50, 61):
+        n = 110 - m
+        i, j = np.meshgrid(np.arange(m + 1.0), np.arange(n + 1.0), indexing="ij")
+        terms = np.stack([i * i, i * j, j * j, i, j, np.ones_like(i)], axis=-1)
+        quadratic = np.ldexp(terms @ rng.integers(-50, 51, (6, 3)).astype(float), -20)
+        for net, tight in ((ControlNet(random_net_coeffs(rng, m, n)), False),
+                           (ControlNet(quadratic), True)):
+            slack = kantorovich._floor_slack(net, 0.5, Rect(0.0, 1.0, 0.0, 1.0))
+            curvature = _curvature(net, 0.5)
+            jac = jet(net, (0.5, 0.5))[1]
+            for pair in COMPONENT_PAIRS:
+                jac_inv = inverse_2x2(*jac[list(pair)].ravel().tolist())
+                if jac_inv is None:
+                    continue
+                floor = kantorovich._omega_floor(PairSystem(net, pair), jac_inv, curvature, slack)
+                exact = _exact_unit_omega(net, pair, jac_inv)
+                assert floor <= exact, (m, pair)
+                assert not tight or floor >= exact * (1 - Fraction(1, 10**6)), (m, pair)
+                checked += 1
+    assert checked >= 60
+
+
 def test_a_slack_too_large_fails_the_pair_without_omega(monkeypatch):
     # A test domain whose floor slack reaches _MAX_SLACK fails every
     # non-singular pair as a convergence failure and restricts nothing.
@@ -890,7 +941,7 @@ def test_a_slack_too_large_fails_the_pair_without_omega(monkeypatch):
     seconds = second_derivative_nets(net)
     monkeypatch.setattr(kantorovich, "reparametrize", _unreachable)
     for scale in (1e15, 1e300):
-        outcome = kantorovich.test_pairs(systems, seconds, net, (0.5, 0.5), 0.5, (scale,) * 3)
+        outcome = kantorovich.test_pairs(systems, seconds, net, (0.5, 0.5), 0.5, scale)
         assert [t.status for t in outcome.pairs] == [PairStatus.FAIL_CONVERGENCE] * 3
         assert all(t.eta is not None and t.omega is None for t in outcome.pairs)
 

@@ -7,10 +7,11 @@ the number of squares examined and one SHA-256 over the run::
     python3 tools/identity.py
 
 The digest covers every observer event with its square (center, half-width,
-scales and depth), each tested pair's status and eta, each Newton root and
-every reported root, floats by their exact bits. It leaves out omega, which
-the convergence test reports only for the pairs it restricts. Two commits
-that print the same lines made the same decisions and found the same roots.
+test-domain multiplier and depth), each tested pair's status and eta, each
+Newton root and every reported root, floats by their exact bits. It leaves
+out omega, which the convergence test reports only for the pairs it
+restricts. Two commits that print the same lines made the same decisions
+and found the same roots.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def bits(x) -> str:
 
 
 def square_key(sq) -> str:
-    return " ".join([*map(bits, sq.center), bits(sq.half_width), *map(bits, sq.scales), str(sq.depth)])
+    return " ".join([*map(bits, sq.center), bits(sq.half_width), bits(sq.scale), str(sq.depth)])
 
 
 def event_line(event: str, payload: dict) -> str:
