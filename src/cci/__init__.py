@@ -3,7 +3,7 @@
 The solver covers the unit parameter square with a FIFO queue of squares,
 discards squares whose Bernstein coefficient hull excludes the origin,
 certifies Newton convergence from square centers with a Kantorovich-type
-test run per 2-of-3-coordinate sub-system, refines certified starts with
+test of one projected 2x2 system per square, refines certified starts with
 Newton's method, and prunes around confirmed intersections using the
 theorem's uniqueness ball. Test-domain sizes can adapt from each parent
 square's failure mode or stay fixed.
@@ -18,13 +18,11 @@ from .geometry import (
     difference_net,
     eval_curve,
     eval_net,
-    extract_pair,
     reparametrize,
     sample_curve,
 )
 from .exclusion import exclusion_test
 from .kantorovich import (
-    COMPONENT_PAIRS,
     KantorovichOutcome,
     PairStatus,
     PairTest,

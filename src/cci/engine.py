@@ -45,12 +45,10 @@ from .geometry import (
     unchecked,
 )
 from .kantorovich import (
-    COMPONENT_PAIRS,
     KantorovichOutcome,
     PairStatus,
     PairSystem,
     explored_region,
-    second_derivative_nets,
     test_pairs,
 )
 from .newton import newton_solve
@@ -90,7 +88,7 @@ Observer = Callable[[str, dict], None]
 class Square:
     """Candidate subdomain: the closed ball of ``half_width`` about ``center``.
 
-    ``scale`` is the test-domain multiplier (always >= 1): every pair is
+    ``scale`` is the test-domain multiplier (always >= 1): the square is
     tested in the ball of half-width ``scale * half_width`` about ``center``.
     """
 
@@ -143,7 +141,7 @@ class IntersectionRecord:
 @dataclass
 class SolveReport:
     # The residual below which a refined point counted as an intersection:
-    # 1e-6 times the largest coefficient magnitude of the difference net.
+    # 1e-9 times the largest coefficient magnitude of the difference net.
     zero_tol: float
     intersections: list[IntersectionRecord] = field(default_factory=list)
     squares_examined: int = 0
@@ -157,17 +155,14 @@ class SolveReport:
 def update_scale(outcome: KantorovichOutcome, scale: float, epsilon: float) -> float:
     """Children's test-domain multiplier from the parent's test outcome.
 
-    A passing parent, or a step of 0, hands its multiplier down unchanged.
-    Otherwise a containment failure of any pair grows it by epsilon; failing
-    that, a convergence failure of any pair shrinks it by epsilon (never
-    below 1); a square whose pairs are all singular keeps it.
+    A containment failure grows the multiplier by epsilon and a convergence
+    failure shrinks it by epsilon, never below 1; a pass or a singular
+    Jacobian keeps it, and so does a step of 0.
     """
-    if not epsilon or outcome.passed is not None:
-        return scale
-    statuses = {t.status for t in outcome.pairs}
-    if PairStatus.FAIL_CONTAINMENT in statuses:
+    (test,) = outcome.pairs
+    if test.status is PairStatus.FAIL_CONTAINMENT:
         return scale + epsilon
-    if PairStatus.FAIL_CONVERGENCE in statuses:
+    if test.status is PairStatus.FAIL_CONVERGENCE:
         return max(1.0, scale - epsilon)
     return scale
 
@@ -218,11 +213,7 @@ def _trace_log(event: str, payload: dict) -> None:
         )
     elif event == "kantorovich":
         for t in payload["outcome"].pairs:
-            log.log(
-                TRACE,
-                "  pair %s: %s eta=%s omega=%s rho-=%s",
-                t.pair, t.status.value, t.eta, t.omega, t.rho_minus,
-            )
+            log.log(TRACE, "  test: %s eta=%s omega=%s rho-=%s", t.status.value, t.eta, t.omega, t.rho_minus)
     elif event == "intersection":
         record = payload["record"]
         log.log(TRACE, "  new intersection at (%.12g, %.12g)", record.u, record.v)
@@ -250,10 +241,9 @@ def solve(
 ) -> SolveReport:
     """Find all intersections of two curves; see the module docstring.
 
-    A run is single-threaded and deterministic: FIFO order, a fixed child
-    order and a fixed component-pair order are part of the observable
-    contract. Inputs are immutable, so distinct runs may execute
-    concurrently.
+    A run is single-threaded and deterministic: FIFO order and a fixed
+    child order are part of the observable contract. Inputs are immutable,
+    so distinct runs may execute concurrently.
 
     A square that records a new intersection whose explored region
     contains it is finished: it queues no children and counts no
@@ -278,8 +268,7 @@ def solve(
     scale = float(np.abs(net.coeffs).max())
     _, exponent = math.frexp(scale)
     unit_net = ControlNet(np.ldexp(net.coeffs, -exponent))
-    systems = [PairSystem(unit_net, pair) for pair in COMPONENT_PAIRS]
-    seconds = second_derivative_nets(unit_net)
+    system = PairSystem(unit_net)
 
     step = 0.0 if config.mode == "fixed" else config.epsilon
     root = Square((0.5, 0.5), 0.5, INITIAL_SCALE, 0)
@@ -291,7 +280,7 @@ def solve(
     squares, rows = [root], unit_net.coeffs[None]
     families: deque[tuple[list[Square], np.ndarray]] = deque()
     regions: list[Rect] = []
-    report = SolveReport(1e-6 * scale)
+    report = SolveReport(1e-9 * scale)
     emit = _with_trace_log(observer) if log.isEnabledFor(TRACE) else observer
     observing = emit is not _ignore_events  # else build no event payloads
 
@@ -320,15 +309,18 @@ def solve(
                 continue
 
             carried = unchecked(ControlNet, coeffs=row)
-            outcome = test_pairs(systems, seconds, carried, sq.center, sq.half_width, sq.scale)
+            outcome = test_pairs(system, carried, sq.center, sq.half_width, sq.scale)
             if observing:
                 emit("kantorovich", {"square": sq, "outcome": outcome})
 
             passed = outcome.passed
             if passed is not None:
                 report.kantorovich_passes += 1
-                system = systems[COMPONENT_PAIRS.index(passed.pair)]
-                result = newton_solve(system.net, sq.center)
+                # Newton refines g = P f over the unit square from the test's
+                # own first iterate.
+                projected = unchecked(ControlNet, coeffs=unit_net.coeffs @ np.array(passed.projection).T)
+                (cu, cv), (du, dv) = sq.center, passed.step
+                result = newton_solve(projected, (cu - du, cv - dv))
                 if observing:
                     emit("newton", {"square": sq, "passed": passed, "result": result})
                 if result.converged:

@@ -448,11 +448,3 @@ def restriction_growth(net: ControlNet, target: Rect) -> float:
     except OverflowError:
         return math.inf
 
-
-def extract_pair(net: ControlNet, pair: tuple[int, int]) -> ControlNet:
-    """Two-component sub-net selecting coordinate ``pair`` of the map's value."""
-    i, j = pair
-    d = net.dim
-    if not (0 <= i < d and 0 <= j < d) or i == j:
-        raise ValueError(f"invalid component pair {pair} for dimension {d}")
-    return unchecked(ControlNet, coeffs=net.coeffs[:, :, [i, j]])  # columns of a checked net

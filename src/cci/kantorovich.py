@@ -1,35 +1,42 @@
 """Convergence test for Newton starts, based on Kantorovich's theorem.
 
-For a candidate square centered at x0, each of the three 2-of-3-coordinate
-sub-systems of the intersection map is tested in the square's one test
-domain, a square about x0 that the parent's outcome sized.
-A sub-system passes when h = eta * omega, its first Newton step bound eta
-times a certified Lipschitz constant omega for the preconditioned Jacobian,
-stays at or below ``PASS_BOUND`` (0.45, where the base algorithm of
-Srijuntongsiri and Vavasis uses 1/4) and the existence ball of radius
+For a candidate square centered at x0, the intersection map f (three
+components, two unknowns) is tested as one square system g = P f in the
+square's one test domain, a square about x0 that the parent's outcome
+sized. P = (J^T J)^-1 J^T is the pseudo-inverse of f's Jacobian J at x0
+(``projection``), so g's Jacobian there is P J = I: the affine-invariant
+Gauss-Newton view of the overdetermined system (Deuflhard 2004, ch. 4). For
+planar curves P inverts the two planar rows, and g is the paper's 2x2
+system. A square passes when h = eta * omega, its first Newton step bound
+eta = |P f(x0)| times a certified Lipschitz constant omega of g's
+Jacobian, stays at or below ``PASS_BOUND`` (0.45, where the base algorithm
+of Srijuntongsiri and Vavasis uses 1/4) and the existence ball of radius
 rho_minus fits inside the test domain. For any h < 1/2 the affine-covariant
-Kantorovich theorem (Deuflhard 2004, ch. 2) gives a zero in that ball, no
-other in the rho_plus ball within the domain, and Newton's convergence from
-x0 to it, so a pass also yields an explored region in which no other zero
-can hide. 0.45 keeps clear of 1/2: a computed h <= 0.45 leaves 1 - 2h >= 0.1
-in ``rho_radii`` (2h is exact, and 1 - 2h rounds by at most u = 2^-53
-relative, not at all for 2h >= 1/2 by Sterbenz's lemma), far from 0, and
-rho_minus < 1.52 eta; the few u of rounding in eta, omega and h cannot carry
-a true h past 1/2. The proof that omega's lower bound fails only pairs the
-full test fails holds for any positive bound (``_omega_floor``).
+Kantorovich theorem (Deuflhard 2004, ch. 2) gives a zero of g in that ball,
+no other in the rho_plus ball within the domain, and Newton's convergence
+from x0 to it. Every zero of f is one of g, so a pass also yields an
+explored region in which no other zero of f can hide; a zero of g that is
+no zero of f fails the solver's residual check. 0.45 keeps clear of 1/2: a
+computed h <= 0.45 leaves 1 - 2h >= 0.1 in ``rho_radii`` (2h is exact, and
+1 - 2h rounds by at most u = 2^-53 relative, not at all for 2h >= 1/2 by
+Sterbenz's lemma), far from 0, and rho_minus < 1.52 eta; the few u of
+rounding in eta, omega and h cannot carry a true h past 1/2. P is the
+computed matrix, so g is exactly the map tested; only P J = I holds to
+rounding. The proof that omega's lower bound fails only squares the full
+test fails holds for any positive bound (``_omega_floor``).
 
 Most tested squares fail, and a failure needs only a lower bound on omega:
 omega's row sums at the square's center, less a proven rounding allowance,
-and where the center leaves a pair open, the largest terms over the center
-and the square's four corners, read once per square. Pairs it fails
-restrict nothing and report no omega; the others take the full test, so
-every status is the one the full test alone would give. The allowance is
-cached but for the test domain's ``restriction_growth``, and a domain so
-far out that it reaches ``_MAX_SLACK`` fails its pairs outright.
+and where the center leaves the square open, the largest terms over the
+center and the square's four corners. A square it fails restricts nothing
+and reports no omega; the others take the full test, so every status is
+the one the full test alone would give. The allowance is cached but for
+the test domain's ``restriction_growth``, and a domain so far out that it
+reaches ``_MAX_SLACK`` fails outright.
 
 ``test_pairs`` is the only producer of eta, omega, rho_minus and rho_plus;
-a numerically singular Jacobian is a pair status, not an exception. All
-norms are infinity norms, so balls, test domains and explored regions are
+a numerically singular Jacobian is a status, not an exception. All norms
+are infinity norms, so balls, test domains and explored regions are
 axis-aligned ``Rect``s.
 """
 
@@ -50,14 +57,13 @@ from .geometry import (
     corner_seconds,
     derivative_coeffs,
     eval_net,  # noqa: F401 -- unused here; bench/tracing.py patches this binding
-    extract_pair,
     reparametrize,
     restriction_growth,
     unchecked,
 )
 
-# The three 2x2 sub-systems of a 3-component map, in fixed test order.
-COMPONENT_PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (1, 2))
+# P's two rows, each over the map's three components.
+Projection = tuple[tuple[float, float, float], tuple[float, float, float]]
 
 
 class PairStatus(enum.Enum):
@@ -73,43 +79,45 @@ class PairStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class PairTest:
-    """Result of the convergence test for one component pair.
+    """Result of the convergence test of one square's system g = P f.
 
-    ``eta`` and ``omega`` are None for a singular Jacobian, and ``omega``
-    also for a convergence failure that omega's lower bound or its rounding
-    allowance decided: the test never computes that omega. The radii are
-    set only when eta * omega <= ``PASS_BOUND``.
+    ``projection`` holds P's rows, and ``step`` the first Newton step
+    P f(x0), whose larger magnitude is ``eta``; all three are None for a
+    singular Jacobian. ``omega`` is None also for a convergence failure that
+    omega's lower bound or its rounding allowance decided: the test never
+    computes that omega. The radii are set only when
+    eta * omega <= ``PASS_BOUND``.
     """
 
-    pair: tuple[int, int]
+    projection: Projection | None
     status: PairStatus
     test_domain: Rect
     eta: float | None = None
     omega: float | None = None
     rho_minus: float | None = None
     rho_plus: float | None = None
+    step: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)
 class KantorovichOutcome:
-    """Per-pair results for one square; ``passed`` is the first passing pair.
-
-    Pairs after a pass are not evaluated, so ``pairs`` holds only the tested
-    prefix: all three, in ``COMPONENT_PAIRS`` order, whenever the overall
-    test fails.
-    """
+    """A square's test result: ``pairs`` holds its one ``PairTest``, and
+    ``passed`` is that test when it passed."""
 
     pairs: tuple[PairTest, ...]
 
     @property
     def passed(self) -> PairTest | None:
-        for t in self.pairs:
-            if t.status is PairStatus.PASS:
-                return t
-        return None
+        (test,) = self.pairs
+        return test if test.status is PairStatus.PASS else None
 
 
 _SINGULAR_RTOL = 1e-14
+
+
+def _singular(det: float, norm: float) -> bool:
+    """A 2x2 determinant counts as singular when |det| <= 1e-14 * max(1, norm^2)."""
+    return abs(det) <= _SINGULAR_RTOL * max(1.0, norm**2)
 
 
 def inverse_2x2(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float] | None:
@@ -120,10 +128,31 @@ def inverse_2x2(a: float, b: float, c: float, d: float) -> tuple[float, float, f
     infinity norm, decided on the four entries as scalars.
     """
     det = a * d - b * c
-    norm = max(abs(a) + abs(b), abs(c) + abs(d))
-    if abs(det) <= _SINGULAR_RTOL * max(1.0, norm**2):
+    if _singular(det, max(abs(a) + abs(b), abs(c) + abs(d))):
         return None
     return d / det, -b / det, -c / det, a / det
+
+
+def projection(a: Sequence[float], b: Sequence[float]) -> Projection | None:
+    """P = (J^T J)^-1 J^T for the 3x2 Jacobian J with columns a and b, by rows.
+
+    With n = a x b, whose entries are the 2x2 minors of J (the determinants
+    of its three row pairs, up to sign), P's rows are (b x n) / (n . n) and
+    (n x a) / (n . n): both lie in J's column space, and each is orthogonal
+    to one column and has unit dot product with the other, so P J = I. None
+    when every row pair's determinant is singular by ``inverse_2x2``'s rule.
+    """
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    n0, n1, n2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    r0, r1, r2 = abs(a0) + abs(b0), abs(a1) + abs(b1), abs(a2) + abs(b2)
+    if _singular(n0, max(r1, r2)) and _singular(n1, max(r0, r2)) and _singular(n2, max(r0, r1)):
+        return None
+    nn = n0 * n0 + n1 * n1 + n2 * n2
+    return (
+        ((b1 * n2 - b2 * n1) / nn, (b2 * n0 - b0 * n2) / nn, (b0 * n1 - b1 * n0) / nn),
+        ((n1 * a2 - n2 * a1) / nn, (n2 * a0 - n0 * a2) / nn, (n0 * a1 - n1 * a0) / nn),
+    )
 
 
 def second_derivative_nets(net: ControlNet) -> tuple[ControlNet, ControlNet, ControlNet]:
@@ -136,35 +165,33 @@ def second_derivative_nets(net: ControlNet) -> tuple[ControlNet, ControlNet, Con
 
 
 class PairSystem:
-    """One 2-component sub-system of the intersection map.
+    """The intersection map over the unit square, as the convergence test reads it.
 
-    Built once per solve; ``net`` is the sub-system over the unit square,
-    from which Newton refines certified starts.
+    Built once per solve: ``seconds`` are the map's second-derivative nets,
+    which omega restricts to each test domain, and ``max_coeff`` is the
+    scale of every rounding error in the nets derived from ``net``.
     """
 
-    def __init__(self, net: ControlNet, pair: tuple[int, int]):
-        self.pair = pair
-        self.net = extract_pair(net, pair)
-        # The scale of every rounding error in the nets derived from ``net``.
-        self.max_coeff = float(np.abs(self.net.coeffs).max())
-        m, n = self.net.degree_u, self.net.degree_v
+    def __init__(self, net: ControlNet):
+        self.seconds = second_derivative_nets(net)
+        self.max_coeff = float(np.abs(net.coeffs).max())
+        m, n = net.degree_u, net.degree_v
         uu = max(m - 1, 1) * (n + 1)  # f_uu's rows in omega's block, then f_uv's
         self.offsets = np.array([0, uu, uu + max(m, 1) * max(n, 1)])
 
-    def omega(self, jac_inv: Sequence[float], block: np.ndarray) -> float:
-        """Certified Lipschitz constant for the preconditioned Jacobian on a test domain.
+    def omega(self, rows: Projection, block: np.ndarray) -> float:
+        """Certified Lipschitz constant of g = P f's Jacobian on a test domain.
 
-        ``block`` stacks the coefficients of f_uu, f_uv and f_vv of the full
-        map over the domain, one row per coefficient, shape (K, dim), from
-        ``offsets`` on. With g = J^-1 f and M_xx,i the largest |coefficient|
-        of g_xx,i and J^-1 given by ``inverse_2x2``'s entries, returns
-        max_i (M_uu,i + 2 M_uv,i + M_vv,i) <= 4 max |J^-1 c|:
-        row i of J^-1 (J(x) - J(y)) has entries at most (M_uu,i + M_uv,i) and
+        ``block`` stacks the coefficients of f_uu, f_uv and f_vv of the map
+        over the domain, one row per coefficient, shape (K, 3), from
+        ``offsets`` on. With M_xx,i the largest |coefficient| of g_xx,i and P
+        given by its ``rows``, returns
+        max_i (M_uu,i + 2 M_uv,i + M_vv,i) <= 4 max |P c|:
+        row i of P (J(x) - J(y)) has entries at most (M_uu,i + M_uv,i) and
         (M_uv,i + M_vv,i) times |x - y|, as a Bernstein net bounds its
-        polynomial; J^-1 is linear, so it applies to coefficients.
+        polynomial; P is linear, so it applies to coefficients.
         """
-        a, b, c, d = jac_inv
-        g = np.abs(block[:, self.pair] @ np.array(((a, b), (c, d))).T)
+        g = np.abs(block @ np.array(rows).T)
         (uu0, uu1), (uv0, uv1), (vv0, vv1) = np.maximum.reduceat(g, self.offsets).tolist()
         return max(uu0 + 2.0 * uv0 + vv0, uu1 + 2.0 * uv1 + vv1)
 
@@ -185,12 +212,12 @@ def rho_radii(eta_value: float, omega_value: float) -> tuple[float, float]:
     return 2.0 * eta_value / (1.0 + s), (1.0 + s) / omega_value
 
 
-PASS_BOUND = 0.45  # a pair passes at eta * omega <= PASS_BOUND < 1/2
+PASS_BOUND = 0.45  # a square passes at eta * omega <= PASS_BOUND < 1/2
 _UNIT_ROUNDOFF = 2.0**-53
 # Relative margin of omega's lower bound: it absorbs the rounding of the
 # bound's own arithmetic and of comparing eta * omega with any PASS_BOUND.
 _FLOOR_GUARD = 1e-9
-# A slack this large fails the pair's convergence test, the conservative
+# A slack this large fails the square's convergence test, the conservative
 # answer, before its omega block (at most 4 M^2 G <= 2^46 slack) can overflow.
 _MAX_SLACK = 2.0**960
 
@@ -205,41 +232,46 @@ def _slack_terms(m: int, n: int, half_width: float) -> tuple[float, float]:
 
 
 def _floor_slack(net: ControlNet, half_width: float, domain: Rect) -> float:
-    """The rounding allowance of ``_omega_floor`` over ``domain``, per unit of S |J^-1|."""
+    """The rounding allowance of ``_omega_floor`` over ``domain``, per unit of S |P|."""
     factor, levels = _slack_terms(net.degree_u, net.degree_v, half_width)
     return factor * (levels + 8.0 * restriction_growth(net, domain))
 
 
 def _omega_floor(
     system: PairSystem,
-    jac_inv: Sequence[float],
+    rows: Projection,
     curvature: list[Sequence[Sequence[float]]],
     slack: float,
 ) -> float:
-    """A lower bound on the pair's omega, as the full test computes it.
+    """A lower bound on omega, as the full test computes it.
 
     ``curvature`` holds, per point, f_uu, f_uv and f_vv there, from the
     square's net, divided by (2h)^2: the square's center, then maybe its four
     corners (``corner_seconds``). The scale is at least 1, so every point
     lies in the test domain. In exact arithmetic each value is a convex
     combination of its second-derivative net's Bernstein coefficients over
-    any domain that holds its point, so with
-    g = J^-1 f and P_xx,i the largest |g_xx,i| over the points,
-    P_xx,i <= M_xx,i (``PairSystem.omega``) and
-    max_i (P_uu,i + 2 P_uv,i + P_vv,i) <= omega. Each of its four terms
-    (P_uv,i counts twice) errs, at a point and in the full test's M_xx,i,
-    by at most |J^-1| 4 M^2 2 (m + n + 2) u S (L / (2h)^2 + 8 G), so the
-    allowance ``slack`` S |J^-1| (``_floor_slack``) is four times that, with
-    S = ``system.max_coeff``, M = max(m, n), u the unit roundoff, d the
-    depth and L = d + 2 levels, doubled from M = 50:
+    any domain that holds its point, so with g = P f and Q_xx,i the largest
+    |g_xx,i| over the points, Q_xx,i <= M_xx,i (``PairSystem.omega``) and
+    max_i (Q_uu,i + 2 Q_uv,i + Q_vv,i) <= omega. P enters both sides as the
+    same computed ``rows``, so its own rounding moves neither relative to
+    the other: the proof needs of P only |P|, its largest row sum over three
+    entries. Each of the four terms (Q_uv,i counts twice) errs, at a point
+    and in the full test's M_xx,i, by at most
+    |P| 4 M^2 2 (m + n + 2) u S (L / (2h)^2 + 8 G), so the allowance
+    ``slack`` S |P| (``_floor_slack``) is four times that, with
+    S = ``system.max_coeff``, the full net's largest coefficient, M = max(m, n),
+    u the unit roundoff, d the depth and L = d + 2 levels, doubled from
+    M = 50:
 
     - The net went down d quarter restrictions with convex weights, each
       adding at most (m + n + 2) u S to a coefficient. The weights of a
       second derivative sum in absolute value to at most 4 M^2: at 1/2, and
       at a corner, whose end differences weigh 4 m (m - 1), 4 m n and
       4 n (n - 1). The d levels, the contraction's rounding (a corner's 3 or
-      4 terms round less than the center's) and that of the J^-1 products:
-      d + 2.
+      4 terms round less than the center's) and that of the products with
+      P: d + 2. A product with a row of P sums three terms, within 3 u of
+      |P| times its largest input; a nonzero second derivative needs
+      m + n >= 2, where 3 <= m + n + 2.
     - Below degree 50 the weights at 1/2 (the center's, the quarter splits')
       are exact, and a corner's are small integers. From 50 on, binomials and
       falling factorials round, u each: a center row of order k errs by
@@ -248,8 +280,8 @@ def _omega_floor(
       8 (m + n + 2) u M^2 S >= 416 u M^2 S there: doubling them covers both.
     - The second-derivative nets are rounded differences of the root net,
       off by at most 16 M^2 u S, and the full test restricts them with split
-      weights good to (m + 4) u each, two products and the J^-1 product: at
-      most (4 (m + n) + 22) u G 4 M^2 S, with G the domain's
+      weights good to (m + 4) u each, two products and the product with P:
+      at most (4 (m + n) + 23) u G 4 M^2 S, with G the domain's
       ``restriction_growth``. 8 G covers both.
 
     ``_FLOOR_GUARD`` covers the rest, for any positive bound B. With A the
@@ -262,111 +294,93 @@ def _omega_floor(
     the computed eta * floor is below eta omega (1 - u) <= the computed
     eta * omega: it passes B only if that does too.
     """
-    a, b, c, d = jac_inv
-    i, k = system.pair
-    uu0 = uv0 = vv0 = uu1 = uv1 = vv1 = 0.0  # P_xx,i of rows i = 0 and 1
-    for fu, fm, fv in curvature:  # running maxima by compares: cheaper than max()
-        uu0 = x if (x := abs(a * fu[i] + b * fu[k])) > uu0 else uu0
-        uv0 = x if (x := abs(a * fm[i] + b * fm[k])) > uv0 else uv0
-        vv0 = x if (x := abs(a * fv[i] + b * fv[k])) > vv0 else vv0
-        uu1 = x if (x := abs(c * fu[i] + d * fu[k])) > uu1 else uu1
-        uv1 = x if (x := abs(c * fm[i] + d * fm[k])) > uv1 else uv1
-        vv1 = x if (x := abs(c * fv[i] + d * fv[k])) > vv1 else vv1
+    (a, b, c), (d, e, f) = rows
+    uu0 = uv0 = vv0 = uu1 = uv1 = vv1 = 0.0  # Q_xx,i of rows i = 0 and 1
+    for (u0, u1, u2), (m0, m1, m2), (v0, v1, v2) in curvature:
+        # Running maxima by compares: cheaper than max().
+        uu0 = x if (x := abs(a * u0 + b * u1 + c * u2)) > uu0 else uu0
+        uv0 = x if (x := abs(a * m0 + b * m1 + c * m2)) > uv0 else uv0
+        vv0 = x if (x := abs(a * v0 + b * v1 + c * v2)) > vv0 else vv0
+        uu1 = x if (x := abs(d * u0 + e * u1 + f * u2)) > uu1 else uu1
+        uv1 = x if (x := abs(d * m0 + e * m1 + f * m2)) > uv1 else uv1
+        vv1 = x if (x := abs(d * v0 + e * v1 + f * v2)) > vv1 else vv1
     lower = max(uu0 + 2.0 * uv0 + vv0, uu1 + 2.0 * uv1 + vv1)
-    norm = max(abs(a) + abs(b), abs(c) + abs(d))
+    norm = max(abs(a) + abs(b) + abs(c), abs(d) + abs(e) + abs(f))
     return lower * (1.0 - _FLOOR_GUARD) - slack * system.max_coeff * norm
 
 
 def test_pairs(
-    systems: list[PairSystem],
-    seconds: tuple[ControlNet, ...],
+    system: PairSystem,
     net: ControlNet,
     center: tuple[float, float],
     half_width: float,
     scale: float,
 ) -> KantorovichOutcome:
-    """Run the per-pair convergence test; stop at the first passing pair.
+    """Run the convergence test of the square's system g = P f.
 
-    ``seconds`` are the full map's second-derivative nets over the unit
-    square (``second_derivative_nets``) and ``net`` is the full difference
-    net restricted to the square of the given center and half-width, carried
-    down by quarter restrictions as ``solve`` does (omega's lower bound
-    assumes so). Every pair is tested in one test domain, the square of
+    ``net`` is the difference net restricted to the square of the given
+    center and half-width, carried down by quarter restrictions as ``solve``
+    does (omega's lower bound assumes so). The test domain is the square of
     half-width ``scale * half_width`` about ``center``.
 
     Value, Jacobian and second derivatives at the center come from one
     contraction of ``net`` at (1/2, 1/2); derivatives of order j are local
     ones divided by (2 * half_width)^j, a power of two for solver squares, so
-    the conversion is exact. The 2x2 algebra runs on Python floats. A pair
+    the conversion is exact. P and the rest run on Python floats. A square
     that omega's lower bound fails computes no omega: the bound reads the
-    center, and, once the center leaves a pair open, the four corners too.
-    The others share one block: ``seconds`` restricted to the test domain,
-    one ``reparametrize`` call per net, at most once per call, as is the
-    rounding allowance. The test domain and the pair tests that restrict
-    nothing are built unchecked.
+    center, and, once the center leaves the square open, the four corners
+    too. Otherwise ``system.seconds`` are restricted to the test domain,
+    one ``reparametrize`` call per net. The test domain, and the tests that
+    restrict nothing, are built unchecked.
     """
     (value, f_v, f_vv), (f_u, f_uv, _), (f_uu, _, _) = center_jet(net).tolist()
     width = 2.0 * half_width
-    area = width * width
-    curvature = [([x / area for x in f_uu], [x / area for x in f_uv], [x / area for x in f_vv])]
     (cu, cv), r = center, scale * half_width
     domain = unchecked(Rect, lo_u=cu - r, hi_u=cu + r, lo_v=cv - r, hi_v=cv + r)
-    slack = block = None
-    results: list[PairTest] = []
-    for system in systems:
-        pair = system.pair
-        i, k = pair
-        jac_inv = inverse_2x2(f_u[i] / width, f_v[i] / width, f_u[k] / width, f_v[k] / width)
-        if jac_inv is None:
-            status = PairStatus.SINGULAR_JACOBIAN
-            results.append(unchecked(PairTest, pair=pair, status=status, test_domain=domain))
-            continue
-        a, b, c, d = jac_inv
-        eta = max(abs(a * value[i] + b * value[k]), abs(c * value[i] + d * value[k]))
-        if slack is None:
-            slack = _floor_slack(net, half_width, domain)
-        decided = not slack < _MAX_SLACK or (
-            eta * _omega_floor(system, jac_inv, curvature[:1], slack) > PASS_BOUND
-        )
-        if not decided:  # the center leaves the pair open: add the corners
-            if len(curvature) == 1:
-                curvature += (corner_seconds(net) / area).tolist()
-            decided = eta * _omega_floor(system, jac_inv, curvature, slack) > PASS_BOUND
-        if decided:
-            status = PairStatus.FAIL_CONVERGENCE
-            results.append(
-                unchecked(PairTest, pair=pair, status=status, test_domain=domain, eta=eta)
-            )
-            continue
-        if block is None:
-            block = np.concatenate(
-                [reparametrize(n, domain).coeffs.reshape(-1, net.dim) for n in seconds]
-            )
-        omega = system.omega(jac_inv, block)
-        if eta * omega > PASS_BOUND:
-            status, radii = PairStatus.FAIL_CONVERGENCE, (None, None)
-        else:
-            radii = rho_radii(eta, omega)
-            status = PairStatus.PASS if radii[0] <= r else PairStatus.FAIL_CONTAINMENT
-        results.append(PairTest(pair, status, domain, eta, omega, *radii))
-        if status is PairStatus.PASS:
-            break
-    return KantorovichOutcome(tuple(results))
+    rows = projection([x / width for x in f_u], [x / width for x in f_v])
+    if rows is None:
+        status = PairStatus.SINGULAR_JACOBIAN
+        return KantorovichOutcome((unchecked(PairTest, projection=None, status=status, test_domain=domain),))
+    (a, b, c), (d, e, f) = rows
+    f0, f1, f2 = value
+    step = (a * f0 + b * f1 + c * f2, d * f0 + e * f1 + f * f2)
+    eta = max(abs(step[0]), abs(step[1]))
+    area = width * width
+    curvature = [([x / area for x in f_uu], [x / area for x in f_uv], [x / area for x in f_vv])]
+    slack = _floor_slack(net, half_width, domain)
+    decided = not slack < _MAX_SLACK or eta * _omega_floor(system, rows, curvature, slack) > PASS_BOUND
+    if not decided:  # the center leaves the square open: add the corners
+        curvature += (corner_seconds(net) / area).tolist()
+        decided = eta * _omega_floor(system, rows, curvature, slack) > PASS_BOUND
+    if decided:
+        status = PairStatus.FAIL_CONVERGENCE
+        test = unchecked(PairTest, projection=rows, status=status, test_domain=domain, eta=eta, step=step)
+        return KantorovichOutcome((test,))
+    block = np.concatenate(
+        [reparametrize(n, domain).coeffs.reshape(-1, net.dim) for n in system.seconds]
+    )
+    omega = system.omega(rows, block)
+    if eta * omega > PASS_BOUND:
+        status, radii = PairStatus.FAIL_CONVERGENCE, (None, None)
+    else:
+        radii = rho_radii(eta, omega)
+        status = PairStatus.PASS if radii[0] <= r else PairStatus.FAIL_CONTAINMENT
+    return KantorovichOutcome((PairTest(rows, status, domain, eta, omega, *radii, step),))
 
 
 def explored_region(passed: PairTest, center: tuple[float, float]) -> Rect | None:
     """Region around a confirmed zero in which no other zero can exist.
 
-    Built from a pair test that passed at ``center``: the closed uniqueness
+    Built from a test that passed at ``center``: the closed uniqueness
     ball of radius rho_plus, clipped to the test domain it was derived in.
-    rho_plus is infinite for affine sub-systems, and the region is then the
+    rho_plus is infinite for an affine map, and the region is then the
     test domain itself. None when rho_plus is below the rounding of the
     center: the ball then rounds to the center alone, which prunes no square
     and lies within rho_minus of the zero's Newton root, so the solver's
     duplicate check already covers it.
     """
     if passed.status is not PairStatus.PASS:
-        raise ValueError("explored regions require a passing pair test")
+        raise ValueError("explored regions require a passing test")
     assert passed.rho_plus is not None
     (cu, cv), r, d = center, passed.rho_plus, passed.test_domain
     lo_u, hi_u = max(cu - r, d.lo_u), min(cu + r, d.hi_u)

@@ -1,4 +1,4 @@
-"""Plain Newton iteration on 2-component sub-systems.
+"""Plain Newton iteration on 2-component systems, such as g = P f.
 
 Used only from starting points that passed the convergence test, so no
 damping or globalization is needed; failures are reported, not patched.

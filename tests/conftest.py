@@ -25,10 +25,8 @@ from cci.geometry import (
     sample_curve,
 )
 from cci.kantorovich import (
-    COMPONENT_PAIRS,
     PairSystem,
     PairTest,
-    inverse_2x2,
     second_derivative_nets,
     test_pairs,
 )
@@ -52,42 +50,51 @@ def subprocess_env(**extra: str) -> dict[str, str]:
     return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
 
 
+def spatial(net: ControlNet) -> ControlNet:
+    """A 2-component net padded with a zero third component; others as they are."""
+    c = net.coeffs
+    if net.dim == 3:
+        return net
+    return ControlNet(np.concatenate([c, np.zeros_like(c[:, :, :1])], axis=2))
+
+
 def pair_test_at(pair_net: ControlNet, x0: tuple[float, float], half_width: float) -> PairTest:
     """The solver's convergence test of a 2-component net, as one ``PairTest``.
 
     Runs ``test_pairs`` on the net padded with a zero third component, for
     the square of ``half_width`` about ``x0`` at scale 1, so the test domain
-    is that square, and returns the (0, 1) pair's result: eta, omega and the
-    radii come from the only path the solver uses.
+    is that square: eta, omega and the radii come from the only path the
+    solver uses.
     """
-    c = pair_net.coeffs
-    net = ControlNet(np.concatenate([c, np.zeros_like(c[:, :, :1])], axis=2))
-    systems = [PairSystem(net, pair) for pair in COMPONENT_PAIRS]
+    net = spatial(pair_net)
     square = reparametrize(net, Rect.ball(x0, half_width))
-    outcome = test_pairs(
-        systems, second_derivative_nets(net), square, x0, half_width, 1.0
-    )
-    return outcome.pairs[0]
+    (test,) = test_pairs(PairSystem(net), square, x0, half_width, 1.0).pairs
+    return test
 
 
-def full_test_omega(net: ControlNet, jac: np.ndarray, test: PairTest) -> float:
+def full_test_omega(net: ControlNet, test: PairTest) -> float:
     """The omega the full convergence test computes over ``test``'s test domain.
 
-    ``net`` is the map over the unit square and ``jac`` its Jacobian at the
-    square's center, shape (dim, 2). The second-derivative nets of ``net``
-    are restricted through ``kantorovich.reparametrize``, as ``test_pairs``
-    restricts them, and ``PairSystem.omega`` takes the block with J^-1 of
-    the pair's rows. Defined also where omega's lower bound decided the pair
-    and ``test.omega`` is None.
+    ``net`` is the map over the unit square (a 2-component one is padded).
+    Its second-derivative nets are restricted through
+    ``kantorovich.reparametrize``, as ``test_pairs`` restricts them, and
+    ``PairSystem.omega`` takes the block with ``test``'s projection. Defined
+    also where omega's lower bound decided the test and ``test.omega`` is
+    None.
     """
+    net = spatial(net)
     block = np.concatenate(
         [
             kantorovich.reparametrize(n, test.test_domain).coeffs.reshape(-1, net.dim)
             for n in second_derivative_nets(net)
         ]
     )
-    jac_inv = inverse_2x2(*np.asarray(jac)[list(test.pair)].ravel().tolist())
-    return PairSystem(net, test.pair).omega(jac_inv, block)
+    return PairSystem(net).omega(test.projection, block)
+
+
+def projected_net(net: ControlNet, test: PairTest) -> ControlNet:
+    """The net of g = P f, with P ``test``'s projection: what Newton refines."""
+    return ControlNet(spatial(net).coeffs @ np.array(test.projection).T)
 
 
 def newton_path(pair_net: ControlNet, x0: tuple[float, float], **options) -> list:

@@ -53,10 +53,10 @@ def test_solve_writes_to_stdout_by_default(problems_dir):
     assert doc["intersections"] == []
     assert doc["counters"]["squares_examined"] == 1
     # The CLI defaults are SolverConfig's, plus the residual tolerance the
-    # run used: 1e-6 times the largest |c1_i - c2_j|.
+    # run used: 1e-9 times the largest |c1_i - c2_j|.
     problem = load_problem(path)
     a, b = problem.curve1.control_points, problem.curve2.control_points
-    zero_tol = 1e-6 * np.abs(a[:, None] - b[None, :]).max()
+    zero_tol = 1e-9 * np.abs(a[:, None] - b[None, :]).max()
     assert doc["config"] == {**dataclasses.asdict(SolverConfig()), "zero_tol": zero_tol}
 
 

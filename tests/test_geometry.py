@@ -24,7 +24,6 @@ from cci.geometry import (
     difference_net,
     eval_curve,
     eval_net,
-    extract_pair,
     jet,
     reparametrize,
     restrict_quarters,
@@ -625,35 +624,3 @@ def test_rect_validation():
         Rect(0.0, 1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         Rect.ball((0.5, 0.5), 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Component pairs
-
-def test_extract_pair_selects_coordinates():
-    rng = np.random.default_rng(19)
-    net = ControlNet(random_net_coeffs(rng, 3, 4))
-    sub = extract_pair(net, (0, 1))
-    assert np.array_equal(sub.coeffs, net.coeffs[:, :, [0, 1]])
-
-
-def test_extract_pair_eval_consistency():
-    rng = np.random.default_rng(20)
-    net = ControlNet(random_net_coeffs(rng, 4, 4))
-    for pair in [(0, 1), (0, 2), (1, 2)]:
-        sub = extract_pair(net, pair)
-        for u, v in rng.uniform(0, 1, (10, 2)):
-            full = eval_net(net, u, v)
-            assert np.abs(eval_net(sub, u, v) - full[list(pair)]).max() <= 1e-13
-
-
-def test_extract_pair_covers_all_coordinates():
-    covered = sorted(set((0, 1)) | set((0, 2)) | set((1, 2)))
-    assert covered == [0, 1, 2]
-
-
-def test_extract_pair_invalid():
-    net = ControlNet(np.zeros((2, 2, 3)))
-    for pair in [(0, 0), (0, 3), (-1, 1)]:
-        with pytest.raises(ValueError):
-            extract_pair(net, pair)

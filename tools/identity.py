@@ -7,10 +7,10 @@ the number of squares examined and one SHA-256 over the run::
     python3 tools/identity.py
 
 The digest covers every observer event with its square (center, half-width,
-test-domain multiplier and depth), each tested pair's status and eta, each
-Newton root and every reported root, floats by their exact bits. It leaves
-out omega, which the convergence test reports only for the pairs it
-restricts. Two commits that print the same lines made the same decisions
+test-domain multiplier and depth), each convergence test's projection P,
+status and eta, each Newton root and every reported root, floats by their
+exact bits. It leaves out omega, which the convergence test reports only
+for the squares it restricts. Two commits that print the same lines made the same decisions
 and found the same roots.
 """
 
@@ -57,7 +57,9 @@ def event_line(event: str, payload: dict) -> str:
     if "square" in payload:
         parts.append(square_key(payload["square"]))
     if event == "kantorovich":
-        parts += [f"{t.pair} {t.status.value} {bits(t.eta)}" for t in payload["outcome"].pairs]
+        for t in payload["outcome"].pairs:
+            rows = [bits(x) for row in t.projection or () for x in row] or ["-"]
+            parts += [*rows, t.status.value, bits(t.eta)]
     elif event == "newton":
         result = payload["result"]
         parts += [str(result.converged), *map(bits, result.root)]
