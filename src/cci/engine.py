@@ -316,12 +316,11 @@ def solve(
             passed = outcome.passed
             if passed is not None:
                 report.kantorovich_passes += 1
-                # Newton refines g = P f over the unit square from the test's
-                # own first iterate. The net is summed elementwise, not by
-                # BLAS, so its bits do not depend on the BLAS kernel.
-                c, rows = unit_net.coeffs, np.array(passed.projection)
-                coeffs = c[..., :1] * rows[:, 0] + c[..., 1:2] * rows[:, 1] + c[..., 2:] * rows[:, 2]
-                projected = unchecked(ControlNet, coeffs=coeffs)
+                # Newton refines g = P f from the test's own first iterate, on a
+                # net summed elementwise: its bits do not depend on the BLAS kernel.
+                c, p = unit_net.coeffs, np.array(passed.projection)
+                g = c[..., :1] * p[:, 0] + c[..., 1:2] * p[:, 1] + c[..., 2:] * p[:, 2]
+                projected = unchecked(ControlNet, coeffs=g)
                 (cu, cv), (du, dv) = sq.center, passed.step
                 result = newton_solve(projected, (cu - du, cv - dv))
                 if observing:
