@@ -10,12 +10,12 @@ quartered, and the children's test-domain multiplier is adapted from the
 parent's test outcome (grown after a containment failure, else shrunk after
 a convergence failure). Fixed mode is the same rule with a step of 0.
 
-The queue runs breadth-first in batches. A batch is a list of squares and
-their nets, the first one the root with the unit net. The axis stage of the
-exclusion test runs on the whole batch at once; then each square meets its
-fate in queue order. Each quartered square queues its four children with
-its net, and the next batch is the children of the next queued parents,
-their nets restricted from the parents' in one call.
+The queue runs breadth-first in batches within one quadtree level, each
+square a center and multiplier in floats (a ``Square`` only for an event or
+a record), with its net; the first is the root with the unit net. The axis
+stage of the exclusion test runs on the whole batch at once; then each
+square meets its fate in queue order. The next batch is the children of
+the level's next quartered parents, their nets restricted in one call.
 """
 
 from __future__ import annotations
@@ -167,11 +167,11 @@ def update_scale(outcome: KantorovichOutcome, scale: float, epsilon: float) -> f
     return scale
 
 
-def region_prunes_square(regions: list[Rect], square: Square) -> bool:
+def region_prunes_square(regions: list[Rect], center: tuple[float, float], half_width: float) -> bool:
     """True iff some single explored region fully contains the closed square."""
     if not regions:
         return False
-    (cu, cv), h = square.center, square.half_width
+    (cu, cv), h = center, half_width
     return any(
         r.lo_u <= cu - h and cu + h <= r.hi_u and r.lo_v <= cv - h and cv + h <= r.hi_v
         for r in regions
@@ -181,17 +181,6 @@ def region_prunes_square(regions: list[Rect], square: Square) -> bool:
 def point_is_known(regions: list[Rect], x: tuple[float, float]) -> bool:
     """True iff the point lies in some explored region (closed membership)."""
     return any(r.contains_point(x) for r in regions)
-
-
-def _children(square: Square, scale: float) -> list[Square]:
-    """The square's quarters, in the order of ``geometry.QUARTERS``."""
-    (cu, cv), h = square.center, 0.5 * square.half_width
-    lo_u, hi_u, lo_v, hi_v = cu - h, cu + h, cv - h, cv + h
-    depth = square.depth + 1
-    return [
-        unchecked(Square, center=center, half_width=h, scale=scale, depth=depth)
-        for center in ((lo_u, lo_v), (hi_u, lo_v), (lo_u, hi_v), (hi_u, hi_v))
-    ]
 
 
 _TRACE_LINES = {
@@ -271,45 +260,47 @@ def solve(
     system = PairSystem(unit_net)
 
     step = 0.0 if config.mode == "fixed" else config.epsilon
-    root = Square((0.5, 0.5), 0.5, INITIAL_SCALE, 0)
-    # The queue is FIFO: the current batch, then ``families``, which holds per
-    # subdivided parent its four children and its net's coefficients. The
-    # solver runs breadth-first and holds one net per queued parent plus one
-    # batch. Only a square that reaches the convergence test wraps its row in
+    # The batch's squares share ``half_width`` and ``depth``. The queue is
+    # FIFO: the batch, ``level`` (the level's parents not yet batched), then
+    # ``split`` (those it quartered so far: center, children's multiplier and
+    # net). Only a square that reaches the convergence test wraps its row in
     # a ``ControlNet``, unchecked: restriction keeps a finite net finite.
-    squares, rows = [root], unit_net.coeffs[None]
-    families: deque[tuple[list[Square], np.ndarray]] = deque()
+    half_width, depth, level, split = 0.5, 0, deque(), []
+    squares, rows = [((0.5, 0.5), INITIAL_SCALE)], unit_net.coeffs[None]
     regions: list[Rect] = []
     report = SolveReport(1e-9 * scale)
     emit = _with_trace_log(observer) if log.isEnabledFor(TRACE) else observer
     observing = emit is not _ignore_events  # else build no event payloads
 
     while True:
-        axis_passed, margins = axis_test(rows)
-        for sq, row, excluded, margin in zip(squares, rows, axis_passed.tolist(), margins.tolist()):
+        clouds = rows.reshape(len(rows), -1, net.dim)
+        axis_passed, margins = axis_test(clouds)
+        entries = zip(squares, rows, clouds, axis_passed.tolist(), margins.tolist())
+        for (center, sq_scale), row, cloud, excluded, margin in entries:
             if report.squares_examined >= MAX_SQUARES:
                 report.truncated = True
                 if observing:
                     emit("truncated", {"reason": "max_squares"})
                 return report
             report.squares_examined += 1
-            report.max_depth_reached = max(report.max_depth_reached, sq.depth)
+            report.max_depth_reached = depth  # levels only deepen
             if observing:
+                sq = unchecked(Square, center=center, half_width=half_width, scale=sq_scale, depth=depth)
                 emit("square", {"square": sq})
 
-            if region_prunes_square(regions, sq):
+            if region_prunes_square(regions, center, half_width):
                 if observing:
                     emit("pruned", {"square": sq})
                 continue
 
-            if excluded or walk_test(row.reshape(-1, net.dim), margin):
+            if excluded or walk_test(cloud, margin):
                 report.exclusion_passes += 1
                 if observing:
                     emit("excluded", {"square": sq})
                 continue
 
             carried = unchecked(ControlNet, coeffs=row)
-            outcome = test_pairs(system, carried, sq.center, sq.half_width, sq.scale)
+            outcome = test_pairs(system, carried, center, half_width, sq_scale)
             if observing:
                 emit("kantorovich", {"square": sq, "outcome": outcome})
 
@@ -321,7 +312,7 @@ def solve(
                 c, p = unit_net.coeffs, np.array(passed.projection)
                 g = c[..., :1] * p[:, 0] + c[..., 1:2] * p[:, 1] + c[..., 2:] * p[:, 2]
                 projected = unchecked(ControlNet, coeffs=g)
-                (cu, cv), (du, dv) = sq.center, passed.step
+                (cu, cv), (du, dv) = center, passed.step
                 result = newton_solve(projected, (cu - du, cv - dv))
                 if observing:
                     emit("newton", {"square": sq, "passed": passed, "result": result})
@@ -344,31 +335,36 @@ def solve(
                             v=x[1],
                             point=eval_curve(c1, x[0]),
                             residual=residual,
-                            source_square=sq,
+                            source_square=Square(center, half_width, sq_scale, depth),
                         )
                         report.intersections.append(record)
-                        region = explored_region(passed, sq.center)
+                        region = explored_region(passed, center)
                         if region is not None:
                             regions.append(region)
                         if observing:
                             emit("intersection", {"record": record})
                         # The region holds the full map's only zero in it, just
                         # recorded, so a square it covers is finished.
-                        if region is not None and region_prunes_square([region], sq):
+                        if region is not None and region_prunes_square([region], center, half_width):
                             continue
 
-            if sq.depth >= MAX_DEPTH:
+            if depth >= MAX_DEPTH:
                 report.truncated = True
                 if observing:
                     emit("truncated", {"reason": "max_depth", "square": sq})
                 continue
 
             # A copy, so a queued parent does not keep its batch alive.
-            families.append((_children(sq, update_scale(outcome, sq.scale, step)), row.copy()))
+            split.append((center, update_scale(outcome, sq_scale, step), row.copy()))
             report.subdivisions += 1
 
-        if not families:
-            return report
-        batch = [families.popleft() for _ in range(min(len(families), _BATCH_PARENTS))]
-        squares = [sq for children, _ in batch for sq in children]
-        rows = restrict_quarters(np.array([parent for _, parent in batch]))
+        if not level:  # the level is done; the next is the children of ``split``
+            if not split:
+                return report
+            level, split = deque(split), []
+            half_width, depth = 0.5 * half_width, depth + 1
+        batch = [level.popleft() for _ in range(min(len(level), _BATCH_PARENTS))]
+        h = half_width  # each parent's quarters, in the order of ``geometry.QUARTERS``
+        quarters = ((-h, -h), (h, -h), (-h, h), (h, h))
+        squares = [((cu + du, cv + dv), s) for (cu, cv), s, _ in batch for du, dv in quarters]
+        rows = restrict_quarters(np.array([parent for _, _, parent in batch]))

@@ -94,20 +94,21 @@ def walk_test(pts: np.ndarray, margin: float) -> bool:
     return pts.shape[1] <= 3 and _separating_direction(pts, margin) is not None
 
 
-def _separating_direction(pts: np.ndarray, margin: float) -> np.ndarray | None:
+def _separating_direction(pts: np.ndarray, margin: float) -> tuple[float, ...] | None:
     """A direction x with min(pts @ x) > margin |x|, found by a GJK walk from
     the first row of least norm, or None.
 
     Rows of 1 to 3 columns are padded to three for the simplex step, and x
-    is cut back to the rows' width. At most ``_MAX_MAJOR`` major steps run,
-    so the call always ends.
+    is cut back to the rows' width, a tuple of floats that ``pts.dot`` takes
+    as is: the same dots as ``@`` on an array, without building one. At most
+    ``_MAX_MAJOR`` major steps run, so the call always ends.
     """
     dim = pts.shape[1]
     pad = (0.0,) * (3 - dim)
-    x = pts[int(np.einsum("ij,ij->i", pts, pts).argmin())]
-    simplex = [(*x.tolist(), *pad)]
+    x = tuple(pts[int(np.einsum("ij,ij->i", pts, pts).argmin())].tolist())
+    simplex = [(*x, *pad)]
     nx = math.hypot(*simplex[0])
-    dots = pts @ x
+    dots = pts.dot(x)
     for _ in range(_MAX_MAJOR):
         if nx <= margin:
             return None
@@ -122,9 +123,9 @@ def _separating_direction(pts: np.ndarray, margin: float) -> np.ndarray | None:
         if nearest is None:
             return None
         y, simplex = nearest
-        x = np.array(y[:dim])
+        x = y[:dim]
         new_nx = math.hypot(*y)
-        dots = pts @ x
+        dots = pts.dot(x)
         if not new_nx < nx:
             # Rounding stalled the walk; its last point may still separate.
             return x if dots.min() > margin * new_nx else None

@@ -441,6 +441,8 @@ def restriction_growth(net: ControlNet, target: Rect) -> float:
     (|t| + |1 - t|)^m; in either split order this is at most (1 + 2e)^m for
     a target reaching a distance e past 0 or past 1, 1 inside [0, 1], inf on overflow.
     """
+    if 0.0 <= target.lo_u and target.hi_u <= 1.0 and 0.0 <= target.lo_v and target.hi_v <= 1.0:
+        return 1.0
     u = (1.0 + 2.0 * max(0.0, -target.lo_u)) * (1.0 + 2.0 * max(0.0, target.hi_u - 1.0))
     v = (1.0 + 2.0 * max(0.0, -target.lo_v)) * (1.0 + 2.0 * max(0.0, target.hi_v - 1.0))
     try:

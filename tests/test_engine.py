@@ -167,19 +167,18 @@ def _region(center, rho_plus):
 
 
 def test_region_prunes_square_empty_list():
-    assert not region_prunes_square([], Square((0.5, 0.5), 0.25, 1.5))
+    assert not region_prunes_square([], (0.5, 0.5), 0.25)
 
 
 def test_region_prunes_square_inside_one_region():
     regions = [_region((0.5, 0.5), 0.4)]
-    assert region_prunes_square(regions, Square((0.5, 0.5), 0.25, 1.5))
+    assert region_prunes_square(regions, (0.5, 0.5), 0.25)
 
 
 def test_region_union_does_not_prune():
     # the square is covered only by the union of the two regions
     regions = [_region((0.25, 0.5), 0.3), _region((0.75, 0.5), 0.3)]
-    square = Square((0.5, 0.5), 0.3, 1.5)
-    assert not region_prunes_square(regions, square)
+    assert not region_prunes_square(regions, (0.5, 0.5), 0.3)
     assert all(
         r.contains_point(p) or other.contains_point(p)
         for r, other in [regions]
@@ -196,14 +195,15 @@ def _finished_squares_pop_nothing(c1, c2, config):
         if event == "square":
             sq = payload["square"]
             assert not any(
-                region_prunes_square([Rect.ball(f.center, f.half_width)], sq) for f in finished
+                region_prunes_square([Rect.ball(f.center, f.half_width)], sq.center, sq.half_width)
+                for f in finished
             ), sq
         elif event == "newton":
             passed.append(payload["passed"])
         elif event == "intersection":
             sq = payload["record"].source_square
             region = explored_region(passed[-1], sq.center)
-            if region is not None and region_prunes_square([region], sq):
+            if region is not None and region_prunes_square([region], sq.center, sq.half_width):
                 finished.append(sq)
 
     report = solve(c1, c2, config, observer=observer)
@@ -370,6 +370,38 @@ def test_determinism():
     assert [a.source_square for a in r1.intersections] == [
         b.source_square for b in r2.intersections
     ]
+
+
+def _report_fields(report):
+    """Every field of a report; each record as its fields, its point as a list."""
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    fields["intersections"] = [
+        (r.u, r.v, r.point.tolist(), r.residual, r.source_square) for r in report.intersections
+    ]
+    return fields
+
+
+def test_an_observer_changes_no_report_field(problems_dir):
+    # The solver builds a ``Square`` only for an event payload or a record, so
+    # a run with an observer must report what a run without one does, down to
+    # each record's source square and the deepest level examined.
+    runs = [
+        (problem.curve1, problem.curve2, config)
+        for problem in map(load_problem, sorted((problems_dir / "suite").glob("p0*.json")))
+        for config in (SolverConfig(epsilon=0.05), SolverConfig(mode="fixed"))
+    ]
+    rng = np.random.default_rng(27)
+    for k in range(20):
+        problem, _ = random_transversal_problem(rng)
+        runs.append((problem.curve1, problem.curve2, SolverConfig(epsilon=0.05 * (k % 3))))
+    runs.append((*TANGENTIAL, SolverConfig()))  # truncated at depth 40
+    assert len(runs) == 37
+    for c1, c2, config in runs:
+        events = []
+        quiet = _report_fields(solve(c1, c2, config))
+        observed = _report_fields(solve(c1, c2, config, lambda event, payload: events.append(event)))
+        assert observed == quiet
+        assert events.count("square") == quiet["squares_examined"]
 
 
 def test_units_do_not_change_the_run(problems_dir):
@@ -681,6 +713,9 @@ def test_square_budget_at_batch_boundaries(monkeypatch, budget, truncated, squar
     assert report.truncated is truncated
     assert report.squares_examined == squares == events.count("square")
     assert events.count("max_squares") == int(truncated)
+    # The root alone is depth 0; a level's depth counts once one of its
+    # squares is examined, not when its batch is built.
+    assert report.max_depth_reached == int(squares > 1)
     assert events[:2] == ["square", "kantorovich"] and "newton" not in events[:3]
     # The root's second child, the run's third square, records the crossing.
     assert len(report.intersections) == int(squares >= 3)

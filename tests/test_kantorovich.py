@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cci import kantorovich
-from cci.engine import Square, region_prunes_square
+from cci.engine import region_prunes_square
 from cci.geometry import (
     QUARTERS,
     ControlNet,
@@ -699,7 +699,7 @@ def test_explored_region_square_containment_is_corner_test():
             (c[0] - r, c[1] + r), (c[0] + r, c[1] + r),
         ]
         expected = all(region.contains_point(p) for p in corners)
-        assert region_prunes_square([region], Square(c, r, 1.5)) == expected
+        assert region_prunes_square([region], c, r) == expected
 
 
 def test_explored_region_below_rounding_is_none():
@@ -851,10 +851,12 @@ def test_omega_on_deep_squares_matches_exact_restriction():
                 # row weighs f_uu, f_uv and f_vv as 1, 2 and 1.
                 maxima = []
                 for second in system.seconds:
-                    c = second.coeffs.astype(object)
+                    # Fractions throughout: a Fraction times a float is a float.
+                    c = np.vectorize(Fraction, otypes=[object])(second.coeffs)
                     rows = _exact_restriction(c.shape[0] - 1, d.lo_u, d.hi_u)
                     cols = _exact_restriction(c.shape[1] - 1, d.lo_v, d.hi_v)
-                    restricted = np.einsum("ik,kld,jl->ijd", rows, c, cols).reshape(-1, 3)
+                    by_rows = np.tensordot(rows, c, axes=(1, 0))
+                    restricted = np.tensordot(cols, by_rows, axes=(1, 1)).reshape(-1, 3)
                     maxima.append(np.abs(restricted @ exact_p.T).max(axis=0))
                 m_uu, m_uv, m_vv = maxima
                 exact = max(m_uu + 2 * m_uv + m_vv)

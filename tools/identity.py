@@ -11,7 +11,8 @@ test-domain multiplier and depth), each convergence test's projection P,
 status and eta, each Newton root and every reported root, floats by their
 exact bits. It leaves out omega, which the convergence test reports only
 for the squares it restricts. Two commits that print the same lines made the same decisions
-and found the same roots.
+and found the same roots. Under ``OPENBLAS_CORETYPE=Haswell`` with numpy's
+AVX-512 dispatch it prints ``tools/identity_haswell.txt``, which CI checks.
 """
 
 from __future__ import annotations
