@@ -108,10 +108,10 @@ def _separating_direction(pts: np.ndarray, margin: float) -> tuple[float, ...] |
     x = tuple(pts[int(np.einsum("ij,ij->i", pts, pts).argmin())].tolist())
     simplex = [(*x, *pad)]
     nx = math.hypot(*simplex[0])
-    dots = pts.dot(x)
     for _ in range(_MAX_MAJOR):
-        if nx <= margin:
+        if nx <= margin:  # the origin lies within the margin of the hull
             return None
+        dots = pts.dot(x)
         j = int(dots.argmin())
         support = float(dots[j])
         if support > margin * nx:
@@ -125,10 +125,9 @@ def _separating_direction(pts: np.ndarray, margin: float) -> tuple[float, ...] |
         y, simplex = nearest
         x = y[:dim]
         new_nx = math.hypot(*y)
-        dots = pts.dot(x)
         if not new_nx < nx:
             # Rounding stalled the walk; its last point may still separate.
-            return x if dots.min() > margin * new_nx else None
+            return x if pts.dot(x).min() > margin * new_nx else None
         nx = new_nx
     return None
 

@@ -273,7 +273,7 @@ def _center_weights(m: int) -> np.ndarray:
     return weights
 
 
-def _derivatives(net: ControlNet, wu: np.ndarray, wv: np.ndarray) -> np.ndarray:
+def _contract(net: ControlNet, wu: np.ndarray, wv: np.ndarray) -> np.ndarray:
     """Entry (i, j) is the net contracted with row i of ``wu`` and row j of ``wv``."""
     c = net.coeffs
     return wv @ (wu @ c.reshape(c.shape[0], -1)).reshape(len(wu), *c.shape[1:])
@@ -284,7 +284,7 @@ def jet(net: ControlNet, x: tuple[float, float]) -> tuple[np.ndarray, np.ndarray
     m, n = net.degree_u, net.degree_v
     weights = _weights(((m, 1), (n, 1)), (float(x[0]), float(x[1])))
     wu, wv = weights[: 2 * m + 2].reshape(2, m + 1), weights[2 * m + 2 :].reshape(2, n + 1)
-    both = _derivatives(net, wu, wv)
+    both = _contract(net, wu, wv)
     return both[0, 0], both[(1, 0), (0, 1)].T
 
 
@@ -292,7 +292,7 @@ def center_jet(net: ControlNet) -> np.ndarray:
     """Derivatives of the net's map at (1/2, 1/2), shape (3, 3, dim): entry
     (i, j) is taken i times along u and j times along v. The weights are
     exact below degree 50; (0, 0) and the Jacobian are ``jet``'s bit for bit."""
-    return _derivatives(net, _center_weights(net.degree_u), _center_weights(net.degree_v))
+    return _contract(net, _center_weights(net.degree_u), _center_weights(net.degree_v))
 
 
 @functools.lru_cache(maxsize=256)
@@ -391,11 +391,30 @@ def reparametrize(net: ControlNet, target: Rect) -> ControlNet:
     for all (s, t); the target may extend outside the unit square, in which
     case the subdivisions extrapolate (still exact for polynomials).
     """
-    c = net.coeffs
     rows = _restriction_matrix(net.degree_u, target.lo_u, target.hi_u)
     cols = _restriction_matrix(net.degree_v, target.lo_v, target.hi_v)
-    c = (rows @ c.reshape(c.shape[0], -1)).reshape(c.shape)
-    return ControlNet(cols @ c)
+    return ControlNet(_contract(net, rows, cols))
+
+
+@functools.lru_cache(maxsize=64)
+def _elevation_matrix(p: int, q: int) -> np.ndarray:
+    """Matrix raising degree-p Bernstein coefficients to degree q >= p
+    (Farouki & Rajan 1988): entry (i, j) is C(p, j) C(q - p, i - j) / C(q, i),
+    rounded once, so a row holds at most q - p + 1 convex weights. Cached
+    and shared, hence read-only."""
+    matrix = np.zeros((q + 1, p + 1))
+    for i in range(q + 1):
+        for j in range(max(0, i - q + p), min(i, p) + 1):
+            matrix[i, j] = math.comb(p, j) * math.comb(q - p, i - j) / math.comb(q, i)
+    matrix.flags.writeable = False
+    return matrix
+
+
+def elevate(net: ControlNet, degree_u: int, degree_v: int) -> ControlNet:
+    """Net of degrees (degree_u, degree_v), each at least the input's, for the
+    same map; unchecked: its coefficients are convex combinations of the input's."""
+    rows = _elevation_matrix(net.degree_u, degree_u)
+    return unchecked(ControlNet, coeffs=_contract(net, rows, _elevation_matrix(net.degree_v, degree_v)))
 
 
 # The quarters of the unit square, in the order ``restrict_quarters`` returns

@@ -56,6 +56,7 @@ from .geometry import (
     center_jet,
     corner_seconds,
     derivative_coeffs,
+    elevate,
     eval_net,  # noqa: F401 -- unused here; bench/tracing.py patches this binding
     reparametrize,
     restriction_growth,
@@ -155,44 +156,40 @@ def projection(a: Sequence[float], b: Sequence[float]) -> Projection | None:
     )
 
 
-def second_derivative_nets(net: ControlNet) -> tuple[ControlNet, ControlNet, ControlNet]:
-    """The f_uu, f_uv and f_vv nets of the net's map, over the same domain:
-    ``derivative_net`` twice, unchecked, so the net's second differences must
-    be finite, as the unit net's are (its coefficients lie below 1)."""
-    du, dv = derivative_coeffs(net.coeffs, 0), derivative_coeffs(net.coeffs, 1)
-    seconds = derivative_coeffs(du, 0), derivative_coeffs(du, 1), derivative_coeffs(dv, 1)
-    return tuple(unchecked(ControlNet, coeffs=s) for s in seconds)
-
-
 class PairSystem:
     """The intersection map over the unit square, as the convergence test reads it.
 
-    Built once per solve: ``seconds`` are the map's second-derivative nets,
-    which omega restricts to each test domain, and ``max_coeff`` is the
-    scale of every rounding error in the nets derived from ``net``.
+    Built once per solve: ``seconds`` stacks the map's f_uu, f_uv and f_vv
+    nets along the component axis, each raised to the net's own degrees
+    (m, n), so omega restricts one net per test domain. Raising is an exact
+    identity that commutes with restriction, and its coefficients are convex
+    combinations of the original ones (Farouki & Rajan 1988), so omega's
+    maxima can only shrink. ``max_coeff`` is the scale of every rounding
+    error in the nets derived from ``net``.
     """
 
     def __init__(self, net: ControlNet):
-        self.seconds = second_derivative_nets(net)
-        self.max_coeff = float(np.abs(net.coeffs).max())
+        # Unchecked: the unit net's coefficients lie below 1, so these are finite.
+        du, dv = derivative_coeffs(net.coeffs, 0), derivative_coeffs(net.coeffs, 1)
+        seconds = derivative_coeffs(du, 0), derivative_coeffs(du, 1), derivative_coeffs(dv, 1)
         m, n = net.degree_u, net.degree_v
-        uu = max(m - 1, 1) * (n + 1)  # f_uu's rows in omega's block, then f_uv's
-        self.offsets = np.array([0, uu, uu + max(m, 1) * max(n, 1)])
+        raised = [elevate(unchecked(ControlNet, coeffs=s), m, n).coeffs for s in seconds]
+        self.seconds = unchecked(ControlNet, coeffs=np.concatenate(raised, axis=2))
+        self.max_coeff = float(np.abs(net.coeffs).max())
 
     def omega(self, rows: Projection, block: np.ndarray) -> float:
         """Certified Lipschitz constant of g = P f's Jacobian on a test domain.
 
-        ``block`` stacks the coefficients of f_uu, f_uv and f_vv of the map
-        over the domain, one row per coefficient, shape (K, 3), from
-        ``offsets`` on. With M_xx,i the largest |coefficient| of g_xx,i and P
-        given by its ``rows``, returns
-        max_i (M_uu,i + 2 M_uv,i + M_vv,i) <= 4 max |P c|:
+        ``block`` holds ``seconds`` restricted to the domain, shape (K, 3, dim):
+        per coefficient index, f_uu's, f_uv's and f_vv's coefficient. With
+        M_xx,i the largest |coefficient| of g_xx,i and P given by its
+        ``rows``, returns max_i (M_uu,i + 2 M_uv,i + M_vv,i) <= 4 max |P c|:
         row i of P (J(x) - J(y)) has entries at most (M_uu,i + M_uv,i) and
         (M_uv,i + M_vv,i) times |x - y|, as a Bernstein net bounds its
         polynomial; P is linear, so it applies to coefficients.
         """
-        g = np.abs(block @ np.array(rows).T)
-        (uu0, uu1), (uv0, uv1), (vv0, vv1) = np.maximum.reduceat(g, self.offsets).tolist()
+        g = np.abs(block.reshape(-1, block.shape[-1]) @ np.array(rows).T)  # 2D: faster than 3D
+        uu0, uu1, uv0, uv1, vv0, vv1 = g.reshape(-1, 6).max(axis=0).tolist()
         return max(uu0 + 2.0 * uv0 + vv0, uu1 + 2.0 * uv1 + vv1)
 
 
@@ -249,8 +246,8 @@ def _omega_floor(
     square's net, divided by (2h)^2: the square's center, then maybe its four
     corners (``corner_seconds``). The scale is at least 1, so every point
     lies in the test domain. In exact arithmetic each value is a convex
-    combination of its second-derivative net's Bernstein coefficients over
-    any domain that holds its point, so with g = P f and Q_xx,i the largest
+    combination of its raised second-derivative net's coefficients over any
+    domain that holds its point, so with g = P f and Q_xx,i the largest
     |g_xx,i| over the points, Q_xx,i <= M_xx,i (``PairSystem.omega``) and
     max_i (Q_uu,i + 2 Q_uv,i + Q_vv,i) <= omega. P enters both sides as the
     same computed ``rows``, so its own rounding moves neither relative to
@@ -279,10 +276,16 @@ def _omega_floor(
       by u relative, a value by 8 d u M^2 S. A level is worth
       8 (m + n + 2) u M^2 S >= 416 u M^2 S there: doubling them covers both.
     - The second-derivative nets are rounded differences of the root net,
-      off by at most 16 M^2 u S, and the full test restricts them with split
-      weights good to (m + 4) u each, two products and the product with P:
-      at most (4 (m + n) + 23) u G 4 M^2 S, with G the domain's
-      ``restriction_growth``. 8 G covers both.
+      off by at most 16 M^2 u S. Raising them to degrees (m, n) takes at
+      most 3 convex weights per coefficient, each rounded once, along one
+      axis (f_uu, f_vv), or 2 along each (f_uv): (k + 1) u per axis for k
+      weights, so at most 6 u 4 M^2 S = 24 M^2 u S more. The full test
+      restricts the raised nets with split weights good to (m + 4) u each,
+      two products and the product with P: at most (4 (m + n) + 23) u G
+      4 M^2 S, with G the domain's ``restriction_growth``, which magnifies
+      the 40 M^2 u S before it too. The sum, (16 (m + n) + 132) M^2 u G S,
+      is within 8 G's share 64 (m + n + 2) M^2 u G S for m + n >= 1; below
+      that, every net is exactly 0.
 
     ``_FLOOR_GUARD`` covers the rest, for any positive bound B. With A the
     allowance in exact arithmetic and W the full test's row sum of its
@@ -329,9 +332,9 @@ def test_pairs(
     the conversion is exact. P and the rest run on Python floats. A square
     that omega's lower bound fails computes no omega: the bound reads the
     center, and, once the center leaves the square open, the four corners
-    too. Otherwise ``system.seconds`` are restricted to the test domain,
-    one ``reparametrize`` call per net. The test domain, and the tests that
-    restrict nothing, are built unchecked.
+    too. Otherwise ``system.seconds``, one stacked net, is restricted to the
+    test domain in one ``reparametrize`` call. The test domain, and the
+    tests that restrict nothing, are built unchecked.
     """
     (value, f_v, f_vv), (f_u, f_uv, _), (f_uu, _, _) = center_jet(net).tolist()
     width = 2.0 * half_width
@@ -356,10 +359,7 @@ def test_pairs(
         status = PairStatus.FAIL_CONVERGENCE
         test = unchecked(PairTest, projection=rows, status=status, test_domain=domain, eta=eta, step=step)
         return KantorovichOutcome((test,))
-    block = np.concatenate(
-        [reparametrize(n, domain).coeffs.reshape(-1, net.dim) for n in system.seconds]
-    )
-    omega = system.omega(rows, block)
+    omega = system.omega(rows, reparametrize(system.seconds, domain).coeffs.reshape(-1, 3, net.dim))
     if eta * omega > PASS_BOUND:
         status, radii = PairStatus.FAIL_CONVERGENCE, (None, None)
     else:

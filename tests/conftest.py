@@ -27,7 +27,6 @@ from cci.geometry import (
 from cci.kantorovich import (
     PairSystem,
     PairTest,
-    second_derivative_nets,
     test_pairs,
 )
 from cci.newton import newton_solve
@@ -76,20 +75,15 @@ def full_test_omega(net: ControlNet, test: PairTest) -> float:
     """The omega the full convergence test computes over ``test``'s test domain.
 
     ``net`` is the map over the unit square (a 2-component one is padded).
-    Its second-derivative nets are restricted through
-    ``kantorovich.reparametrize``, as ``test_pairs`` restricts them, and
-    ``PairSystem.omega`` takes the block with ``test``'s projection. Defined
-    also where omega's lower bound decided the test and ``test.omega`` is
-    None.
+    Its stacked, degree-raised second-derivative nets (``PairSystem.seconds``)
+    are restricted through ``kantorovich.reparametrize``, as ``test_pairs``
+    restricts them, and ``PairSystem.omega`` takes the block with
+    ``test``'s projection. Defined also where omega's lower bound decided
+    the test and ``test.omega`` is None.
     """
-    net = spatial(net)
-    block = np.concatenate(
-        [
-            kantorovich.reparametrize(n, test.test_domain).coeffs.reshape(-1, net.dim)
-            for n in second_derivative_nets(net)
-        ]
-    )
-    return PairSystem(net).omega(test.projection, block)
+    system = PairSystem(spatial(net))
+    block = kantorovich.reparametrize(system.seconds, test.test_domain).coeffs
+    return system.omega(test.projection, block.reshape(-1, 3, 3))
 
 
 def projected_net(net: ControlNet, test: PairTest) -> ControlNet:

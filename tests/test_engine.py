@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cci import engine, kantorovich
+from cci import brute_force_intersections, engine, kantorovich
 from cci.engine import (
     SolverConfig,
     Square,
@@ -21,7 +21,7 @@ from cci.engine import (
     solve,
     update_scale,
 )
-from cci.geometry import BezierCurve, Rect
+from cci.geometry import BezierCurve, Rect, sample_curve
 from cci.kantorovich import (
     KantorovichOutcome,
     PairStatus,
@@ -126,6 +126,34 @@ def test_single_crossing_quadratics_need_one_square_in_both_modes():
         report = solve(c1, c2, config)
         assert report.squares_examined == 1
         assert len(report.intersections) == 1
+
+
+@pytest.mark.parametrize("planar", [False, True])
+@pytest.mark.parametrize("n", [2, 5])
+def test_a_point_or_a_segment_against_a_curve_solves(planar, n):
+    # Nets of degrees (0, n), (1, n) and the swapped ones: omega's raised
+    # second-derivative nets start from degree 0 along an axis. A point just
+    # off the curve meets it nowhere. A segment through the curve's point at
+    # v = 0.3 crosses it there, at the segment's middle, and wherever else
+    # the oracle finds.
+    rng = np.random.default_rng(70 + n)
+    points = rng.uniform(0.0, 1.0, (n + 1, 3))
+    if planar:
+        points[:, 2] = 0.0
+    curve = BezierCurve(points)
+    on = sample_curve(curve, [0.3])[0]
+    step = np.array([*rng.normal(size=2), 0.0 if planar else rng.normal()])
+    point = BezierCurve([on + [0.05, 0.0, 0.0]])
+    segment = BezierCurve([on - step, on + step])
+    for first, second in ((point, curve), (curve, point)):
+        report = solve(first, second)
+        assert report.intersections == [] and not report.truncated
+    for first, second, expected in ((segment, curve, (0.5, 0.3)), (curve, segment, (0.3, 0.5))):
+        report = solve(first, second)
+        found = [(r.u, r.v) for r in report.intersections]
+        assert not report.truncated
+        assert match_point_sets(found, brute_force_intersections(first, second))
+        assert any(max(abs(u - expected[0]), abs(v - expected[1])) <= 1e-9 for u, v in found)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from cci.geometry import (
     _basis_matrix,
     _center_weights,
-    _derivatives,
+    _contract,
     _jet_weights,
     _restriction_matrix,
     _split_pair,
@@ -22,6 +22,7 @@ from cci.geometry import (
     derivative_curve,
     derivative_net,
     difference_net,
+    elevate,
     eval_curve,
     eval_net,
     jet,
@@ -216,7 +217,7 @@ def test_jet_is_the_closed_form_contraction_bit_for_bit():
                 net = ControlNet(rng.normal(size=(m + 1, n + 1, dim)))
                 for i, j in pairs:
                     u, v = points[i], points[j]
-                    both = _derivatives(net, weights[m][i], weights[n][j])
+                    both = _contract(net, weights[m][i], weights[n][j])
                     value, jac = jet(net, (u, v))
                     assert value.tobytes() == both[0, 0].tobytes(), (m, n, dim, u, v)
                     assert jac.tobytes() == both[(1, 0), (0, 1)].T.tobytes(), (m, n, dim, u, v)
@@ -615,6 +616,39 @@ def test_derivative_commutes_with_reparametrize():
         a = eval_net(lhs, s, t)
         b = (target.hi_u - target.lo_u) * eval_net(rhs, s, t)
         assert np.abs(a - b).max() <= 1e-10
+
+
+def _exact_values(coeffs: np.ndarray, u: Fraction, v: Fraction) -> np.ndarray:
+    """The net's value at rational (u, v), in Fractions, per component."""
+    c = np.vectorize(Fraction, otypes=[object])(coeffs)
+    m, n = c.shape[0] - 1, c.shape[1] - 1
+    bu = np.array([math.comb(m, i) * (1 - u) ** (m - i) * u**i for i in range(m + 1)], dtype=object)
+    bv = np.array([math.comb(n, j) * (1 - v) ** (n - j) * v**j for j in range(n + 1)], dtype=object)
+    return np.tensordot(bv, np.tensordot(bu, c, axes=(0, 0)), axes=(0, 0))
+
+
+def test_elevate_keeps_the_polynomial():
+    # Degree elevation is an identity: at random dyadic points the raised
+    # net, taken in exact rationals, has the input's values, to the rounding
+    # of its convex weights, for every pair of degrees p <= q up to 16 along
+    # u and a random pair along v. Raising to the same degree changes no bit.
+    rng = np.random.default_rng(60)
+    for p in range(17):
+        for q in range(p, 17):
+            pv = int(rng.integers(0, 17))
+            qv = int(rng.integers(pv, 17))
+            net = ControlNet(rng.normal(size=(p + 1, pv + 1, 2)))
+            raised = elevate(net, q, qv)
+            assert raised.coeffs.shape == (q + 1, qv + 1, 2)
+            scale = float(np.abs(net.coeffs).max())
+            # At most k = q - p + 1 weights per row, each rounded once: k + 1 u per axis.
+            tol = (q - p + qv - pv + 5) * 2.0**-53 * scale
+            assert np.abs(raised.coeffs).max() <= scale + tol
+            for u, v in rng.integers(0, 1025, (2, 2)):
+                point = Fraction(int(u), 1024), Fraction(int(v), 1024)
+                diff = _exact_values(raised.coeffs, *point) - _exact_values(net.coeffs, *point)
+                assert max(abs(d) for d in diff) <= tol, (p, q, pv, qv)
+        assert np.array_equal(elevate(net, p, pv).coeffs, net.coeffs)
 
 
 def test_rect_validation():
