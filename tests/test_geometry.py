@@ -618,20 +618,12 @@ def test_derivative_commutes_with_reparametrize():
         assert np.abs(a - b).max() <= 1e-10
 
 
-def _exact_values(coeffs: np.ndarray, u: Fraction, v: Fraction) -> np.ndarray:
-    """The net's value at rational (u, v), in Fractions, per component."""
-    c = np.vectorize(Fraction, otypes=[object])(coeffs)
-    m, n = c.shape[0] - 1, c.shape[1] - 1
-    bu = np.array([math.comb(m, i) * (1 - u) ** (m - i) * u**i for i in range(m + 1)], dtype=object)
-    bv = np.array([math.comb(n, j) * (1 - v) ** (n - j) * v**j for j in range(n + 1)], dtype=object)
-    return np.tensordot(bv, np.tensordot(bu, c, axes=(0, 0)), axes=(0, 0))
-
-
 def test_elevate_keeps_the_polynomial():
     # Degree elevation is an identity: at random dyadic points the raised
-    # net, taken in exact rationals, has the input's values, to the rounding
-    # of its convex weights, for every pair of degrees p <= q up to 16 along
-    # u and a random pair along v. Raising to the same degree changes no bit.
+    # net, summed in exact rationals, has the input's values, to the rounding
+    # of its convex weights and of each sum to a float, for every pair of
+    # degrees p <= q up to 16 along u and a random pair along v. Raising to
+    # the same degree changes no bit.
     rng = np.random.default_rng(60)
     for p in range(17):
         for q in range(p, 17):
@@ -641,13 +633,13 @@ def test_elevate_keeps_the_polynomial():
             raised = elevate(net, q, qv)
             assert raised.coeffs.shape == (q + 1, qv + 1, 2)
             scale = float(np.abs(net.coeffs).max())
-            # At most k = q - p + 1 weights per row, each rounded once: k + 1 u per axis.
+            # At most k = q - p + 1 weights per row, each rounded once: k + 1 u
+            # per axis; each exact sum then rounds to a float, by u / 2.
             tol = (q - p + qv - pv + 5) * 2.0**-53 * scale
             assert np.abs(raised.coeffs).max() <= scale + tol
-            for u, v in rng.integers(0, 1025, (2, 2)):
-                point = Fraction(int(u), 1024), Fraction(int(v), 1024)
-                diff = _exact_values(raised.coeffs, *point) - _exact_values(net.coeffs, *point)
-                assert max(abs(d) for d in diff) <= tol, (p, q, pv, qv)
+            for u, v in rng.integers(0, 1025, (2, 2)) / 1024:
+                diff = _exact_eval_net(raised.coeffs, u, v) - _exact_eval_net(net.coeffs, u, v)
+                assert np.abs(diff).max() <= tol + 2.0**-53 * scale, (p, q, pv, qv)
         assert np.array_equal(elevate(net, p, pv).coeffs, net.coeffs)
 
 

@@ -734,7 +734,7 @@ def _exact_elevation(p: int, q: int) -> np.ndarray:
         [[Fraction(math.comb(p, j) * math.comb(q - p, i - j), math.comb(q, i)) if 0 <= i - j <= q - p
           else Fraction(0) for j in range(p + 1)] for i in range(q + 1)],
         dtype=object,
-    ).reshape(q + 1, p + 1)
+    )
 
 
 def _carried_square(net, path):
