@@ -8,10 +8,10 @@ the number of squares examined and one SHA-256 over the run::
 
 The digest covers every observer event with its square (center, half-width,
 test-domain multiplier and depth), each convergence test's projection P,
-status and eta, each Newton root and every reported root, floats by their
-exact bits. It leaves out omega, which the convergence test reports only
-for the squares it restricts. Two commits that print the same lines made the same decisions
-and found the same roots. Under ``OPENBLAS_CORETYPE=Haswell`` with numpy's
+status, eta, omega, rho_minus and rho_plus (``-`` where the test left one
+unset), each Newton root and every reported root with its residual, floats
+by their exact bits. Two commits that print the same lines made the same
+decisions, certified them with the same values and found the same roots. Under ``OPENBLAS_CORETYPE=Haswell`` with numpy's
 AVX-512 dispatch it prints ``tools/identity_haswell.txt``, which CI checks.
 """
 
@@ -60,13 +60,13 @@ def event_line(event: str, payload: dict) -> str:
     if event == "kantorovich":
         for t in payload["outcome"].pairs:
             rows = [bits(x) for row in t.projection or () for x in row] or ["-"]
-            parts += [*rows, t.status.value, bits(t.eta)]
+            parts += [*rows, t.status.value, *map(bits, (t.eta, t.omega, t.rho_minus, t.rho_plus))]
     elif event == "newton":
         result = payload["result"]
         parts += [str(result.converged), *map(bits, result.root)]
     elif event == "intersection":
         record = payload["record"]
-        parts += [bits(record.u), bits(record.v), square_key(record.source_square)]
+        parts += [*map(bits, (record.u, record.v, record.residual)), square_key(record.source_square)]
     elif event == "truncated":
         parts.append(payload["reason"])
     return " ".join(parts)
