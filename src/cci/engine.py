@@ -256,7 +256,7 @@ def solve(
     # do not depend on the units of the input.
     scale = float(np.abs(net.coeffs).max())
     _, exponent = math.frexp(scale)
-    unit_net = ControlNet(np.ldexp(net.coeffs, -exponent))
+    unit_net = unchecked(ControlNet, coeffs=np.ldexp(net.coeffs, -exponent))
     system = PairSystem(unit_net)
 
     step = 0.0 if config.mode == "fixed" else config.epsilon
@@ -274,9 +274,9 @@ def solve(
 
     while True:
         clouds = rows.reshape(len(rows), -1, net.dim)
-        axis_passed, margins = axis_test(clouds)
-        entries = zip(squares, rows, clouds, axis_passed.tolist(), margins.tolist())
-        for (center, sq_scale), row, cloud, excluded, margin in entries:
+        axis_passed, margins, starts = axis_test(clouds)
+        entries = zip(squares, rows, clouds, axis_passed.tolist(), margins.tolist(), starts.tolist())
+        for (center, sq_scale), row, cloud, excluded, margin, start in entries:
             if report.squares_examined >= MAX_SQUARES:
                 report.truncated = True
                 if observing:
@@ -293,7 +293,7 @@ def solve(
                     emit("pruned", {"square": sq})
                 continue
 
-            if excluded or walk_test(cloud, margin):
+            if excluded or walk_test(cloud, margin, start):
                 report.exclusion_passes += 1
                 if observing:
                     emit("excluded", {"square": sq})

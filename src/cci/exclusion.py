@@ -8,11 +8,12 @@ runs in two stages:
 
 1. Axis test (``axis_test``, over a stack of nets at once): some coordinate
    exceeds the margin, with one sign, at every coefficient. Pass. It also
-   returns each net's margin, which the second stage takes.
+   returns each net's margin and the index of its first coefficient of
+   least norm, the second stage's start.
 2. A GJK walk (``walk_test``, one net at a time; Gilbert, Johnson &
    Keerthi, "A fast procedure for computing the distance between complex
-   objects in three-dimensional space", 1988) from the coefficient of least
-   norm toward the hull's point nearest the origin. Each major step adds
+   objects in three-dimensional space", 1988) from that coefficient toward
+   the hull's point nearest the origin. Each major step adds
    the coefficient p of least p.x to a simplex of at most four
    coefficients, which a closed-form step in Python floats reduces to its
    point nearest the origin and the smallest face that holds it
@@ -64,39 +65,44 @@ def exclusion_test(net: ControlNet, tol: float = 1e-12) -> bool:
     alone decides, and what it cannot pass fails conservatively.
     """
     pts = net.coeffs.reshape(-1, net.dim)
-    passed, margin = axis_test(pts[None], tol)
-    return bool(passed[0]) or walk_test(pts, float(margin[0]))
+    passed, margin, start = axis_test(pts[None], tol)
+    return bool(passed[0]) or walk_test(pts, float(margin[0]), int(start[0]))
 
 
-def axis_test(clouds: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def axis_test(clouds: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The first stage on a stack of N clouds of one shape (N, ..., dim).
 
-    Returns, each of shape (N,), whether each cloud passes, and its margin,
-    tol times its largest coefficient magnitude. Minima, maxima and
-    absolute values are exact, so both equal bit for bit what one cloud
-    alone gives. The reductions run over a contiguous (N, dim, K) copy,
-    along its last axis, which is faster than across the rows.
+    Returns, each of shape (N,), whether each cloud passes, its margin and
+    the index of its first row of least norm, the walk's start. With low and
+    high its column minima and maxima, a cloud passes when some max(low,
+    -high) exceeds its margin, tol times the largest max(-low, high). These
+    steps are exact, so all three equal bit for bit what one cloud alone
+    gives (``+ 0.0`` keeps a zero margin positive); up to three columns,
+    where the walk runs, squared norms sum as ``einsum`` sums them,
+    (x0^2 + x2^2) + x1^2. The reductions run over a contiguous (N, dim, K)
+    copy, along its last axis, which is faster than across the rows.
     """
     count, dim = clouds.shape[0], clouds.shape[-1]
     columns = np.ascontiguousarray(clouds.reshape(count, -1, dim).transpose(0, 2, 1))
     low, high = columns.min(axis=2), columns.max(axis=2)
-    margin = tol * np.maximum(np.abs(low), np.abs(high)).max(axis=1)
-    passed = (low > margin[:, None]).any(axis=1) | (high < -margin[:, None]).any(axis=1)
-    return passed, margin
+    margin = tol * np.maximum(-low, high).max(axis=1) + 0.0
+    passed = np.maximum(low, -high).max(axis=1) > margin
+    squares = columns * columns
+    norms = squares[:, 0] + squares[:, 2] + squares[:, 1] if dim == 3 else squares.sum(axis=1)
+    return passed, margin, norms.argmin(axis=1)
 
 
-def walk_test(pts: np.ndarray, margin: float) -> bool:
-    """The second stage on one cloud's rows, with ``axis_test``'s margin.
+def walk_test(pts: np.ndarray, margin: float, start: int) -> bool:
+    """The second stage on one cloud's rows, with ``axis_test``'s margin and
+    start row index: True iff the GJK walk finds a separating
+    direction. A cloud of more than three columns, or an all-zero one
+    (margin 0), fails."""
+    return pts.shape[1] <= 3 and _separating_direction(pts, margin, start) is not None
 
-    True iff the GJK walk finds a separating direction. A cloud of more than
-    three columns, or an all-zero one (margin 0), fails.
-    """
-    return pts.shape[1] <= 3 and _separating_direction(pts, margin) is not None
 
-
-def _separating_direction(pts: np.ndarray, margin: float) -> tuple[float, ...] | None:
+def _separating_direction(pts: np.ndarray, margin: float, start: int) -> tuple[float, ...] | None:
     """A direction x with min(pts @ x) > margin |x|, found by a GJK walk from
-    the first row of least norm, or None.
+    row ``start``, the first of least norm, or None.
 
     Rows of 1 to 3 columns are padded to three for the simplex step, and x
     is cut back to the rows' width, a tuple of floats that ``pts.dot`` takes
@@ -105,7 +111,7 @@ def _separating_direction(pts: np.ndarray, margin: float) -> tuple[float, ...] |
     """
     dim = pts.shape[1]
     pad = (0.0,) * (3 - dim)
-    x = tuple(pts[int(np.einsum("ij,ij->i", pts, pts).argmin())].tolist())
+    x = tuple(pts[start].tolist())
     simplex = [(*x, *pad)]
     nx = math.hypot(*simplex[0])
     for _ in range(_MAX_MAJOR):

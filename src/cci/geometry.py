@@ -137,7 +137,7 @@ def difference_net(c1: BezierCurve, c2: BezierCurve) -> ControlNet:
         coeffs = a[:, None, :] - b[None, :, :]
     if not np.isfinite(coeffs).all():
         raise ValueError("the curves' difference overflows a float")
-    return ControlNet(coeffs)
+    return unchecked(ControlNet, coeffs=coeffs)
 
 
 _MAX_DEGREE = 1029  # C(1030, 515) overflows a float
@@ -180,8 +180,10 @@ def derivative_net(net: ControlNet, axis: str) -> ControlNet:
 
 
 def derivative_coeffs(c: np.ndarray, k: int) -> np.ndarray:
-    """``derivative_net``'s coefficients along array axis k (0 for u, 1 for v), unchecked."""
-    return np.zeros_like(c) if c.shape[k] == 1 else (c.shape[k] - 1) * np.diff(c, axis=k)
+    """``derivative_net``'s coefficients along array axis k (0 for u, 1 for v),
+    unchecked: the differences ``np.diff`` takes, as slices."""
+    high, low = (c[1:], c[:-1]) if k == 0 else (c[:, 1:], c[:, :-1])
+    return (c.shape[k] - 1) * (high - low) if c.shape[k] > 1 else np.zeros_like(c)
 
 
 def unchecked(cls, **fields):
@@ -279,12 +281,18 @@ def _contract(net: ControlNet, wu: np.ndarray, wv: np.ndarray) -> np.ndarray:
     return wv @ (wu @ c.reshape(c.shape[0], -1)).reshape(len(wu), *c.shape[1:])
 
 
-def jet(net: ControlNet, x: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Value (dim,) and Jacobian (dim, 2) of the net's map at x = (u, v)."""
+def jet_table(net: ControlNet, x: tuple[float, float]) -> np.ndarray:
+    """The net's map and its first partials at x = (u, v), shape (2, 2, dim):
+    entry (i, j) is taken i times along u and j times along v."""
     m, n = net.degree_u, net.degree_v
     weights = _weights(((m, 1), (n, 1)), (float(x[0]), float(x[1])))
     wu, wv = weights[: 2 * m + 2].reshape(2, m + 1), weights[2 * m + 2 :].reshape(2, n + 1)
-    both = _contract(net, wu, wv)
+    return _contract(net, wu, wv)
+
+
+def jet(net: ControlNet, x: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Value (dim,) and Jacobian (dim, 2) of the net's map at x = (u, v), from ``jet_table``."""
+    both = jet_table(net, x)
     return both[0, 0], both[(1, 0), (0, 1)].T
 
 
@@ -318,8 +326,8 @@ def corner_seconds(net: ControlNet) -> np.ndarray:
 
 
 def eval_net(net: ControlNet, u: float, v: float) -> np.ndarray:
-    """Value of the net's map at (u, v): the value half of ``jet``."""
-    return jet(net, (u, v))[0]
+    """Value of the net's map at (u, v): entry (0, 0) of ``jet_table``."""
+    return jet_table(net, (u, v))[0, 0]
 
 
 @functools.lru_cache(maxsize=32)
@@ -339,29 +347,15 @@ def _split_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.stack((comb(k, j), right_binom)), t_power, s_power
 
 
-@functools.lru_cache(maxsize=32)
-def _wide_splits(size: int, t_left: float, t_right: float) -> np.ndarray:
-    """The degree-``size`` splits to [0, t_left] and to [t_right, 1], stacked.
-    numpy raises each power alone, so entries do not depend on ``size``;
-    those past the corners ``_split_pair`` reads may overflow, unread.
-    Cached and shared, hence read-only."""
-    binoms, t_power, s_power = _split_tables(size)
+def _split_pair(m: int, t_left: float, t_right: float) -> np.ndarray:
+    """The degree-m matrices restricting to [0, t_left] and to [t_right, 1],
+    stacked, from one ``np.power`` call for both parameters. Far outside
+    [0, 1] entries may overflow, silently."""
+    binoms, t_power, s_power = _split_tables(m)
     bases = [[t_left], [1.0 - t_left], [t_right], [1.0 - t_right]]
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = np.power(bases, _exponents(size)).ravel()
-        splits = binoms * powers[t_power] * powers[s_power]
-    splits.flags.writeable = False
-    return splits
-
-
-def _split_pair(m: int, t_left: float, t_right: float) -> tuple[np.ndarray, np.ndarray]:
-    """The degree-m matrices restricting to [0, t_left] and to [t_right, 1]:
-    corners (top-left, bottom-right) of the same splits of any higher degree,
-    entry for entry, so the nets of a test domain, of degrees up to 16, share
-    ``_wide_splits`` of degree 16. Read-only views."""
-    size = max(m, 16)
-    left, right = _wide_splits(size, t_left, t_right)
-    return left[: m + 1, : m + 1], right[size - m :, size - m :]
+        powers = np.power(bases, _exponents(m)).ravel()
+        return binoms * powers[t_power] * powers[s_power]
 
 
 @functools.lru_cache(maxsize=256)
@@ -412,9 +406,16 @@ def _elevation_matrix(p: int, q: int) -> np.ndarray:
 
 def elevate(net: ControlNet, degree_u: int, degree_v: int) -> ControlNet:
     """Net of degrees (degree_u, degree_v), each at least the input's, for the
-    same map; unchecked: its coefficients are convex combinations of the input's."""
-    rows = _elevation_matrix(net.degree_u, degree_u)
-    return unchecked(ControlNet, coeffs=_contract(net, rows, _elevation_matrix(net.degree_v, degree_v)))
+    same map; unchecked: its coefficients are convex combinations of the input's.
+    An axis whose degree does not rise skips its identity product; the other
+    takes ``_contract``'s product of the same shapes."""
+    c = net.coeffs
+    if degree_u > net.degree_u:
+        rows = _elevation_matrix(net.degree_u, degree_u)
+        c = (rows @ c.reshape(c.shape[0], -1)).reshape(degree_u + 1, *c.shape[1:])
+    if degree_v > net.degree_v:
+        c = _elevation_matrix(net.degree_v, degree_v) @ c
+    return unchecked(ControlNet, coeffs=c)
 
 
 # The quarters of the unit square, in the order ``restrict_quarters`` returns

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .geometry import (
     ControlNet,
     eval_net,  # noqa: F401 -- unused here; bench/tracing.py patches this binding
-    jet,
+    jet_table,
 )
 from .kantorovich import inverse_2x2
 
@@ -35,30 +35,22 @@ def newton_solve(
     Stops when the infinity norm of the step drops to ``tol`` or after
     ``max_iter`` iterations; a singular Jacobian at any iterate aborts.
     A run capped at ``max_iter=k`` ends at the k-th iterate of a longer one.
-    The step is summed in Python floats from ``inverse_2x2``'s entries.
+    Each iterate's value and Jacobian are read as Python floats from one
+    ``jet_table``, and the step is summed from ``inverse_2x2``'s entries.
     """
     u, v = float(x0[0]), float(x0[1])
-    iterations = 0
-    failure = "max_iter reached"
-    converged = False
-    for _ in range(max_iter):
-        value, jac = jet(pair_net, (u, v))
-        jac_inv = inverse_2x2(*jac.ravel().tolist())
+    iterations, failure = 0, "max_iter reached"
+    while iterations < max_iter:
+        ((f0, f1), (fv0, fv1)), ((fu0, fu1), _) = jet_table(pair_net, (u, v)).tolist()
+        jac_inv = inverse_2x2(fu0, fv0, fu1, fv1)
         if jac_inv is None:
             failure = "singular Jacobian at iterate"
             break
         a, b, c, d = jac_inv
-        f0, f1 = value.tolist()
         du, dv = a * f0 + b * f1, c * f0 + d * f1
         u, v = u - du, v - dv
         iterations += 1
         if abs(du) <= tol and abs(dv) <= tol:
-            converged = True
             failure = None
             break
-    return NewtonResult(
-        converged=converged,
-        root=(u, v),
-        iterations=iterations,
-        failure_reason=failure,
-    )
+    return NewtonResult(failure is None, (u, v), iterations, failure)

@@ -106,12 +106,19 @@ def test_oblique_separation_detected():
 # except within a few margins of the origin
 
 
+def _start(pts, tol=1e-12):
+    """The index of the walk's start row, as the axis stage hands it over:
+    the cloud's first row of least norm (``_check_axis_batch`` checks it)."""
+    return int(exclusion.axis_test(pts[None], tol)[2][0])
+
+
 def _gilbert_reference(points, tol=1e-12):
     """The hull test without the inside certificate: axis test, then Gilbert.
 
     A test oracle, kept verbatim from before the corrals replaced Gilbert's
-    iteration; wherever it passes, ``exclusion_test`` must pass too,
-    unless the origin lies within a few margins of the hull.
+    iteration but for its start row, which the axis stage gives; wherever
+    it passes, ``exclusion_test`` must pass too, unless the origin lies
+    within a few margins of the hull.
     """
     pts = np.asarray(points, dtype=float)
     pts = pts.reshape(-1, pts.shape[-1])
@@ -121,7 +128,7 @@ def _gilbert_reference(points, tol=1e-12):
     margin = tol * scale
     if (pts.min(axis=0) > margin).any() or (pts.max(axis=0) < -margin).any():
         return True
-    x = pts[np.einsum("ij,ij->i", pts, pts).argmin()].copy()
+    x = pts[_start(pts, tol)].copy()
     stall = 0
     nx2 = float(x @ x)
     for _ in range(128):
@@ -155,7 +162,7 @@ def _pass_direction(pts, tol=1e-12):
         for x in (axis, -axis):
             if (pts @ x).min() > margin:
                 return x
-    return exclusion._separating_direction(pts, margin)
+    return exclusion._separating_direction(pts, margin, _start(pts, tol))
 
 
 def _exact_min_dot(pts, x):
@@ -540,7 +547,7 @@ def test_inlined_nearest_face_is_the_helper_based_one_bit_for_bit():
 
 
 def test_nets_of_more_than_three_dimensions_take_the_axis_test_alone(monkeypatch):
-    def unreachable(pts, margin):
+    def unreachable(pts, margin, start):
         raise AssertionError("the walk runs in at most three dimensions")
 
     monkeypatch.setattr(exclusion, "_separating_direction", unreachable)
@@ -556,7 +563,7 @@ def test_nets_of_more_than_three_dimensions_take_the_axis_test_alone(monkeypatch
 
 # ---------------------------------------------------------------------------
 # The axis test over a stack of nets decides, and sets each margin, bit for
-# bit as it did one net at a time
+# bit as it did one net at a time, and hands each walk its start row
 
 
 def _single_axis_test(pts, tol=1e-12):
@@ -568,14 +575,18 @@ def _single_axis_test(pts, tol=1e-12):
 
 def _check_axis_batch(batch, tol=1e-12):
     """``axis_test`` on the stack equals the single-net stage on each net, in
-    decision and in every bit of the margin. Returns the decisions."""
-    passed, margins = exclusion.axis_test(batch, tol)
-    assert passed.shape == margins.shape == (len(batch),)
+    decision and in every bit of the margin, and each start row is the net's
+    first row of least ``einsum`` norm, where the walk used to start.
+    Returns the decisions."""
+    passed, margins, starts = exclusion.axis_test(batch, tol)
+    assert passed.shape == margins.shape == starts.shape == (len(batch),)
     decisions = []
-    for net, got, margin in zip(batch, passed.tolist(), margins.tolist()):
-        expected, expected_margin = _single_axis_test(net.reshape(-1, net.shape[-1]), tol)
+    for net, got, margin, start in zip(batch, passed.tolist(), margins.tolist(), starts.tolist()):
+        pts = net.reshape(-1, net.shape[-1])
+        expected, expected_margin = _single_axis_test(pts, tol)
         assert got == expected
         assert margin.hex() == float(expected_margin).hex()
+        assert start == int(np.einsum("ij,ij->i", pts, pts).argmin())
         decisions.append(got)
     return decisions
 
@@ -601,6 +612,16 @@ AXIS_CLOUDS = {
     "dim 4, no axis": (
         False,
         [[2.0, -1.0, 0.0, 0.0], [-1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 2.0, -1.0], [0.0, 0.0, -1.0, 2.0]],
+    ),
+    "two rows of least norm, the first wins": (
+        False,
+        [[1.0, -1.0, 1.0], [0.5, -0.25, 0.0], [-0.25, 0.0, 0.5], [0.0, 1.0, -1.0]],
+    ),
+    # einsum sums (x0^2 + x2^2) + x1^2: the second row by one rounding,
+    # the first in left-to-right order.
+    "least norm in einsum's order of sums": (
+        False,
+        [[0.66, 0.99, 0.294], [0.66, 0.294, 0.99], [-1.0, -1.0, -1.0]],
     ),
     "dim 4, a positive column": (
         True,

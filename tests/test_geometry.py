@@ -13,7 +13,6 @@ from cci.geometry import (
     _jet_weights,
     _restriction_matrix,
     _split_pair,
-    _wide_splits,
     BezierCurve,
     ControlNet,
     QUARTERS,
@@ -99,38 +98,32 @@ def _check_split_matrices(m, t, t_right=None):
     assert np.array_equal(right, _fresh_split(m, t_right, 1)), (m, t_right)
 
 
-def test_split_matrices_share_powers_across_degrees_bit_for_bit():
-    # Every degree up to 16 cuts its splits at a pair of parameters from one
-    # cached pair of degree-16 splits, and higher degrees from their own:
-    # a corner of a larger split must be the smaller one bit for bit, in any
-    # order of degrees. Domains reach past [0, 1].
+def test_split_matrices_are_the_closed_form_at_each_degree_bit_for_bit():
+    # Each degree builds its pair of splits at its own degree, raising both
+    # parameters in one np.power call: every entry must be the closed form,
+    # in any order of degrees. Domains reach past [0, 1].
     rng = np.random.default_rng(19)
     ts = [0.3, 1.0 / 3.0, -0.25, 1.25, 0.1 + 2.0**-40, *rng.uniform(-2.0, 3.0, 10).tolist()]
     for t, t_right in zip(ts, reversed(ts)):
-        _wide_splits.cache_clear()
         for m in (40, *range(20, -1, -1), 33, 7):
             _check_split_matrices(m, t, t_right)
-        _wide_splits.cache_clear()
         for m in range(21):
             _check_split_matrices(m, t)
-    # Far enough out that powers past degree 15 overflow, unread and unseen.
+    # Far out, powers up to degree 15 stay finite and past it overflow,
+    # without a warning.
     for t in (1e20, -1e20):
-        _wide_splits.cache_clear()
         for m in range(15, -1, -1):
             _check_split_matrices(m, t)
-        assert np.isinf(_wide_splits(16, t, t)[0, -1, -1])
-    assert not _wide_splits(16, 0.3, 0.3).flags.writeable
+        assert np.isinf(_split_pair(16, t, t)[0, -1, -1])
 
 
 def test_restriction_matrices_are_products_of_their_own_degree_splits_bit_for_bit():
-    # Every degree cuts its splits from shared splits of degree max(m, 16);
-    # each restriction matrix must still be the product of two fresh
-    # degree-m splits, in the order the range picks, bit for bit.
+    # Each restriction matrix must be the product of two fresh degree-m
+    # splits, in the order the range picks, bit for bit.
     rng = np.random.default_rng(21)
     ranges = [(0.0, 0.5), (0.5, 1.0), (0.3, 0.7), (-0.25, 1.25), (1.0, 1.5), (-0.5, 0.0),
               (0.1 + 2.0**-40, 0.2), *np.sort(rng.uniform(-1.0, 2.0, (8, 2))).tolist()]
     for a, b in ranges:
-        _wide_splits.cache_clear()
         _restriction_matrix.cache_clear()
         for m in (*range(21), 16, 31, 40, 7):
             if abs(1.0 - a) >= abs(b):

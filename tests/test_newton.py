@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cci.geometry import ControlNet, _center_weights, center_jet, eval_net, jet
+from cci.geometry import ControlNet, _center_weights, center_jet, eval_net, jet, jet_table
 from cci.kantorovich import inverse_2x2
 from cci.newton import newton_solve
 from conftest import newton_path, random_net_coeffs
@@ -127,7 +127,9 @@ def test_newton_iterates_leave_the_center_weights_cached():
 def test_newton_step_is_float_arithmetic_on_the_inverse_entries():
     # The step J^-1 f is summed in Python floats, as the convergence test
     # sums eta. numpy's 2x2 product rounds apart from that on some BLAS
-    # kernels, so the iterates' last bits would depend on the kernel.
+    # kernels, so the iterates' last bits would depend on the kernel. Newton
+    # reads f and J as floats from ``jet_table``: they must be ``jet``'s
+    # arrays bit for bit, so one evaluator stands behind both.
     rng = np.random.default_rng(61)
     steps = 0
     for _ in range(30):
@@ -135,8 +137,10 @@ def test_newton_step_is_float_arithmetic_on_the_inverse_entries():
         path = newton_path(net, tuple(rng.uniform(0.2, 0.8, 2)), max_iter=6)
         for (u, v), x in zip(path, path[1:]):
             value, jac = jet(net, (u, v))
-            a, b, c, d = inverse_2x2(*jac.ravel().tolist())
-            f0, f1 = value.tolist()
+            ((f0, f1), (fv0, fv1)), ((fu0, fu1), _) = jet_table(net, (u, v)).tolist()
+            assert [f.hex() for f in (f0, f1)] == [f.hex() for f in value.tolist()]
+            assert [f.hex() for f in (fu0, fv0, fu1, fv1)] == [f.hex() for f in jac.ravel().tolist()]
+            a, b, c, d = inverse_2x2(fu0, fv0, fu1, fv1)
             assert x == (u - (a * f0 + b * f1), v - (c * f0 + d * f1))
             steps += 1
     assert steps >= 100
