@@ -576,8 +576,8 @@ def _single_axis_test(pts, tol=1e-12):
 def _check_axis_batch(batch, tol=1e-12):
     """``axis_test`` on the stack equals the single-net stage on each net, in
     decision and in every bit of the margin, and each start row is the net's
-    first row of least ``einsum`` norm, where the walk used to start.
-    Returns the decisions."""
+    first row of least ``einsum`` norm, so walks start where the walk's own
+    ``einsum`` would. Returns the decisions."""
     passed, margins, starts = exclusion.axis_test(batch, tol)
     assert passed.shape == margins.shape == starts.shape == (len(batch),)
     decisions = []
@@ -617,8 +617,8 @@ AXIS_CLOUDS = {
         False,
         [[1.0, -1.0, 1.0], [0.5, -0.25, 0.0], [-0.25, 0.0, 0.5], [0.0, 1.0, -1.0]],
     ),
-    # einsum sums (x0^2 + x2^2) + x1^2: the second row by one rounding,
-    # the first in left-to-right order.
+    # Summed as einsum sums, (x0^2 + x2^2) + x1^2, the second row is least
+    # by one rounding; summed left to right, the first is.
     "least norm in einsum's order of sums": (
         False,
         [[0.66, 0.99, 0.294], [0.66, 0.294, 0.99], [-1.0, -1.0, -1.0]],
