@@ -10,8 +10,9 @@ incomplete. ``bench``, and ``cci`` on a usage error of its own, exit 0 or 1.
 The residual tolerance (relative to the input's scale) and the square
 budget are fixed; the result's ``config.zero_tol`` reports the tolerance.
 
-Set CCI_LOG_LEVEL=trace to log every queue pop with the square, test
-results and test-domain multiplier; cci logs nothing else.
+With CCI_LOG_LEVEL=trace both commands pass ``solve`` an observer that
+writes a TRACE line to stderr for every queue pop (the square and its
+test-domain multiplier), test result and fate; the library logs nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import csv
 import dataclasses
 import io
 import json
-import logging
 import os
 import sys
 from pathlib import Path
@@ -28,7 +28,7 @@ from typing import NoReturn
 
 import click
 
-from .engine import TRACE, SolveReport, SolverConfig, solve
+from .engine import SolveReport, SolverConfig, solve
 from .problems import Problem, ProblemFormatError, load_problem
 
 DEFAULT_EPSILONS = (0.01, 0.05, 0.1, 0.15, 0.2)
@@ -55,9 +55,39 @@ class _Group(click.Group):
 @click.group(cls=_Group)
 def main() -> None:
     """Find all intersections of two 3D Bezier curves."""
+
+
+_TRACE_LINES = {
+    "pruned": "  pruned by explored region",
+    "excluded": "  exclusion test passed, square discarded",
+    "max_squares": "square budget exhausted, stopping",
+    "max_depth": "  max depth reached, not subdividing",
+}
+
+
+def _trace(event: str, payload: dict) -> None:
+    """Observer writing each event's TRACE lines to stderr."""
+    lines = []
+    if event == "square":
+        sq = payload["square"]
+        lines = ["pop depth=%d center=(%.9g, %.9g) r=%.3g scale=%.3g"
+                 % (sq.depth, sq.center[0], sq.center[1], sq.half_width, sq.scale)]
+    elif event == "kantorovich":
+        lines = ["  test: %s eta=%s omega=%s rho-=%s" % (t.status.value, t.eta, t.omega, t.rho_minus)
+                 for t in payload["outcome"].pairs]
+    elif event == "intersection":
+        lines = ["  new intersection at (%.12g, %.12g)" % (payload["record"].u, payload["record"].v)]
+    elif event in ("pruned", "excluded", "truncated"):
+        lines = [_TRACE_LINES[payload.get("reason", event)]]
+    for line in lines:
+        click.echo(f"TRACE cci.engine: {line}", err=True)
+
+
+def _solve(problem: Problem, config: SolverConfig) -> SolveReport:
+    """``solve`` on the problem's curves, traced when CCI_LOG_LEVEL=trace."""
     if os.environ.get("CCI_LOG_LEVEL", "").lower() == "trace":
-        logging.basicConfig(level=TRACE, stream=sys.stderr,
-                            format="%(levelname)s %(name)s: %(message)s")
+        return solve(problem.curve1, problem.curve2, config, _trace)
+    return solve(problem.curve1, problem.curve2, config)
 
 
 def _report_to_dict(problem: Problem, config: SolverConfig, report: SolveReport) -> dict:
@@ -126,7 +156,7 @@ def cmd_solve(input_path, output, **options) -> None:
     except ValueError as e:  # a ProblemFormatError is a ValueError
         _fail(e)
     _check_output(output)
-    report = solve(problem.curve1, problem.curve2, config)
+    report = _solve(problem, config)
     doc = _report_to_dict(problem, config, report)
     _emit(json.dumps(doc, indent=2) + "\n", output)
     sys.exit(2 if report.truncated else 0)
@@ -172,7 +202,7 @@ def cmd_bench(input_dir, epsilons, output) -> None:
         degrees = f"({problem.curve1.degree}, {problem.curve2.degree})"
         cells: list[str] = [problem.name, degrees]
         for config in configs:
-            report = solve(problem.curve1, problem.curve2, config)
+            report = _solve(problem, config)
             cells.append(str(report.squares_examined))
         rows.append(cells)
 

@@ -9,6 +9,7 @@ region contains is finished; every other square failing exclusion is
 quartered, and the children's test-domain multiplier is adapted from the
 parent's test outcome (grown after a containment failure, else shrunk after
 a convergence failure). Fixed mode is the same rule with a step of 0.
+``solve`` reports only through the observer it is passed; cci logs nothing.
 
 The queue runs breadth-first in batches within one quadtree level, each
 square a center and multiplier in floats (a ``Square`` only for an event or
@@ -20,7 +21,6 @@ the level's next quartered parents, their nets restricted in one call.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -52,10 +52,6 @@ from .kantorovich import (
     test_pairs,
 )
 from .newton import newton_solve
-
-TRACE = 5
-logging.addLevelName(TRACE, "TRACE")
-log = logging.getLogger(__name__)
 
 # Test-domain multiplier of the root square, chosen so the initial test
 # domains extend a quarter of the domain width beyond each side.
@@ -183,43 +179,8 @@ def point_is_known(regions: list[Rect], x: tuple[float, float]) -> bool:
     return any(r.contains_point(x) for r in regions)
 
 
-_TRACE_LINES = {
-    "pruned": "  pruned by explored region",
-    "excluded": "  exclusion test passed, square discarded",
-    "max_squares": "square budget exhausted, stopping",
-    "max_depth": "  max depth reached, not subdividing",
-}
-
-
-def _trace_log(event: str, payload: dict) -> None:
-    """Observer writing each event to the TRACE log."""
-    if event == "square":
-        sq = payload["square"]
-        log.log(
-            TRACE,
-            "pop depth=%d center=(%.9g, %.9g) r=%.3g scale=%.3g",
-            sq.depth, sq.center[0], sq.center[1], sq.half_width, sq.scale,
-        )
-    elif event == "kantorovich":
-        for t in payload["outcome"].pairs:
-            log.log(TRACE, "  test: %s eta=%s omega=%s rho-=%s", t.status.value, t.eta, t.omega, t.rho_minus)
-    elif event == "intersection":
-        record = payload["record"]
-        log.log(TRACE, "  new intersection at (%.12g, %.12g)", record.u, record.v)
-    elif event in ("pruned", "excluded", "truncated"):
-        log.log(TRACE, _TRACE_LINES[payload.get("reason", event)])
-
-
 def _ignore_events(event: str, payload: dict) -> None:
     """The do-nothing observer, ``solve``'s default."""
-
-
-def _with_trace_log(observer: Observer) -> Observer:
-    def emit(event: str, payload: dict) -> None:
-        observer(event, payload)
-        _trace_log(event, payload)
-
-    return emit
 
 
 def solve(
@@ -245,10 +206,9 @@ def solve(
     each truncation ("truncated": reason "max_squares" once after
     ``MAX_SQUARES`` squares, reason "max_depth" with the square for each
     square at ``MAX_DEPTH`` that would otherwise be quartered). It exists for
-    instrumentation and does not affect the run. The TRACE log is one more
-    observer on the same events. Batching the restriction and the axis test
-    moves no event: a square's net and its axis decision depend on nothing
-    but its parent's net.
+    instrumentation and does not affect the run; the CLI's trace is one such
+    observer. Batching the restriction and the axis test moves no event: a
+    square's net and its axis decision depend on nothing but its parent's net.
     """
     net = difference_net(c1, c2)
     # The solver runs on the net scaled exactly, by a power of two, to a
@@ -269,8 +229,7 @@ def solve(
     squares, rows = [((0.5, 0.5), INITIAL_SCALE)], unit_net.coeffs[None]
     regions: list[Rect] = []
     report = SolveReport(1e-9 * scale)
-    emit = _with_trace_log(observer) if log.isEnabledFor(TRACE) else observer
-    observing = emit is not _ignore_events  # else build no event payloads
+    observing = observer is not _ignore_events  # else build no event payloads
 
     while True:
         clouds = rows.reshape(len(rows), -1, net.dim)
@@ -280,29 +239,29 @@ def solve(
             if report.squares_examined >= MAX_SQUARES:
                 report.truncated = True
                 if observing:
-                    emit("truncated", {"reason": "max_squares"})
+                    observer("truncated", {"reason": "max_squares"})
                 return report
             report.squares_examined += 1
             report.max_depth_reached = depth  # levels only deepen
             if observing:
                 sq = unchecked(Square, center=center, half_width=half_width, scale=sq_scale, depth=depth)
-                emit("square", {"square": sq})
+                observer("square", {"square": sq})
 
             if region_prunes_square(regions, center, half_width):
                 if observing:
-                    emit("pruned", {"square": sq})
+                    observer("pruned", {"square": sq})
                 continue
 
             if excluded or walk_test(cloud, margin, start):
                 report.exclusion_passes += 1
                 if observing:
-                    emit("excluded", {"square": sq})
+                    observer("excluded", {"square": sq})
                 continue
 
             carried = unchecked(ControlNet, coeffs=row)
             outcome = test_pairs(system, carried, center, half_width, sq_scale)
             if observing:
-                emit("kantorovich", {"square": sq, "outcome": outcome})
+                observer("kantorovich", {"square": sq, "outcome": outcome})
 
             passed = outcome.passed
             if passed is not None:
@@ -315,7 +274,7 @@ def solve(
                 (cu, cv), (du, dv) = center, passed.step
                 result = newton_solve(projected, (cu - du, cv - dv))
                 if observing:
-                    emit("newton", {"square": sq, "passed": passed, "result": result})
+                    observer("newton", {"square": sq, "passed": passed, "result": result})
                 if result.converged:
                     x = result.root
                     # The unit net's jet cannot overflow, and scaling back is exact.
@@ -342,7 +301,7 @@ def solve(
                         if region is not None:
                             regions.append(region)
                         if observing:
-                            emit("intersection", {"record": record})
+                            observer("intersection", {"record": record})
                         # The region holds the full map's only zero in it, just
                         # recorded, so a square it covers is finished.
                         if region is not None and region_prunes_square([region], center, half_width):
@@ -351,7 +310,7 @@ def solve(
             if depth >= MAX_DEPTH:
                 report.truncated = True
                 if observing:
-                    emit("truncated", {"reason": "max_depth", "square": sq})
+                    observer("truncated", {"reason": "max_depth", "square": sq})
                 continue
 
             # A copy, so a queued parent does not keep its batch alive.

@@ -268,8 +268,8 @@ def _jet_weights(m: int, t: float, order: int = 1) -> np.ndarray:
 @functools.lru_cache(maxsize=32)
 def _center_weights(m: int) -> np.ndarray:
     """``_jet_weights(m, 1/2, 2)`` for ``center_jet``, which every convergence
-    test calls. Cached and shared, hence read-only; ``jet`` caches only its
-    gather tables, so Newton's iterates cannot evict these."""
+    test calls. Cached and shared, hence read-only; ``jet_table`` caches only
+    its gather tables, so Newton's iterates cannot evict these."""
     weights = _jet_weights(m, 0.5, 2)
     weights.flags.writeable = False
     return weights
@@ -290,16 +290,10 @@ def jet_table(net: ControlNet, x: tuple[float, float]) -> np.ndarray:
     return _contract(net, wu, wv)
 
 
-def jet(net: ControlNet, x: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Value (dim,) and Jacobian (dim, 2) of the net's map at x = (u, v), from ``jet_table``."""
-    both = jet_table(net, x)
-    return both[0, 0], both[(1, 0), (0, 1)].T
-
-
 def center_jet(net: ControlNet) -> np.ndarray:
     """Derivatives of the net's map at (1/2, 1/2), shape (3, 3, dim): entry
-    (i, j) is taken i times along u and j times along v. The weights are
-    exact below degree 50; (0, 0) and the Jacobian are ``jet``'s bit for bit."""
+    (i, j) is taken i times along u and j times along v. The weights are exact
+    below degree 50; (0, 0), (1, 0) and (0, 1) are ``jet_table``'s bit for bit."""
     return _contract(net, _center_weights(net.degree_u), _center_weights(net.degree_v))
 
 
@@ -368,9 +362,7 @@ def _restriction_matrix(m: int, a: float, b: float) -> np.ndarray:
     quarter restrictions of dyadic coefficients stay exact. Cached, so each
     quarter's matrix is built once per degree; shared, hence read-only.
     """
-    if a == 0.0 and b == 1.0:
-        matrix = np.eye(m + 1)
-    elif abs(1.0 - a) >= abs(b):
+    if abs(1.0 - a) >= abs(b):
         matrix = np.matmul(*_split_pair(m, (b - a) / (1.0 - a), a))
     else:
         matrix = np.matmul(*_split_pair(m, b, a / b)[::-1])

@@ -248,16 +248,46 @@ def test_output_into_missing_dir_exits_1(problems_dir, tmp_path, monkeypatch, ar
 
 
 # ---------------------------------------------------------------------------
-# logging env var (subprocess so the env is read at startup)
+# trace env var (subprocess, as a user runs it)
 
-def test_trace_logging_emits_queue_pops(problems_dir):
-    # p01 has both a discarded square and an intersection
-    proc = subprocess.run(
-        [sys.executable, "-m", "cci.cli", "solve",
-         str(problems_dir / "suite" / "p01.json")],
-        capture_output=True, text=True, env=subprocess_env(CCI_LOG_LEVEL="trace"),
+def _traced(*args):
+    return subprocess.run([sys.executable, "-m", "cci.cli", *args], capture_output=True,
+                          text=True, env=subprocess_env(CCI_LOG_LEVEL="trace"))
+
+
+def test_trace_logging_emits_queue_pops(problems_dir, tmp_path):
+    # The crossing's center is an exact zero, so these lines hold on any BLAS kernel.
+    proc = _traced("solve", str(problems_dir / "crossing_segments.json"))
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        "TRACE cci.engine: pop depth=0 center=(0.5, 0.5) r=0.5 scale=1.5\n"
+        "TRACE cci.engine:   test: pass eta=0.0 omega=0.0 rho-=0.0\n"
+        "TRACE cci.engine:   new intersection at (0.5, 0.5)\n"
     )
+    # p01 has both a discarded square and an intersection; its eta and omega
+    # reprs may differ in the last bit across kernels.
+    proc = _traced("solve", str(problems_dir / "suite" / "p01.json"))
     assert proc.returncode == 0
     assert "pop depth=0" in proc.stderr
     assert "exclusion test passed" in proc.stderr
     assert "new intersection" in proc.stderr
+    # bench traces each of its solves: two problems, two steps and fixed.
+    for name in ("crossing_segments.json", "suite/p01.json"):
+        (tmp_path / name.replace("/", "_")).write_bytes((problems_dir / name).read_bytes())
+    proc = _traced("bench", str(tmp_path), "--epsilons", "0.05,0.1")
+    assert proc.returncode == 0
+    assert proc.stderr.count("TRACE cci.engine: pop depth=0 ") == 6
+
+
+def test_importing_cci_leaves_logging_untouched():
+    # cci reports only through solve's observer: it names no log level and
+    # makes no logger.
+    code = (
+        "import logging, cci, cci.cli\n"
+        "assert logging.getLevelName(5) == 'Level 5', logging.getLevelName(5)\n"
+        "loggers = [n for n in logging.Logger.manager.loggerDict if n.split('.')[0] == 'cci']\n"
+        "assert not loggers, loggers\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr

@@ -24,7 +24,7 @@ from cci.geometry import (
     elevate,
     eval_curve,
     eval_net,
-    jet,
+    jet_table,
     reparametrize,
     restrict_quarters,
     sample_curve,
@@ -119,10 +119,11 @@ def test_split_matrices_are_the_closed_form_at_each_degree_bit_for_bit():
 
 def test_restriction_matrices_are_products_of_their_own_degree_splits_bit_for_bit():
     # Each restriction matrix must be the product of two fresh degree-m
-    # splits, in the order the range picks, bit for bit.
+    # splits, in the order the range picks, bit for bit. On [0, 1] both
+    # splits are identities (0**0 is 1), so their product is the identity.
     rng = np.random.default_rng(21)
     ranges = [(0.0, 0.5), (0.5, 1.0), (0.3, 0.7), (-0.25, 1.25), (1.0, 1.5), (-0.5, 0.0),
-              (0.1 + 2.0**-40, 0.2), *np.sort(rng.uniform(-1.0, 2.0, (8, 2))).tolist()]
+              (0.0, 1.0), (0.1 + 2.0**-40, 0.2), *np.sort(rng.uniform(-1.0, 2.0, (8, 2))).tolist()]
     for a, b in ranges:
         _restriction_matrix.cache_clear()
         for m in (*range(21), 16, 31, 40, 7):
@@ -131,6 +132,8 @@ def test_restriction_matrices_are_products_of_their_own_degree_splits_bit_for_bi
             else:
                 expected = _fresh_split(m, a / b, 1) @ _fresh_split(m, b, 0)
             assert np.array_equal(_restriction_matrix(m, a, b), expected), (a, b, m)
+            if (a, b) == (0.0, 1.0):
+                assert _restriction_matrix(m, a, b).tobytes() == np.eye(m + 1).tobytes(), m
 
 
 def test_split_and_jet_weights_are_the_closed_form_bit_for_bit():
@@ -193,9 +196,9 @@ def test_weights_at_one_half_are_exact_below_the_degrees_the_floor_proof_names()
 
 
 def test_jet_is_the_closed_form_contraction_bit_for_bit():
-    # ``jet`` gathers both axes' weights in one pass. Its value and Jacobian
-    # must be the net contracted with each axis's closed-form weights, bit
-    # for bit (signed zeros included), inside [0, 1] and outside it.
+    # ``jet_table`` gathers both axes' weights in one pass. Its entries must
+    # be the net contracted with each axis's closed-form weights, bit for bit
+    # (signed zeros included), inside [0, 1] and outside it.
     rng = np.random.default_rng(23)
     points = [0.0, 0.5, 1.0, -0.0, 0.3, -0.25, 1.25, *rng.uniform(-0.3, 1.3, 3).tolist()]
     # Keyed by position: 0.0 and -0.0 are one dictionary key.
@@ -211,9 +214,7 @@ def test_jet_is_the_closed_form_contraction_bit_for_bit():
                 for i, j in pairs:
                     u, v = points[i], points[j]
                     both = _contract(net, weights[m][i], weights[n][j])
-                    value, jac = jet(net, (u, v))
-                    assert value.tobytes() == both[0, 0].tobytes(), (m, n, dim, u, v)
-                    assert jac.tobytes() == both[(1, 0), (0, 1)].T.tobytes(), (m, n, dim, u, v)
+                    assert jet_table(net, (u, v)).tobytes() == both.tobytes(), (m, n, dim, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -404,14 +405,14 @@ def test_jacobian_affine_is_constant():
     net = ControlNet(coeffs)
     rng = np.random.default_rng(12)
     for u, v in rng.uniform(0, 1, (10, 2)):
-        jac = jet(net, (u, v))[1]
+        jac = jet_table(net, (u, v))[(1, 0), (0, 1)].T
         assert np.abs(jac[:, 0] - g).max() <= 1e-12
         assert np.abs(jac[:, 1] - hvec).max() <= 1e-12
 
 
 def test_jacobian_zero_net():
     net = ControlNet(np.zeros((3, 3, 3)))
-    assert np.abs(jet(net, (0.3, 0.7))[1]).max() == 0.0
+    assert np.abs(jet_table(net, (0.3, 0.7))[(1, 0), (0, 1)]).max() == 0.0
 
 
 def test_jacobian_finite_difference_relative():
@@ -420,7 +421,7 @@ def test_jacobian_finite_difference_relative():
         net = ControlNet(random_net_coeffs(rng, m, n))
         h = 1e-6
         for u, v in rng.uniform(0.05, 0.95, (10, 2)):
-            jac = jet(net, (u, v))[1]
+            jac = jet_table(net, (u, v))[(1, 0), (0, 1)].T
             fd = np.stack(
                 [
                     (eval_net(net, u + h, v) - eval_net(net, u - h, v)) / (2 * h),
@@ -454,14 +455,14 @@ def _exact_eval_net(coeffs, u, v):
 
 def test_center_jet_matches_jet_and_exact_second_derivatives():
     # Entry (i, j) is the derivative i times along u and j times along v at
-    # (1/2, 1/2); value and Jacobian are jet's bit for bit.
+    # (1/2, 1/2); value and Jacobian are jet_table's bit for bit.
     rng = np.random.default_rng(14)
     for m, n in [(0, 0), (1, 0), (0, 2), (2, 1), (3, 5), (9, 9), (16, 12)]:
         net = ControlNet(random_net_coeffs(rng, m, n))
         grid = center_jet(net)
-        value, jac = jet(net, (0.5, 0.5))
-        assert np.array_equal(grid[0, 0], value)
-        assert np.array_equal(grid[(1, 0), (0, 1)].T, jac)
+        table = jet_table(net, (0.5, 0.5))
+        assert np.array_equal(grid[0, 0], table[0, 0])
+        assert np.array_equal(grid[(1, 0), (0, 1)], table[(1, 0), (0, 1)])
         for i, j in [(2, 0), (1, 1), (0, 2)]:
             d = net
             for axis in "u" * i + "v" * j:
@@ -478,7 +479,8 @@ def test_jet_matches_exact_evaluation():
         du = derivative_net(net, "u")
         dv = derivative_net(net, "v")
         for x in [(0.5, 0.5), (0.0, 1.0), tuple(rng.uniform(0, 1, 2))]:
-            value, jac = jet(net, x)
+            table = jet_table(net, x)
+            value, jac = table[0, 0], table[(1, 0), (0, 1)].T
             assert np.array_equal(eval_net(net, *x), value)
             assert np.abs(value - _exact_eval_net(net.coeffs, *x)).max() <= 1e-14
             expected = np.stack(

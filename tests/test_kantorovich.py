@@ -21,7 +21,7 @@ from cci.geometry import (
     corner_seconds,
     derivative_net,
     eval_net,
-    jet,
+    jet_table,
     reparametrize,
     restriction_growth,
 )
@@ -353,7 +353,8 @@ def test_pass_at_exact_transversal_zero():
     )
     passed = _test_square(ControlNet(coeffs), (0.5, 0.5), 0.5, 1.5)
     assert passed.status is PairStatus.PASS
-    assert np.abs(np.array(passed.projection) @ jet(ControlNet(coeffs), (0.5, 0.5))[1] - np.eye(2)).max() == 0.0
+    jac = jet_table(ControlNet(coeffs), (0.5, 0.5))[(1, 0), (0, 1)].T
+    assert np.abs(np.array(passed.projection) @ jac - np.eye(2)).max() == 0.0
     assert passed.eta == 0.0 and passed.step == (0.0, 0.0)
     assert passed.eta * passed.omega == 0.0
     assert passed.rho_minus == 0.0
@@ -628,20 +629,20 @@ def test_row_sums_pass_a_pair_four_times_the_largest_coefficient_fails():
 
 def test_row_sums_bound_the_jacobians_change_on_passing_test_domains():
     # |J0^-1 (J(x) - J(y))| <= omega |x - y| over each passing pair's test
-    # domain, with J from ``jet`` and J0 at the center. The mixed net attains
-    # the bound along (1, 1), so the weight 2 on M_uv cannot be dropped.
+    # domain, with J from ``jet_table`` and J0 at the center. The mixed net
+    # attains the bound along (1, 1), so the weight 2 on M_uv cannot be dropped.
     rng = np.random.default_rng(53)
     instances = [(projected_net(n, p), x0, p) for n, x0, p in _passing_instances(53, 12)]
     instances.append((_mixed_net(), (0.5, 0.5), pair_test_at(_mixed_net(), (0.5, 0.5), 0.125)))
     for pair_net, x0, passed in instances:
         d = passed.test_domain
-        jac0_inv = np.linalg.inv(jet(pair_net, x0)[1])
+        jac0_inv = np.linalg.inv(jet_table(pair_net, x0)[(1, 0), (0, 1)].T)
         corners = [(d.lo_u, d.lo_v), (d.hi_u, d.lo_v), (d.lo_u, d.hi_v), (d.hi_u, d.hi_v)]
         pairs = [(x, y) for k, x in enumerate(corners) for y in corners[k + 1:]]
         pairs += [tuple(p) for p in rng.uniform((d.lo_u, d.lo_v), (d.hi_u, d.hi_v), (200, 2, 2))]
         worst = 0.0
         for x, y in pairs:
-            change = jac0_inv @ (jet(pair_net, x)[1] - jet(pair_net, y)[1])
+            change = jac0_inv @ (jet_table(pair_net, x) - jet_table(pair_net, y))[(1, 0), (0, 1)].T
             ratio = np.abs(change).sum(axis=1).max() / np.abs(np.subtract(x, y)).max()
             assert ratio <= passed.omega * (1.0 + 1e-12)
             worst = max(worst, ratio)
@@ -769,8 +770,8 @@ def _always_restricting_test(system, net, center, half_width, scale):
     says whether the lower bound alone, over the center and the four
     corners, fails the square.
     """
-    value, jac = jet(net, (0.5, 0.5))
-    value, jac = value.tolist(), jac / (2.0 * half_width)
+    table = jet_table(net, (0.5, 0.5))
+    value, jac = table[0, 0].tolist(), table[(1, 0), (0, 1)].T / (2.0 * half_width)
     rows = projection(*jac.T.tolist())
     if rows is None:
         return PairStatus.SINGULAR_JACOBIAN, None, None, None, False
@@ -999,7 +1000,7 @@ def test_omega_floor_stays_below_the_exact_omega_where_the_weights_round():
                            (ControlNet(quadratic), True)):
             slack = kantorovich._floor_slack(net, 0.5, Rect(0.0, 1.0, 0.0, 1.0))
             curvature = _curvature(net, 0.5)
-            own = projection(*jet(net, (0.5, 0.5))[1].T.tolist())
+            own = projection(*jet_table(net, (0.5, 0.5))[(1, 0), (0, 1)].tolist())
             for k, rows in enumerate([own, *(rng.normal(size=(2, 3)).tolist() for _ in range(2))]):
                 floor = kantorovich._omega_floor(PairSystem(net), rows, curvature, slack)
                 exact = _exact_unit_omega(net, rows)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cci.geometry import ControlNet, _center_weights, center_jet, eval_net, jet, jet_table
+from cci.geometry import ControlNet, _center_weights, center_jet, eval_net, jet_table
 from cci.kantorovich import inverse_2x2
 from cci.newton import newton_solve
 from conftest import newton_path, random_net_coeffs
@@ -45,7 +45,7 @@ def test_start_at_zero_stops_immediately():
     assert result.converged
     assert result.iterations <= 1
     # f is exactly zero at the start, so the one step J^-1 f is exactly zero
-    assert not jet(net, (0.5, 0.5))[0].any()
+    assert not jet_table(net, (0.5, 0.5))[0, 0].any()
     assert result.root == (0.5, 0.5)
 
 
@@ -128,16 +128,17 @@ def test_newton_step_is_float_arithmetic_on_the_inverse_entries():
     # The step J^-1 f is summed in Python floats, as the convergence test
     # sums eta. numpy's 2x2 product rounds apart from that on some BLAS
     # kernels, so the iterates' last bits would depend on the kernel. Newton
-    # reads f and J as floats from ``jet_table``: they must be ``jet``'s
-    # arrays bit for bit, so one evaluator stands behind both.
+    # reads f and J as floats from ``jet_table``: f must be ``eval_net``'s
+    # bit for bit, so one evaluator stands behind Newton and the residual.
     rng = np.random.default_rng(61)
     steps = 0
     for _ in range(30):
         net = ControlNet(random_net_coeffs(rng, 3, 3, d=2))
         path = newton_path(net, tuple(rng.uniform(0.2, 0.8, 2)), max_iter=6)
         for (u, v), x in zip(path, path[1:]):
-            value, jac = jet(net, (u, v))
-            ((f0, f1), (fv0, fv1)), ((fu0, fu1), _) = jet_table(net, (u, v)).tolist()
+            table = jet_table(net, (u, v))
+            value, jac = eval_net(net, u, v), table[(1, 0), (0, 1)].T
+            ((f0, f1), (fv0, fv1)), ((fu0, fu1), _) = table.tolist()
             assert [f.hex() for f in (f0, f1)] == [f.hex() for f in value.tolist()]
             assert [f.hex() for f in (fu0, fv0, fu1, fv1)] == [f.hex() for f in jac.ravel().tolist()]
             a, b, c, d = inverse_2x2(fu0, fv0, fu1, fv1)
