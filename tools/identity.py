@@ -9,9 +9,10 @@ the number of squares examined and one SHA-256 over the run::
 The digest covers every observer event with its square (center, half-width,
 test-domain multiplier and depth), each convergence test's projection P,
 status, eta, omega, rho_minus and rho_plus (``-`` where the test left one
-unset), each Newton root and every reported root with its residual, floats
-by their exact bits. Two commits that print the same lines made the same
-decisions, certified them with the same values and found the same roots. Under ``OPENBLAS_CORETYPE=Haswell`` with numpy's
+unset), each Newton root and every reported root with its residual and its
+point on the first curve, floats by their exact bits. Two commits that print
+the same lines made the same decisions, certified them with the same values
+and found the same roots. Under ``OPENBLAS_CORETYPE=Haswell`` with numpy's
 AVX-512 dispatch it prints ``tools/identity_haswell.txt``, which CI checks.
 """
 
@@ -66,7 +67,8 @@ def event_line(event: str, payload: dict) -> str:
         parts += [str(result.converged), *map(bits, result.root)]
     elif event == "intersection":
         record = payload["record"]
-        parts += [*map(bits, (record.u, record.v, record.residual)), square_key(record.source_square)]
+        parts += [*map(bits, (record.u, record.v, record.residual, *record.point)),
+                  square_key(record.source_square)]
     elif event == "truncated":
         parts.append(payload["reason"])
     return " ".join(parts)
