@@ -42,7 +42,7 @@ for rect in (Rect(0.0, 0.25, 0.6, 0.85), Rect(0.05, 0.35, 0.05, 0.35)):
 # M_uu,i + 2 M_uv,i + M_vv,i, each M the largest |coefficient| of row i of
 # P f_uu, P f_uv or P f_vv over the domain.
 center, half_width = (0.1875, 0.1875), 0.0625
-square = reparametrize(net, Rect.ball(center, half_width))
+square = reparametrize(net, Rect(0.125, 0.25, 0.125, 0.25))
 (t,) = test_pairs(PairSystem(net), square, center, half_width, 1.5).pairs
 print(f"\nconvergence test: {t.status.value}")
 print("  P     =", [[round(x, 6) for x in row] for row in t.projection])

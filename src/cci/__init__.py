@@ -14,7 +14,6 @@ from .geometry import (
     ControlNet,
     Rect,
     derivative_curve,
-    derivative_net,
     difference_net,
     eval_curve,
     eval_net,

@@ -1,7 +1,7 @@
 """Bernstein-basis arithmetic for Bezier curves and tensor-product control nets.
 
 Everything here is exact polynomial algebra up to floating-point rounding.
-Evaluation applies Bernstein weights (``_weights``, ``_basis_matrix``);
+Evaluation of curves and nets applies Bernstein weights from ``_weights``;
 restriction applies per-axis restriction matrices whose entries are
 de Casteljau's closed-form weights, so both stay stable on [0, 1] and
 remain exact (as polynomial identities) for parameters outside it, and nets
@@ -37,12 +37,6 @@ class Rect:
             if not all(math.isfinite(x) for x in vals):
                 raise ValueError(f"rectangle bounds must be finite, got {vals}")
             raise ValueError(f"degenerate rectangle {vals}")
-
-    @classmethod
-    def ball(cls, center: tuple[float, float], radius: float) -> "Rect":
-        """Closed infinity-norm ball, i.e. the square of the given half-width."""
-        cu, cv = center
-        return cls(cu - radius, cu + radius, cv - radius, cv + radius)
 
     def contains_point(self, p: tuple[float, float]) -> bool:
         """Closed membership: the boundary belongs to the rectangle."""
@@ -110,13 +104,16 @@ class ControlNet:
 
 
 def eval_curve(curve: BezierCurve, t: float) -> np.ndarray:
-    """Point on the curve at parameter t."""
-    return sample_curve(curve, [t])[0]
+    """Point on the curve at parameter t: ``sample_curve``'s row for [t]."""
+    return (_weights(((curve.degree, 0),), (float(t),))[None] @ curve.control_points)[0]
 
 
 def sample_curve(curve: BezierCurve, ts: np.ndarray) -> np.ndarray:
-    """Curve points at every parameter in ``ts``; returns shape (len(ts), 3)."""
-    return _basis_matrix(curve.degree, ts) @ curve.control_points
+    """Curve points at every parameter in ``ts``; returns shape (len(ts), 3).
+    One row of basis weights per parameter, then one product."""
+    axes = ((curve.degree, 0),)
+    rows = [_weights(axes, (t,)) for t in np.asarray(ts, dtype=float).tolist()]
+    return np.reshape(rows, (len(rows), curve.degree + 1)) @ curve.control_points
 
 
 def derivative_curve(curve: BezierCurve) -> BezierCurve:
@@ -144,15 +141,6 @@ _MAX_DEGREE = 1029  # C(1030, 515) overflows a float
 
 
 @functools.lru_cache(maxsize=32)
-def _binomials(m: int) -> np.ndarray:
-    """C(m, i) for i = 0..m as floats, finite up to m = _MAX_DEGREE. Cached
-    and shared, hence read-only."""
-    binomials = np.array([math.comb(m, i) for i in range(m + 1)], dtype=float)
-    binomials.flags.writeable = False
-    return binomials
-
-
-@functools.lru_cache(maxsize=32)
 def _exponents(m: int) -> np.ndarray:
     """0.0, 1.0, ..., m: float exponents, so powers need no integer cast.
     Cached and shared, hence read-only."""
@@ -161,27 +149,10 @@ def _exponents(m: int) -> np.ndarray:
     return exponents
 
 
-def _basis_matrix(m: int, ts: np.ndarray) -> np.ndarray:
-    """Rows: the degree-m Bernstein basis C(m, i) (1 - t)^(m-i) t^i at each t."""
-    ts = np.asarray(ts, dtype=float)[:, None]
-    exponents = _exponents(m)
-    return _binomials(m) * ((1.0 - ts) ** exponents)[:, ::-1] * ts**exponents
-
-
-def derivative_net(net: ControlNet, axis: str) -> ControlNet:
-    """Partial derivative of the net's map along ``axis`` ("u" or "v").
-
-    The degree along the axis drops by one; differentiating a degree-0 axis
-    yields the zero net of degree 0 along that axis.
-    """
-    if axis not in ("u", "v"):
-        raise ValueError(f"axis must be 'u' or 'v', got {axis!r}")
-    return ControlNet(derivative_coeffs(net.coeffs, "uv".index(axis)))
-
-
 def derivative_coeffs(c: np.ndarray, k: int) -> np.ndarray:
-    """``derivative_net``'s coefficients along array axis k (0 for u, 1 for v),
-    unchecked: the differences ``np.diff`` takes, as slices."""
+    """Coefficients of the partial derivative along array axis k (0 for u, 1
+    for v), unchecked: the differences ``np.diff`` takes, as slices. The
+    degree along the axis drops by one; a degree-0 axis gives zeros."""
     high, low = (c[1:], c[:-1]) if k == 0 else (c[:, 1:], c[:, :-1])
     return (c.shape[k] - 1) * (high - low) if c.shape[k] > 1 else np.zeros_like(c)
 
@@ -258,8 +229,8 @@ def _jet_weights(m: int, t: float, order: int = 1) -> np.ndarray:
 
     Row k is m!/(m-k)! times the degree-(m-k) basis differenced k times, each
     backward difference taking entry i to B_{i-1} - B_i. Every row is
-    gathered from one vector of powers of t and one of 1 - t, so row 0 is,
-    entry for entry, ``_basis_matrix``'s. At t = 1/2 every weight is a
+    gathered from one vector of powers of t and one of 1 - t, and
+    ``sample_curve``'s rows are its row 0. At t = 1/2 every weight is a
     dyadic rational, exact in floating point below degree 50.
     """
     return _weights(((m, order),), (t,)).reshape(order + 1, m + 1)

@@ -57,6 +57,12 @@ def spatial(net: ControlNet) -> ControlNet:
     return ControlNet(np.concatenate([c, np.zeros_like(c[:, :, :1])], axis=2))
 
 
+def ball(center: tuple[float, float], radius: float) -> Rect:
+    """The closed infinity-norm ball of ``center``: the square of half-width ``radius``."""
+    cu, cv = center
+    return Rect(cu - radius, cu + radius, cv - radius, cv + radius)
+
+
 def pair_test_at(pair_net: ControlNet, x0: tuple[float, float], half_width: float) -> PairTest:
     """The solver's convergence test of a 2-component net, as one ``PairTest``.
 
@@ -66,7 +72,7 @@ def pair_test_at(pair_net: ControlNet, x0: tuple[float, float], half_width: floa
     solver uses.
     """
     net = spatial(pair_net)
-    square = reparametrize(net, Rect.ball(x0, half_width))
+    square = reparametrize(net, ball(x0, half_width))
     (test,) = test_pairs(PairSystem(net), square, x0, half_width, 1.0).pairs
     return test
 

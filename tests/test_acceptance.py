@@ -20,7 +20,7 @@ from cci.exclusion import exclusion_test
 from cci.geometry import (
     ControlNet,
     Rect,
-    _basis_matrix,
+    _jet_weights,
     eval_net,
     jet_table,
     reparametrize,
@@ -196,7 +196,7 @@ def test_acceptance_6_numerical_kernels():
     worst_pu = 0.0
     for m in range(21):
         for t in rng.uniform(0, 1, 50):
-            total = sum(_basis_matrix(m, [t])[0])
+            total = sum(_jet_weights(m, t, 0)[0])
             worst_pu = max(worst_pu, abs(total - 1.0))
     assert worst_pu <= 1e-12
 

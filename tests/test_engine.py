@@ -30,7 +30,7 @@ from cci.kantorovich import (
     explored_region,
 )
 from cci.problems import load_problem
-from conftest import match_point_sets, random_transversal_problem
+from conftest import ball, match_point_sets, random_transversal_problem
 
 CROSSING = (
     BezierCurve([[0, 0, 0], [1, 1, 0]]),
@@ -47,7 +47,7 @@ TANGENTIAL = (
 
 
 def _outcome(status, **kw):
-    return KantorovichOutcome((PairTest(None, status, Rect.ball((0.5, 0.5), 0.75), **kw),))
+    return KantorovichOutcome((PairTest(None, status, ball((0.5, 0.5), 0.75), **kw),))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +191,7 @@ def test_update_scales_never_below_one():
 
 def _region(center, rho_plus):
     # an explored region whose test domain is wider than its uniqueness ball
-    return Rect.ball(center, rho_plus)
+    return ball(center, rho_plus)
 
 
 def test_region_prunes_square_empty_list():
@@ -223,7 +223,7 @@ def _finished_squares_pop_nothing(c1, c2, config):
         if event == "square":
             sq = payload["square"]
             assert not any(
-                region_prunes_square([Rect.ball(f.center, f.half_width)], sq.center, sq.half_width)
+                region_prunes_square([ball(f.center, f.half_width)], sq.center, sq.half_width)
                 for f in finished
             ), sq
         elif event == "newton":

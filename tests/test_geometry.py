@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from cci.geometry import (
-    _basis_matrix,
     _center_weights,
     _contract,
     _jet_weights,
@@ -19,7 +18,7 @@ from cci.geometry import (
     Rect,
     center_jet,
     derivative_curve,
-    derivative_net,
+    derivative_coeffs,
     difference_net,
     elevate,
     eval_curve,
@@ -35,11 +34,24 @@ from conftest import monomial_eval_curve, monomial_eval_net, random_net_coeffs
 # ---------------------------------------------------------------------------
 # Basis polynomials
 
+def _curve_weights(m, ts):
+    """The degree-m basis at each of ``ts`` as ``sample_curve`` applies it,
+    shape (len(ts), m + 1): sampling a curve whose control points are 1 in
+    one column and 0 elsewhere picks weights out exactly, three at a time."""
+    weights = np.empty((len(ts), m + 1))
+    for lo in range(0, m + 1, 3):
+        pts = np.zeros((m + 1, 3))
+        hi = min(lo + 3, m + 1)
+        pts[lo:hi, : hi - lo] = np.eye(hi - lo)
+        weights[:, lo:hi] = sample_curve(BezierCurve(pts), ts)[:, : hi - lo]
+    return weights
+
+
 def test_bernstein_basis_values():
-    assert _basis_matrix(0, [0.7])[0, 0] == 1.0
-    assert _basis_matrix(2, [0.5])[0, 1] == pytest.approx(0.5, abs=1e-15)
+    assert _jet_weights(0, 0.7, 0)[0, 0] == 1.0
+    assert _jet_weights(2, 0.5, 0)[0, 1] == pytest.approx(0.5, abs=1e-15)
     # hand evaluation: 3 * 0.6 * 0.4^2
-    assert _basis_matrix(3, [0.4])[0, 2] == pytest.approx(0.288, abs=1e-15)
+    assert _jet_weights(3, 0.4, 0)[0, 2] == pytest.approx(0.288, abs=1e-15)
 
 
 def test_basis_matrix_matches_closed_form():
@@ -47,7 +59,7 @@ def test_basis_matrix_matches_closed_form():
     # the closed form C(m, i) (1 - t)^(m - i) t^i elsewhere.
     ts = np.array([0.5, 0.0, 1.0, 0.1, 1 / 3, 0.7, 0.999, -0.25, 1.5])
     for m in range(17):
-        weights = _basis_matrix(m, ts)
+        weights = _curve_weights(m, ts)
         assert weights.shape == (len(ts), m + 1)
         for i in range(m + 1):
             assert weights[0, i] == math.comb(m, i) / 2**m
@@ -60,7 +72,7 @@ def test_partition_of_unity():
     rng = np.random.default_rng(1)
     for m in range(21):
         for t in rng.uniform(0, 1, 100):
-            total = sum(_basis_matrix(m, [t])[0])
+            total = sum(_jet_weights(m, t, 0)[0])
             assert abs(total - 1.0) <= 1e-12
 
 
@@ -142,10 +154,18 @@ def test_split_and_jet_weights_are_the_closed_form_bit_for_bit():
     # arrays, as numpy's vector pow may round differently from scalar pow.
     comb = np.vectorize(math.comb, otypes=[float])
     ts = np.array([0.0, 0.3, 0.5, 1.0, -0.25, 1.25])
+    rng = np.random.default_rng(24)
     for m in range(21):
         i = np.arange(m + 1)
         basis = comb(m, i) * (1.0 - ts[:, None]) ** (m - i) * ts[:, None] ** i
-        assert np.array_equal(_basis_matrix(m, ts), basis), m
+        # Curves read the same weights: row by row, and through the points
+        # of a random curve, with eval_curve's (1, m + 1) product per row.
+        assert np.array_equal(_curve_weights(m, ts), basis), m
+        curve = BezierCurve(rng.normal(size=(m + 1, 3)))
+        assert np.array_equal(sample_curve(curve, ts), basis @ curve.control_points), m
+        for k, t in enumerate(ts.tolist()):
+            expected = (basis[k : k + 1] @ curve.control_points)[0]
+            assert eval_curve(curve, t).tobytes() == expected.tobytes(), (m, t)
         for t in ts.tolist():
             _check_split_matrices(m, t)
             assert np.array_equal(_jet_weights(m, t), _closed_form_jet_weights(m, t)), (m, t)
@@ -246,6 +266,11 @@ def test_sample_curve_matches_pointwise():
     pts = sample_curve(c, ts)
     for t, p in zip(ts, pts):
         assert np.abs(p - monomial_eval_curve(c.control_points, t)).max() <= 1e-13
+    # No parameters give no points; integer parameters are parameters.
+    assert sample_curve(c, []).shape == (0, 3)
+    ends = sample_curve(c, np.array([0, 1]))
+    assert np.array_equal(ends, c.control_points[[0, -1]])
+    assert np.array_equal(ends, sample_curve(c, [0.0, 1.0]))
 
 
 def test_derivative_curve_finite_difference():
@@ -350,11 +375,16 @@ def test_convex_hull_containment_sampled():
 # ---------------------------------------------------------------------------
 # Derivatives and Jacobians
 
+def _partial(net, axis):
+    """The derivative net along ``axis`` ("u" or "v"), from ``derivative_coeffs``."""
+    return ControlNet(derivative_coeffs(net.coeffs, "uv".index(axis)))
+
+
 def test_derivative_net_linear_slope():
     p = np.array([0.5, 1.0, -2.0])
     q = np.array([2.5, 0.0, 1.0])
     net = ControlNet(np.stack([p, q])[:, None, :])
-    d = derivative_net(net, "u")
+    d = _partial(net, "u")
     assert d.coeffs.shape == (1, 1, 3)
     assert np.allclose(d.coeffs[0, 0], q - p, atol=0)
 
@@ -362,29 +392,22 @@ def test_derivative_net_linear_slope():
 def test_derivative_net_constant_is_zero():
     net = ControlNet(np.tile(np.array([3.0, 1.0, 2.0]), (3, 3, 1)))
     for axis in ("u", "v"):
-        d = derivative_net(net, axis)
+        d = _partial(net, axis)
         assert np.abs(d.coeffs).max() == 0.0
 
 
 def test_derivative_net_degree_zero_axis():
     net = ControlNet(np.ones((1, 4, 3)))
-    d = derivative_net(net, "u")
+    d = _partial(net, "u")
     assert d.coeffs.shape == (1, 4, 3)
     assert np.abs(d.coeffs).max() == 0.0
-
-
-def test_derivative_net_rejects_other_axes():
-    net = ControlNet(np.ones((2, 3, 3)))
-    for axis in ("w", "", "uv"):
-        with pytest.raises(ValueError):
-            derivative_net(net, axis)
 
 
 def test_derivative_net_finite_difference():
     rng = np.random.default_rng(11)
     net = ControlNet(random_net_coeffs(rng, 4, 5))
-    du = derivative_net(net, "u")
-    dv = derivative_net(net, "v")
+    du = _partial(net, "u")
+    dv = _partial(net, "v")
     h = 1e-6
     for u, v in rng.uniform(0.05, 0.95, (50, 2)):
         fd_u = (eval_net(net, u + h, v) - eval_net(net, u - h, v)) / (2 * h)
@@ -466,7 +489,7 @@ def test_center_jet_matches_jet_and_exact_second_derivatives():
         for i, j in [(2, 0), (1, 1), (0, 2)]:
             d = net
             for axis in "u" * i + "v" * j:
-                d = derivative_net(d, axis)
+                d = _partial(d, axis)
             exact = _exact_eval_net(d.coeffs, 0.5, 0.5)
             scale = max(1.0, np.abs(d.coeffs).max())
             assert np.abs(grid[i, j] - exact).max() <= 1e-14 * scale
@@ -476,8 +499,8 @@ def test_jet_matches_exact_evaluation():
     rng = np.random.default_rng(13)
     for m, n in [(0, 0), (1, 0), (0, 2), (3, 5), (9, 9), (16, 12)]:
         net = ControlNet(random_net_coeffs(rng, m, n))
-        du = derivative_net(net, "u")
-        dv = derivative_net(net, "v")
+        du = _partial(net, "u")
+        dv = _partial(net, "v")
         for x in [(0.5, 0.5), (0.0, 1.0), tuple(rng.uniform(0, 1, 2))]:
             table = jet_table(net, x)
             value, jac = table[0, 0], table[(1, 0), (0, 1)].T
@@ -605,8 +628,8 @@ def test_derivative_commutes_with_reparametrize():
     target = Rect(0.3, 0.55, 0.6, 0.95)
     out = reparametrize(net, target)
     # chain rule: d/ds of the restriction is the u-width times the restricted du
-    lhs = derivative_net(out, "u")
-    rhs = reparametrize(derivative_net(net, "u"), target)
+    lhs = _partial(out, "u")
+    rhs = reparametrize(_partial(net, "u"), target)
     for s, t in rng.uniform(0, 1, (30, 2)):
         a = eval_net(lhs, s, t)
         b = (target.hi_u - target.lo_u) * eval_net(rhs, s, t)
@@ -644,4 +667,4 @@ def test_rect_validation():
     with pytest.raises(ValueError):
         Rect(0.0, 1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
-        Rect.ball((0.5, 0.5), 0.0)
+        Rect(0.5, 0.5, 0.5, 0.5)

@@ -19,7 +19,7 @@ from cci.geometry import (
     Rect,
     center_jet,
     corner_seconds,
-    derivative_net,
+    derivative_coeffs,
     eval_net,
     jet_table,
     reparametrize,
@@ -37,6 +37,7 @@ from cci.kantorovich import (
 )
 from cci.newton import newton_solve
 from conftest import (
+    ball,
     bernstein_to_monomial,
     full_test_omega,
     horner,
@@ -113,8 +114,9 @@ def _oracle_quantities(coeffs, x0, domain: Rect):
 
 def _second_derivative_nets(net):
     """f_uu, f_uv and f_vv at their own degrees, the nets ``PairSystem`` raises."""
-    du, dv = derivative_net(net, "u"), derivative_net(net, "v")
-    return derivative_net(du, "u"), derivative_net(du, "v"), derivative_net(dv, "v")
+    du, dv = derivative_coeffs(net.coeffs, 0), derivative_coeffs(net.coeffs, 1)
+    seconds = derivative_coeffs(du, 0), derivative_coeffs(du, 1), derivative_coeffs(dv, 1)
+    return tuple(ControlNet(c) for c in seconds)
 
 
 def _affine_net_2(b, gu, gv, m=2, n=2):
@@ -341,7 +343,7 @@ def test_rho_radii_ordering():
 def _test_square(net, center, half_width, scale):
     """The one ``PairTest`` of ``test_pairs`` on one square of a net given
     over the unit square."""
-    square = reparametrize(net, Rect.ball(center, half_width))
+    square = reparametrize(net, ball(center, half_width))
     (test,) = kantorovich.test_pairs(PairSystem(net), square, center, half_width, scale).pairs
     return test
 
@@ -683,7 +685,7 @@ def test_explored_region_affine_case_equals_test_domain():
 
 def test_explored_region_membership_closed_ball():
     # a test domain wider than the uniqueness ball leaves the ball itself
-    passed = PairTest(None, PairStatus.PASS, Rect.ball((0.5, 0.5), 0.4), rho_plus=0.2)
+    passed = PairTest(None, PairStatus.PASS, ball((0.5, 0.5), 0.4), rho_plus=0.2)
     region = explored_region(passed, (0.5, 0.5))
     assert region.contains_point((0.7, 0.5))
     assert region.contains_point((0.3, 0.3))
@@ -707,12 +709,12 @@ def test_explored_region_square_containment_is_corner_test():
 
 def test_explored_region_below_rounding_is_none():
     # 0.5 - 1e-17 and 0.5 + 1e-17 both round to 0.5: the ball holds one point
-    passed = PairTest(None, PairStatus.PASS, Rect.ball((0.5, 0.5), 0.1), rho_plus=1e-17)
+    passed = PairTest(None, PairStatus.PASS, ball((0.5, 0.5), 0.1), rho_plus=1e-17)
     assert explored_region(passed, (0.5, 0.5)) is None
 
 
 def test_explored_region_requires_pass():
-    failed = PairTest(None, PairStatus.FAIL_CONVERGENCE, Rect.ball((0.5, 0.5), 0.5))
+    failed = PairTest(None, PairStatus.FAIL_CONVERGENCE, ball((0.5, 0.5), 0.5))
     with pytest.raises(ValueError):
         explored_region(failed, (0.5, 0.5))
 
@@ -776,7 +778,7 @@ def _always_restricting_test(system, net, center, half_width, scale):
     if rows is None:
         return PairStatus.SINGULAR_JACOBIAN, None, None, None, False
     eta = max(abs(sum(p * f for p, f in zip(row, value))) for row in rows)
-    domain = Rect.ball(center, scale * half_width)
+    domain = ball(center, scale * half_width)
     slack = kantorovich._floor_slack(net, half_width, domain)
     curvature = _curvature(net, half_width)
     decided = eta * kantorovich._omega_floor(system, rows, curvature, slack) > PASS_BOUND
@@ -949,7 +951,7 @@ def test_cached_floor_slack_is_its_formula_bit_for_bit():
             levels *= 1 if max(m, n) < 50 else 2
             for center in ((0.5, 0.5), (h, 1.0 - h), (0.375, 0.625)):
                 for scale in (1.0, 1.45, 1.5, 3.0, 1e3):
-                    domain = Rect.ball(center, scale * h)
+                    domain = ball(center, scale * h)
                     growth = restriction_growth(net, domain)
                     expected = (32 * (m + n + 2) * max(m, n) ** 2 * 2.0**-53
                                 * (levels + 8.0 * growth))
@@ -957,7 +959,7 @@ def test_cached_floor_slack_is_its_formula_bit_for_bit():
                         assert kantorovich._floor_slack(net, h, domain) == expected
     # A domain so far out that the growth overflows gives an infinite slack.
     net = ControlNet(rng.normal(size=(17, 11, 3)))
-    domain = Rect.ball((0.5, 0.5), 1e15)
+    domain = ball((0.5, 0.5), 1e15)
     assert restriction_growth(net, domain) == math.inf
     assert kantorovich._floor_slack(net, 0.5, domain) == math.inf
 
