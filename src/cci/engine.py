@@ -9,7 +9,7 @@ region contains is finished; every other square failing exclusion is
 quartered, and the children's test-domain multiplier is adapted from the
 parent's test outcome (grown after a containment failure, else shrunk after
 a convergence failure). Fixed mode is the same rule with a step of 0.
-``solve`` reports only through the observer it is passed; cci logs nothing.
+``solve`` reports only through an observer, if passed one; cci logs nothing.
 
 The queue runs breadth-first in batches within one quadtree level, each
 square a center and multiplier in floats (a ``Square`` only for an event or
@@ -176,18 +176,15 @@ def region_prunes_square(regions: list[Rect], center: tuple[float, float], half_
 
 def point_is_known(regions: list[Rect], x: tuple[float, float]) -> bool:
     """True iff the point lies in some explored region (closed membership)."""
-    return any(r.contains_point(x) for r in regions)
-
-
-def _ignore_events(event: str, payload: dict) -> None:
-    """The do-nothing observer, ``solve``'s default."""
+    u, v = x
+    return any(r.lo_u <= u <= r.hi_u and r.lo_v <= v <= r.hi_v for r in regions)
 
 
 def solve(
     c1: BezierCurve,
     c2: BezierCurve,
     config: SolverConfig = SolverConfig(),
-    observer: Observer = _ignore_events,
+    observer: Observer | None = None,
 ) -> SolveReport:
     """Find all intersections of two curves; see the module docstring.
 
@@ -199,13 +196,13 @@ def solve(
     contains it is finished: it queues no children and counts no
     subdivision, since the region holds the full map's only zero in it.
 
-    ``observer`` receives (event, payload) for each queue pop ("square"),
-    the popped square's fate ("pruned" by an explored region, "excluded" by
-    the hull test, or convergence-tested: "kantorovich"), each Newton
-    refinement ("newton"), each accepted intersection ("intersection") and
-    each truncation ("truncated": reason "max_squares" once after
-    ``MAX_SQUARES`` squares, reason "max_depth" with the square for each
-    square at ``MAX_DEPTH`` that would otherwise be quartered). It exists for
+    ``observer``, unless None, receives (event, payload) for each queue pop
+    ("square"), the popped square's fate ("pruned" by an explored region,
+    "excluded" by the hull test, or convergence-tested: "kantorovich"), each
+    Newton refinement ("newton"), each accepted intersection ("intersection")
+    and each truncation ("truncated": reason "max_squares" once after
+    ``MAX_SQUARES`` squares, reason "max_depth" with the square for each square
+    at ``MAX_DEPTH`` that would otherwise be quartered). It exists for
     instrumentation and does not affect the run; the CLI's trace is one such
     observer. Batching the restriction and the axis test moves no event: a
     square's net and its axis decision depend on nothing but its parent's net.
@@ -229,7 +226,7 @@ def solve(
     squares, rows = [((0.5, 0.5), INITIAL_SCALE)], unit_net.coeffs[None]
     regions: list[Rect] = []
     report = SolveReport(1e-9 * scale)
-    observing = observer is not _ignore_events  # else build no event payloads
+    observing = observer is not None  # else build no event payloads
 
     while True:
         clouds = rows.reshape(len(rows), -1, net.dim)

@@ -38,11 +38,6 @@ class Rect:
                 raise ValueError(f"rectangle bounds must be finite, got {vals}")
             raise ValueError(f"degenerate rectangle {vals}")
 
-    def contains_point(self, p: tuple[float, float]) -> bool:
-        """Closed membership: the boundary belongs to the rectangle."""
-        u, v = p
-        return self.lo_u <= u <= self.hi_u and self.lo_v <= v <= self.hi_v
-
 
 @dataclass(frozen=True, eq=False)
 class BezierCurve:
@@ -108,12 +103,19 @@ def eval_curve(curve: BezierCurve, t: float) -> np.ndarray:
     return (_weights(((curve.degree, 0),), (float(t),))[None] @ curve.control_points)[0]
 
 
+_SAMPLES = 16
+
+
 def sample_curve(curve: BezierCurve, ts: np.ndarray) -> np.ndarray:
     """Curve points at every parameter in ``ts``; returns shape (len(ts), 3).
-    One row of basis weights per parameter, then one product."""
-    axes = ((curve.degree, 0),)
-    rows = [_weights(axes, (t,)) for t in np.asarray(ts, dtype=float).tolist()]
-    return np.reshape(rows, (len(rows), curve.degree + 1)) @ curve.control_points
+    Each ``_weights`` call builds ``_SAMPLES`` rows of basis weights, the last
+    padded with zeros, so its cached tables depend on the degree alone. Then
+    one product, of C-ordered weights: a Fortran-ordered view rounds apart."""
+    params = np.asarray(ts, dtype=float).tolist()
+    padded = params + [0.0] * (-len(params) % _SAMPLES)
+    axes = ((curve.degree, 0),) * _SAMPLES
+    rows = [_weights(axes, tuple(padded[k : k + _SAMPLES])) for k in range(0, len(padded), _SAMPLES)]
+    return np.reshape(rows, (-1, curve.degree + 1))[: len(params)] @ curve.control_points
 
 
 def derivative_curve(curve: BezierCurve) -> BezierCurve:
@@ -138,15 +140,6 @@ def difference_net(c1: BezierCurve, c2: BezierCurve) -> ControlNet:
 
 
 _MAX_DEGREE = 1029  # C(1030, 515) overflows a float
-
-
-@functools.lru_cache(maxsize=32)
-def _exponents(m: int) -> np.ndarray:
-    """0.0, 1.0, ..., m: float exponents, so powers need no integer cast.
-    Cached and shared, hence read-only."""
-    exponents = np.arange(m + 1, dtype=float)
-    exponents.flags.writeable = False
-    return exponents
 
 
 def derivative_coeffs(c: np.ndarray, k: int) -> np.ndarray:
@@ -203,7 +196,7 @@ def _weight_tables(axes: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, ...]:
                 size += len(padded) - 1
         levels.append(np.array(operands, dtype=np.intp).reshape(-1, 2).T)
     out = np.array([i for entries, _ in rows for i in entries], dtype=np.intp)
-    tables = (_exponents(width - 1), np.array(pick, dtype=np.intp).T, np.array(binoms),
+    tables = (np.arange(width, dtype=float), np.array(pick, dtype=np.intp).T, np.array(binoms),
               np.array(perms), *levels, out)
     for table in tables:
         table.flags.writeable = False
@@ -319,7 +312,7 @@ def _split_pair(m: int, t_left: float, t_right: float) -> np.ndarray:
     binoms, t_power, s_power = _split_tables(m)
     bases = [[t_left], [1.0 - t_left], [t_right], [1.0 - t_right]]
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = np.power(bases, _exponents(m)).ravel()
+        powers = np.power(bases, np.arange(m + 1, dtype=float)).ravel()
         return binoms * powers[t_power] * powers[s_power]
 
 

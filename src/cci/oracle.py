@@ -1,8 +1,8 @@
 """Brute-force intersection finder used to cross-validate the solver.
 
 Independent of the subdivision machinery on purpose: it samples the
-difference map on a dense grid, picks local minima of its norm, and
-polishes each candidate with a damped Gauss-Newton iteration on the
+difference map on a fixed 400 x 400 grid, picks local minima of its norm,
+and polishes each candidate with a damped Gauss-Newton iteration on the
 least-squares objective. It can miss near-tangential intersections, which
 is acceptable for a validation oracle (the solver owns completeness).
 """
@@ -12,6 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import BezierCurve, derivative_curve, eval_curve, sample_curve
+
+# Grid points per axis, the refinement's step tolerance, and the distance
+# below which two refined roots are one.
+_GRID_N = 400
+_REFINE_TOL = 1e-10
+_DEDUP_TOL = 1e-6
 
 
 def _local_minima(values: np.ndarray, threshold: float) -> list[tuple[int, int]]:
@@ -35,7 +41,6 @@ def _refine(
     d2: BezierCurve,
     u: float,
     v: float,
-    tol: float,
     max_iter: int = 60,
 ) -> tuple[float, float, float]:
     """Damped Gauss-Newton on |c1(u) - c2(v)|^2; returns (u, v, residual)."""
@@ -62,28 +67,20 @@ def _refine(
             break
         moved = float(np.abs(trial - x).max())
         x, f, cost = trial, f_trial, cost_trial
-        if moved <= tol:
+        if moved <= _REFINE_TOL:
             break
     return float(x[0]), float(x[1]), float(np.abs(f).max())
 
 
-def brute_force_intersections(
-    c1: BezierCurve,
-    c2: BezierCurve,
-    grid_n: int = 400,
-    refine_tol: float = 1e-10,
-    dedup_tol: float = 1e-6,
-) -> list[tuple[float, float]]:
+def brute_force_intersections(c1: BezierCurve, c2: BezierCurve) -> list[tuple[float, float]]:
     """All transversal intersections of the two curves, as (u, v) parameters.
 
-    Samples the infinity norm of c1(u) - c2(v) on a grid_n x grid_n grid,
-    refines every local minimum below a Lipschitz-based threshold, keeps
-    the refined points whose residual vanishes to rounding, and removes
-    duplicates closer than ``dedup_tol``.
+    Samples the infinity norm of c1(u) - c2(v) on a ``_GRID_N`` x ``_GRID_N``
+    grid, refines every local minimum below a Lipschitz-based threshold to a
+    step of ``_REFINE_TOL``, keeps the refined points whose residual vanishes
+    to rounding, and removes duplicates closer than ``_DEDUP_TOL``.
     """
-    if grid_n < 100:
-        raise ValueError("grid_n must be at least 100")
-    ts = np.linspace(0.0, 1.0, grid_n)
+    ts = np.linspace(0.0, 1.0, _GRID_N)
     p = sample_curve(c1, ts)
     q = sample_curve(c2, ts)
     values = np.abs(p[:, None, :] - q[None, :, :]).max(axis=2)
@@ -93,7 +90,7 @@ def brute_force_intersections(
     lip = float(
         np.abs(d1.control_points).max() + np.abs(d2.control_points).max()
     )
-    spacing = 1.0 / (grid_n - 1)
+    spacing = 1.0 / (_GRID_N - 1)
     threshold = max(2.0 * lip * spacing, 1e-12)
 
     scale = 1.0 + max(
@@ -103,14 +100,14 @@ def brute_force_intersections(
 
     found: list[tuple[float, float]] = []
     for i, j in _local_minima(values, threshold):
-        u, v, residual = _refine(c1, c2, d1, d2, ts[i], ts[j], refine_tol)
+        u, v, residual = _refine(c1, c2, d1, d2, ts[i], ts[j])
         if residual > accept_tol:
             continue
         if not (-1e-9 <= u <= 1.0 + 1e-9 and -1e-9 <= v <= 1.0 + 1e-9):
             continue
         u = min(max(u, 0.0), 1.0)
         v = min(max(v, 0.0), 1.0)
-        if any(max(abs(u - fu), abs(v - fv)) <= dedup_tol for fu, fv in found):
+        if any(max(abs(u - fu), abs(v - fv)) <= _DEDUP_TOL for fu, fv in found):
             continue
         found.append((u, v))
     return sorted(found)

@@ -271,6 +271,16 @@ def test_sample_curve_matches_pointwise():
     ends = sample_curve(c, np.array([0, 1]))
     assert np.array_equal(ends, c.control_points[[0, -1]])
     assert np.array_equal(ends, sample_curve(c, [0.0, 1.0]))
+    # Lengths about whole batches of 16 parameters, which share one call for
+    # weights, bit for bit against the closed form C(m, i) (1 - t)^(m - i) t^i;
+    # at degree 16 a Fortran-ordered product of the same weights rounds apart.
+    comb = np.vectorize(math.comb, otypes=[float])
+    for m in (6, 16):
+        c, i = BezierCurve(rng.normal(size=(m + 1, 3))), np.arange(m + 1)
+        for n in (15, 16, 17, 33):
+            ts = rng.uniform(0, 1, n)[:, None]
+            basis = comb(m, i) * (1.0 - ts) ** (m - i) * ts**i
+            assert np.array_equal(sample_curve(c, ts[:, 0]), basis @ c.control_points), (m, n)
 
 
 def test_derivative_curve_finite_difference():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cci import kantorovich
-from cci.engine import region_prunes_square
+from cci.engine import point_is_known, region_prunes_square
 from cci.geometry import (
     QUARTERS,
     ControlNet,
@@ -687,9 +687,9 @@ def test_explored_region_membership_closed_ball():
     # a test domain wider than the uniqueness ball leaves the ball itself
     passed = PairTest(None, PairStatus.PASS, ball((0.5, 0.5), 0.4), rho_plus=0.2)
     region = explored_region(passed, (0.5, 0.5))
-    assert region.contains_point((0.7, 0.5))
-    assert region.contains_point((0.3, 0.3))
-    assert not region.contains_point((0.7000001, 0.5))
+    assert point_is_known([region], (0.7, 0.5))
+    assert point_is_known([region], (0.3, 0.3))
+    assert not point_is_known([region], (0.7000001, 0.5))
 
 
 def test_explored_region_square_containment_is_corner_test():
@@ -703,7 +703,7 @@ def test_explored_region_square_containment_is_corner_test():
             (c[0] - r, c[1] - r), (c[0] + r, c[1] - r),
             (c[0] - r, c[1] + r), (c[0] + r, c[1] + r),
         ]
-        expected = all(region.contains_point(p) for p in corners)
+        expected = all(point_is_known([region], p) for p in corners)
         assert region_prunes_square([region], c, r) == expected
 
 

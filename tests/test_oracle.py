@@ -23,12 +23,6 @@ def test_disjoint_curves():
     assert brute_force_intersections(c1, c2) == []
 
 
-def test_grid_too_coarse_rejected():
-    c1 = BezierCurve([[0, 0, 0], [1, 1, 0]])
-    with pytest.raises(ValueError):
-        brute_force_intersections(c1, c1, grid_n=50)
-
-
 def test_near_miss_not_reported():
     # curves pass within 1e-3 of each other but never touch
     c1 = BezierCurve([[0, 0, 0], [1, 0, 0]])
