@@ -4,11 +4,12 @@ A FIFO queue of candidate squares covers the unit parameter square. Each
 square is skipped if it lies inside a known explored region, discarded if
 the exclusion test proves it empty, and otherwise run through the
 convergence test; a pass triggers Newton refinement and, for a confirmed
-new zero, an explored region that prunes later squares. A square that
-region contains is finished; every other square failing exclusion is
-quartered, and the children's test-domain multiplier is adapted from the
-parent's test outcome (grown after a containment failure, else shrunk after
-a convergence failure). Fixed mode is the same rule with a step of 0.
+zero, new or refound, an explored region that prunes later squares. A
+square that region contains is finished; every other square failing
+exclusion is quartered, and the children's test-domain multiplier is
+adapted from the parent's test outcome (grown after a containment failure,
+else shrunk after a convergence failure). Fixed mode is the same rule with
+a step of 0.
 ``solve`` reports only through an observer, if passed one; cci logs nothing.
 
 The queue runs breadth-first in batches within one quadtree level, each
@@ -192,8 +193,10 @@ def solve(
     child order are part of the observable contract. Inputs are immutable,
     so distinct runs may execute concurrently.
 
-    A square that records a new intersection whose explored region
-    contains it is finished: it queues no children and counts no
+    A square whose pass records a new intersection, or refinds a recorded
+    one (Newton's root within ``_DUPLICATE_TOL`` of it, residual at most
+    ``zero_tol``), adds the pass's explored region; if that region contains
+    the square, the square is finished: it queues no children and counts no
     subdivision, since the region holds the full map's only zero in it.
 
     ``observer``, unless None, receives (event, payload) for each queue pop
@@ -276,33 +279,33 @@ def solve(
                     x = result.root
                     # The unit net's jet cannot overflow, and scaling back is exact.
                     residual = math.ldexp(float(np.abs(eval_net(unit_net, *x)).max()), exponent)
-                    if (
-                        residual <= report.zero_tol
-                        and -_DOMAIN_SLACK <= x[0] <= 1.0 + _DOMAIN_SLACK
+                    refound = any(
+                        max(abs(x[0] - r.u), abs(x[1] - r.v)) <= _DUPLICATE_TOL
+                        for r in report.intersections
+                    )
+                    if residual <= report.zero_tol and (refound or (
+                        -_DOMAIN_SLACK <= x[0] <= 1.0 + _DOMAIN_SLACK
                         and -_DOMAIN_SLACK <= x[1] <= 1.0 + _DOMAIN_SLACK
                         and not point_is_known(regions, x)
-                        and not any(
-                            max(abs(x[0] - r.u), abs(x[1] - r.v)) <= _DUPLICATE_TOL
-                            for r in report.intersections
-                        )
-                    ):
-                        record = IntersectionRecord(
-                            u=x[0],
-                            v=x[1],
-                            point=eval_curve(c1, x[0]),
-                            residual=residual,
-                            source_square=Square(center, half_width, sq_scale, depth),
-                        )
-                        report.intersections.append(record)
+                    )):
+                        if not refound:
+                            record = IntersectionRecord(
+                                u=x[0],
+                                v=x[1],
+                                point=eval_curve(c1, x[0]),
+                                residual=residual,
+                                source_square=Square(center, half_width, sq_scale, depth),
+                            )
+                            report.intersections.append(record)
+                            if observing:
+                                observer("intersection", {"record": record})
+                        # The region holds the full map's only zero in it, just
+                        # recorded or refound, so a square it covers is finished.
                         region = explored_region(passed, center)
                         if region is not None:
                             regions.append(region)
-                        if observing:
-                            observer("intersection", {"record": record})
-                        # The region holds the full map's only zero in it, just
-                        # recorded, so a square it covers is finished.
-                        if region is not None and region_prunes_square([region], center, half_width):
-                            continue
+                            if region_prunes_square([region], center, half_width):
+                                continue
 
             if depth >= MAX_DEPTH:
                 report.truncated = True

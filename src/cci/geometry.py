@@ -240,7 +240,9 @@ def _center_weights(m: int) -> np.ndarray:
 
 
 def _contract(net: ControlNet, wu: np.ndarray, wv: np.ndarray) -> np.ndarray:
-    """Entry (i, j) is the net contracted with row i of ``wu`` and row j of ``wv``."""
+    """Entry (i, j) is the net contracted with row i of ``wu`` and row j of ``wv``.
+    Both must be C-ordered: the products' bits depend on the weights' memory
+    order as well as on the BLAS kernel."""
     c = net.coeffs
     return wv @ (wu @ c.reshape(c.shape[0], -1)).reshape(len(wu), *c.shape[1:])
 

@@ -231,6 +231,39 @@ def random_transversal_problem(
             return Problem("random", c1, c2), roots
 
 
+def forced_crossing_pair(
+    rng: np.random.Generator, roots: list[tuple[float, float]], planar: bool
+) -> tuple[BezierCurve, BezierCurve, list[tuple[float, float]]]:
+    """Random curves of degrees 3 to 8 that cross at each (u, v) of ``roots``.
+
+    Draws control points in the unit square (``planar``, in z = 0) or cube,
+    then adds to the second curve the minimum-norm correction that puts
+    c2(v) on c1(u), as ``bench/workloads.py`` does. Redraws until the
+    oracle's crossings are transversal and include every forced one; returns
+    the curves and those crossings.
+    """
+    def basis(n: int, ts: np.ndarray) -> np.ndarray:
+        i = np.arange(n + 1)
+        binom = np.array([math.comb(n, k) for k in i], dtype=float)
+        return binom * (1.0 - ts[:, None]) ** (n - i) * ts[:, None] ** i
+
+    us, vs = (np.array(t, dtype=float) for t in zip(*roots))
+    while True:
+        m, n = (int(k) for k in rng.integers(3, 9, size=2))
+        dim = 2 if planar else 3
+        p, q = rng.uniform(0.0, 1.0, (m + 1, dim)), rng.uniform(0.0, 1.0, (n + 1, dim))
+        b = basis(n, vs)
+        q = q + b.T @ np.linalg.solve(b @ b.T, basis(m, us) @ p - b @ q)
+        if planar:
+            p, q = (np.pad(a, ((0, 0), (0, 1))) for a in (p, q))
+        c1, c2 = BezierCurve(p), BezierCurve(q)
+        found = brute_force_intersections(c1, c2)
+        if _is_transversal_instance(c1, c2, found) and all(
+            any(max(abs(u - fu), abs(v - fv)) <= 1e-6 for fu, fv in found) for u, v in roots
+        ):
+            return c1, c2, found
+
+
 def match_point_sets(
     got: list[tuple[float, float]],
     expected: list[tuple[float, float]],

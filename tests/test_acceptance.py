@@ -49,7 +49,7 @@ SUITE_SQUARES = [
     [29] * 6,
     [29, 29, 29, 25, 25, 29],
     [73, 77, 73, 69, 69, 73],
-    [117, 113, 109, 109, 109, 109],
+    [109, 113, 109, 109, 109, 105],
     [13] * 6,
 ]
 runner = CliRunner()

@@ -21,7 +21,7 @@ from cci.engine import (
     solve,
     update_scale,
 )
-from cci.geometry import BezierCurve, Rect, sample_curve
+from cci.geometry import BezierCurve, Rect, difference_net, eval_net, sample_curve
 from cci.kantorovich import (
     KantorovichOutcome,
     PairStatus,
@@ -30,7 +30,7 @@ from cci.kantorovich import (
     explored_region,
 )
 from cci.problems import load_problem
-from conftest import ball, match_point_sets, random_transversal_problem
+from conftest import ball, forced_crossing_pair, match_point_sets, random_transversal_problem
 
 CROSSING = (
     BezierCurve([[0, 0, 0], [1, 1, 0]]),
@@ -212,27 +212,43 @@ def test_region_union_does_not_prune():
 
 def _finished_squares_pop_nothing(c1, c2, config):
     """Assert no square is popped inside a square whose pass recorded an
-    intersection with an explored region covering it; return the count."""
-    finished, passed = [], []
+    intersection, or refound a recorded one, with an explored region
+    covering it; return the report and the counts of both kinds."""
+    net = difference_net(c1, c2)
+    zero_tol = 1e-9 * float(np.abs(net.coeffs).max())
+    finished, refound, recorded, passes = [], [], [], []
+
+    def covering(passed, sq):
+        region = explored_region(passed, sq.center)
+        return region is not None and region_prunes_square([region], sq.center, sq.half_width)
 
     def observer(event, payload):
         if event == "square":
             sq = payload["square"]
             assert not any(
                 region_prunes_square([ball(f.center, f.half_width)], sq.center, sq.half_width)
-                for f in finished
+                for f in finished + refound
             ), sq
         elif event == "newton":
-            passed.append(payload["passed"])
+            sq, result = payload["square"], payload["result"]
+            passes.append(payload["passed"])
+            u, v = result.root
+            if (
+                result.converged
+                and any(max(abs(u - r.u), abs(v - r.v)) <= engine._DUPLICATE_TOL for r in recorded)
+                and float(np.abs(eval_net(net, u, v)).max()) <= zero_tol
+                and covering(passes[-1], sq)
+            ):
+                refound.append(sq)
         elif event == "intersection":
-            sq = payload["record"].source_square
-            region = explored_region(passed[-1], sq.center)
-            if region is not None and region_prunes_square([region], sq.center, sq.half_width):
-                finished.append(sq)
+            record = payload["record"]
+            recorded.append(record)
+            if covering(passes[-1], record.source_square):
+                finished.append(record.source_square)
 
     report = solve(c1, c2, config, observer=observer)
     assert not report.truncated
-    return len(finished)
+    return report, len(finished), len(refound)
 
 
 @pytest.mark.parametrize("name", [f"p0{k}" for k in range(1, 9)])
@@ -247,8 +263,42 @@ def test_square_its_explored_region_covers_is_finished_spatial(monkeypatch):
     finished = 0
     for case in workloads.spatial_crossings(1)[:8]:
         c1, c2 = BezierCurve(case.curve1), BezierCurve(case.curve2)
-        finished += _finished_squares_pop_nothing(c1, c2, SolverConfig())
+        finished += _finished_squares_pop_nothing(c1, c2, SolverConfig())[1]
     assert finished > 0
+
+
+def test_a_pass_that_refinds_a_recorded_root_finishes_its_square():
+    # A root on the quadtree lines lies in up to four squares at every
+    # level, and Newton from each passing one refinds the recorded root. The
+    # pass's explored region then holds that root as its only zero, so the
+    # square it covers is finished like a new root's: 133 squares when only
+    # new roots added regions, 77 now.
+    rng = np.random.default_rng([0, 7])
+    c1, c2, expected = forced_crossing_pair(rng, [(0.5, 0.5)], planar=True)
+    report, _, refound = _finished_squares_pop_nothing(c1, c2, SolverConfig())
+    assert match_point_sets([(r.u, r.v) for r in report.intersections], expected)
+    assert report.squares_examined == 77
+    assert refound > 0
+
+
+@pytest.mark.parametrize("k, roots", enumerate([
+    [(0.5, 0.5)],
+    [(0.25, 0.5)],
+    [(0.0, 0.0)],
+    [(1.0, 0.0)],
+    [(0.5, 1.0)],
+    [(0.25, 0.5), (0.75, 0.25)],
+]))
+def test_roots_at_dyadic_parameters_are_all_found_in_both_modes(k, roots):
+    # Roots on quadtree lines, at corners and on edges of the unit square,
+    # where refound roots finish the most squares: a planar and a spatial
+    # pair each, against the oracle.
+    rng = np.random.default_rng([k, 11])
+    for planar in (True, False):
+        c1, c2, expected = forced_crossing_pair(rng, roots, planar)
+        for config in (SolverConfig(), SolverConfig(mode="fixed")):
+            report = _finished_squares_pop_nothing(c1, c2, config)[0]
+            assert match_point_sets([(r.u, r.v) for r in report.intersections], expected)
 
 
 def test_omega_lies_between_its_floor_and_four_times_the_largest_coefficient(
@@ -505,7 +555,7 @@ SPATIAL_SUITE_FINGERPRINT = {
         ("0x1.26853e952ef34p-2", "0x1.c8ec43c010845p-1"),
         ("0x1.bfca333927c92p-1", "0x1.3df082bdfd6e2p-8"),
     ]),
-    ("p07", "fixed"): (109, [
+    ("p07", "fixed"): (105, [
         ("0x1.6e68dac6534e7p-1", "0x1.9c0a5b724c7f1p-1"),
         ("0x1.c5991b9f3e6f8p-1", "0x1.b8e561badd100p-1"),
         ("0x1.624c0aba5a529p-1", "0x1.2efa9c2ce1343p-5"),
@@ -609,7 +659,7 @@ EVENT_STREAMS = {
     ("p06", 0.05): (162, "0d36207d863a3386"),
     ("p06", "fixed"): (154, "38ce3b40bb7dfeef"),
     ("p07", 0.05): (236, "6f40a9d7fe753b44"),
-    ("p07", "fixed"): (229, "53c712ec44c4acae"),
+    ("p07", "fixed"): (221, "dc127fe8a6ccbcc3"),
     ("p08", 0.05): (26, "a6f5f967e5fac52d"),
     ("p08", "fixed"): (26, "a6f5f967e5fac52d"),
 }

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cci import geometry
 from cci.geometry import (
     _center_weights,
     _contract,
@@ -235,6 +236,36 @@ def test_jet_is_the_closed_form_contraction_bit_for_bit():
                     u, v = points[i], points[j]
                     both = _contract(net, weights[m][i], weights[n][j])
                     assert jet_table(net, (u, v)).tobytes() == both.tobytes(), (m, n, dim, u, v)
+
+
+def test_weights_are_c_ordered(monkeypatch):
+    # A product's bits depend on its weights' memory order: at degree 16 a
+    # Fortran-ordered copy of the same rows rounds most entries apart. So
+    # every cached weight table, and every pair of weight rows ``_contract``
+    # receives, is C-contiguous.
+    for m in (0, 1, 3, 10, 16):
+        assert geometry._center_weights(m).flags.c_contiguous, m
+        for n in (0, 2, 16):
+            assert geometry._corner_weights(m, n).flags.c_contiguous, (m, n)
+        for a, b in ((0.0, 0.5), (0.5, 1.0), (0.25, 0.75), (-0.25, 1.25)):
+            assert geometry._restriction_matrix(m, a, b).flags.c_contiguous, (m, a, b)
+        for q in (m, m + 1, 2 * m + 3):
+            assert geometry._elevation_matrix(m, q).flags.c_contiguous, (m, q)
+    contract, ordered = geometry._contract, []
+
+    def checked(net, wu, wv):
+        ordered.append(wu.flags.c_contiguous and wv.flags.c_contiguous)
+        return contract(net, wu, wv)
+
+    monkeypatch.setattr(geometry, "_contract", checked)
+    rng = np.random.default_rng(29)
+    for m, n in ((0, 3), (3, 1), (10, 16), (16, 16)):
+        net = ControlNet(rng.normal(size=(m + 1, n + 1, 3)))
+        jet_table(net, (0.3, 0.7))
+        eval_net(net, 0.5, 0.25)
+        center_jet(net)
+        reparametrize(net, Rect(0.25, 0.5, -0.25, 1.0))
+    assert len(ordered) == 16 and all(ordered)
 
 
 # ---------------------------------------------------------------------------

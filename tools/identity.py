@@ -14,6 +14,16 @@ point on the first curve, floats by their exact bits. Two commits that print
 the same lines made the same decisions, certified them with the same values
 and found the same roots. Under ``OPENBLAS_CORETYPE=Haswell`` with numpy's
 AVX-512 dispatch it prints ``tools/identity_haswell.txt``, which CI checks.
+
+With ``--cases`` it prints instead one line per solve: the workload, the
+case's name, its squares examined and each reported root's u, v, residual,
+point and source square, floats by their exact bits::
+
+    python3 tools/identity.py --cases > after.txt
+    diff before.txt after.txt
+
+so a diff of two checkouts' output names every case whose squares or roots
+moved.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ import os
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # as bench/run.py: the pinned bits assume it
 
+import argparse
 import hashlib
 import importlib.util
 import sys
@@ -53,6 +64,12 @@ def square_key(sq) -> str:
     return " ".join([*map(bits, sq.center), bits(sq.half_width), bits(sq.scale), str(sq.depth)])
 
 
+def record_bits(record) -> str:
+    """A reported root: u, v, residual, point and source square."""
+    return " ".join([*map(bits, (record.u, record.v, record.residual, *record.point)),
+                     square_key(record.source_square)])
+
+
 def event_line(event: str, payload: dict) -> str:
     """One event as text: its name, its square and what it decided."""
     parts = [event]
@@ -66,12 +83,23 @@ def event_line(event: str, payload: dict) -> str:
         result = payload["result"]
         parts += [str(result.converged), *map(bits, result.root)]
     elif event == "intersection":
-        record = payload["record"]
-        parts += [*map(bits, (record.u, record.v, record.residual, *record.point)),
-                  square_key(record.source_square)]
+        parts.append(record_bits(payload["record"]))
     elif event == "truncated":
         parts.append(payload["reason"])
     return " ".join(parts)
+
+
+def solve(case, observer=None):
+    config = cci.SolverConfig(**case.config)
+    return cci.solve(cci.BezierCurve(case.curve1), cci.BezierCurve(case.curve2), config, observer)
+
+
+def case_lines(label: str, cases):
+    """One line per case: its squares examined and its roots' bits."""
+    for case in cases:
+        report = solve(case)
+        roots = "".join(f"; {record_bits(r)}" for r in report.intersections)
+        yield f"{label} {case.name}: {report.squares_examined} squares{roots}"
 
 
 def digest(cases) -> tuple[int, str]:
@@ -82,20 +110,27 @@ def digest(cases) -> tuple[int, str]:
         sha.update((event_line(event, payload) + "\n").encode())
 
     for case in cases:
-        config = cci.SolverConfig(**case.config)
-        report = cci.solve(cci.BezierCurve(case.curve1), cci.BezierCurve(case.curve2), config, observer)
+        report = solve(case, observer)
         squares += report.squares_examined
         roots = " ".join(f"{bits(r.u)},{bits(r.v)}" for r in report.intersections)
         sha.update(f"case {case.name} {report.truncated} {roots}\n".encode())
     return squares, sha.hexdigest()
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("--cases", action="store_true", help="print one line per case, not per workload")
+    args = parser.parse_args(argv)
     workloads = load_workloads()
     for workload, seed in RUNS:
-        squares, hexdigest = digest(workloads.build(workload, seed, cci.load_problem))
+        cases = workloads.build(workload, seed, cci.load_problem)
         label = workload if workload == "paper_suite" else f"{workload} seed {seed}"
-        print(f"{label}: {squares} squares sha256 {hexdigest}", flush=True)
+        if args.cases:
+            for line in case_lines(label, cases):
+                print(line, flush=True)
+        else:
+            squares, hexdigest = digest(cases)
+            print(f"{label}: {squares} squares sha256 {hexdigest}", flush=True)
     return 0
 
 
